@@ -11,6 +11,7 @@
 //! tail pins itself for post-hoc inspection via `/hedc/trace/<id>`.
 
 use crate::cluster::{browse_queries, dm_node};
+use crate::percentile;
 use hedc_dm::{DmNode, DmRouter};
 use hedc_net::{DmServer, NetConfig, NetDm, ServerConfig};
 use hedc_obs::{Breakdown, Category};
@@ -243,14 +244,6 @@ impl BrowseAttribution {
     }
 }
 
-fn percentile_us(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Drive the closed browse loop until `deadline`; every request optionally
 /// runs under a root span, and every `sample_every`th traced request is
 /// analyzed inline (while its spans are hot in the store).
@@ -331,7 +324,7 @@ pub fn run_browse_attribution(config: &AttributionConfig) -> BrowseAttribution {
             .flat_map(|w| w.join().expect("calibration thread"))
             .collect();
         all.sort_unstable();
-        percentile_us(&all, 0.95).max(1)
+        percentile(&all, 0.95).max(1)
     };
     recorder.set_pin_threshold_us(calibrated);
 
@@ -382,9 +375,9 @@ pub fn run_browse_attribution(config: &AttributionConfig) -> BrowseAttribution {
         requests,
         requests_per_second: requests as f64 / elapsed.max(f64::EPSILON),
         avg_response_s: avg_us / 1e6,
-        p50_response_s: percentile_us(&latencies_us, 0.50) as f64 / 1e6,
-        p95_response_s: percentile_us(&latencies_us, 0.95) as f64 / 1e6,
-        p99_response_s: percentile_us(&latencies_us, 0.99) as f64 / 1e6,
+        p50_response_s: percentile(&latencies_us, 0.50) as f64 / 1e6,
+        p95_response_s: percentile(&latencies_us, 0.95) as f64 / 1e6,
+        p99_response_s: percentile(&latencies_us, 0.99) as f64 / 1e6,
         pin_threshold_us: calibrated,
         pinned: recorder.depths().1,
         totals,

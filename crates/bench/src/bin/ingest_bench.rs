@@ -331,7 +331,7 @@ fn main() {
             &node.session,
             &units,
             &node.cfg,
-            &IngestOptions::serial(),
+            &IngestOptions::default(),
         )
         .expect("wal ingest");
         let secs = t0.elapsed().as_secs_f64();
@@ -370,7 +370,7 @@ fn main() {
                 unit_seq: victim,
                 site: CrashSite::Boundary(JournalStep::Events),
             }),
-            ..IngestOptions::serial()
+            ..IngestOptions::default()
         },
     );
     assert!(crash.is_err(), "injected crash must kill the run");
@@ -391,7 +391,7 @@ fn main() {
         &node.session,
         &cycle_units,
         &node.cfg,
-        &IngestOptions::serial(),
+        &IngestOptions::default(),
     )
     .expect("resume ingest");
     let resume_secs = t0.elapsed().as_secs_f64();

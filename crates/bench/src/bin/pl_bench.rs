@@ -21,7 +21,7 @@
 //! the sweep.
 
 use hedc_analysis::{AlgorithmRegistry, AnalysisParams};
-use hedc_dm::{Dm, DmConfig, IngestConfig};
+use hedc_dm::{pipeline, Dm, DmConfig, IngestConfig, IngestOptions};
 use hedc_events::{generate, package, GenConfig};
 use hedc_filestore::{Archive, ArchiveTier, FileStore};
 use hedc_pl::{PlConfig, ProcessingLogic, RequestSpec};
@@ -80,11 +80,10 @@ fn setup_dm(window_ms: u64) -> Arc<Dm> {
     });
     let session = dm.import_session();
     let cfg = IngestConfig::new(1, 2, dm.extended_catalog);
-    for unit in package(&t, 200_000, 1) {
-        dm.processes()
-            .ingest_unit(&session, &unit, &cfg)
-            .expect("ingest");
-    }
+    let units = package(&t, 200_000, 1);
+    let run = pipeline::ingest(&dm.io, &session, &units, &cfg, &IngestOptions::default())
+        .expect("ingest");
+    assert_eq!(run.failed, 0, "ingest: {:?}", run.units);
     dm
 }
 

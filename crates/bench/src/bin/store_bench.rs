@@ -26,6 +26,7 @@
 //! `hedc_bench::schema`; `HEDC_BENCH_SMOKE=1` shrinks the workload for the
 //! CI smoke gate.
 
+use hedc_bench::percentile;
 use hedc_metadb::{
     ColumnDef, DataType, Database, DbOptions, Expr, Query, Schema, StorageBackend, StorageConfig,
     Value,
@@ -90,11 +91,6 @@ struct Phase {
     p50_s: f64,
     p95_s: f64,
     p99_s: f64,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Run `queries` indexed browse queries, returning the latency profile.

@@ -7,6 +7,7 @@
 //! alongside the simulated Figure 5 so `results/BENCH_*.json` carries both
 //! a modeled and a measured throughput row per node count.
 
+use crate::percentile;
 use hedc_core::HedcConfig;
 use hedc_dm::{Dm, DmConfig, DmNode, DmRouter};
 use hedc_filestore::{Archive, ArchiveTier, FileStore};
@@ -130,14 +131,6 @@ pub(crate) fn browse_queries(n: usize) -> Vec<Query> {
             }
         })
         .collect()
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Boot the cluster, run the closed-loop workload, tear everything down.

@@ -45,6 +45,16 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
+/// Nearest-rank percentile `p` (in `[0, 1]`) of an ascending sample; the
+/// type's zero on an empty one.
+pub fn percentile<T: Copy + Default>(sorted: &[T], p: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 /// Write a JSON report.
 pub fn write_report(name: &str, value: &serde_json::Value) {
     let path = results_dir().join(format!("{name}.json"));

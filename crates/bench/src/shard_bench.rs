@@ -13,12 +13,12 @@
 //! `results/BENCH_fig5_shards.json`, gated by
 //! [`crate::schema::check_fig5`].
 
+use crate::percentile;
 use hedc_dm::{
-    schema, splitmix64, Clock, DmIo, DmNode, DmResult, IoConfig, Partitioning, Route, ShardMap,
-    ShardedDm,
+    schema, splitmix64, Clock, DmIo, DmNode, IoConfig, Partitioning, Route, ShardMap, ShardedDm,
 };
 use hedc_filestore::FileStore;
-use hedc_metadb::{Database, Expr, OrderDir, Query, QueryResult, Value};
+use hedc_metadb::{Database, Expr, OrderDir, Query, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -114,20 +114,6 @@ fn store(label: &str) -> Arc<DmIo> {
     ))
 }
 
-struct LocalNode {
-    io: Arc<DmIo>,
-    label: String,
-}
-
-impl DmNode for LocalNode {
-    fn node_id(&self) -> String {
-        self.label.clone()
-    }
-    fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
-        self.io.query(q)
-    }
-}
-
 fn hle_row(id: i64, time_end: i64) -> Vec<Value> {
     vec![
         Value::Int(id),
@@ -200,15 +186,9 @@ pub fn run_shard_point(config: &ShardBenchConfig, shards: usize) -> ShardPoint {
     }
     let replica_sets: Vec<Vec<Arc<dyn DmNode>>> = stores
         .iter()
-        .enumerate()
-        .map(|(s, io)| {
+        .map(|io| {
             (0..config.replicas)
-                .map(|r| {
-                    Arc::new(LocalNode {
-                        io: Arc::clone(io),
-                        label: format!("shard-{s}-r{r}"),
-                    }) as Arc<dyn DmNode>
-                })
+                .map(|_| Arc::clone(io) as Arc<dyn DmNode>)
                 .collect()
         })
         .collect();
@@ -237,7 +217,6 @@ pub fn run_shard_point(config: &ShardBenchConfig, shards: usize) -> ShardPoint {
     let secs = started.elapsed().as_secs_f64();
 
     latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let pct = |q: f64| latencies[((latencies.len() - 1) as f64 * q) as usize];
     ShardPoint {
         shards,
         replicas: config.replicas,
@@ -247,9 +226,9 @@ pub fn run_shard_point(config: &ShardBenchConfig, shards: usize) -> ShardPoint {
         secs,
         throughput_rps: config.queries as f64 / secs,
         avg_s: latencies.iter().sum::<f64>() / latencies.len() as f64,
-        p50_s: pct(0.50),
-        p95_s: pct(0.95),
-        p99_s: pct(0.99),
+        p50_s: percentile(&latencies, 0.50),
+        p95_s: percentile(&latencies, 0.95),
+        p99_s: percentile(&latencies, 0.99),
     }
 }
 

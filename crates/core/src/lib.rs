@@ -199,7 +199,7 @@ impl Hedc {
             &session,
             &units,
             &ingest_cfg,
-            &IngestOptions::serial(),
+            &IngestOptions::default(),
         )?;
         let mut report = LoadReport {
             units: run.ingested + run.resumed + run.skipped,

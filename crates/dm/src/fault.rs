@@ -164,8 +164,8 @@ impl<N: DmNode> FaultyDmNode<N> {
         self.seed
     }
 
-    /// Hard-down toggle (like [`crate::RemoteDm::set_down`]): while set,
-    /// every call is refused regardless of the plan.
+    /// Hard-down toggle: while set, every call is refused regardless of
+    /// the plan.
     pub fn set_down(&self, down: bool) {
         self.down.store(down, Ordering::SeqCst);
     }
@@ -208,6 +208,8 @@ impl<N: DmNode> FaultyDmNode<N> {
                 break;
             }
             if left == 0 {
+                // Spent: disarm, or `set_down(false)` could never revive it.
+                self.down_after.store(u64::MAX, Ordering::SeqCst);
                 self.down.store(true, Ordering::SeqCst);
                 break;
             }
@@ -280,50 +282,10 @@ impl<N: DmNode> DmNode for FaultyDmNode<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{Clock, DmIo, IoConfig, Partitioning};
-    use crate::schema;
-    use hedc_filestore::FileStore;
-    use hedc_metadb::{Database, Value};
+    use crate::io::{catalog_node, DmIo};
 
-    struct LocalNode {
-        io: DmIo,
-    }
-
-    impl DmNode for LocalNode {
-        fn node_id(&self) -> String {
-            "local".into()
-        }
-        fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
-            self.io.query(q)
-        }
-    }
-
-    fn node() -> Arc<LocalNode> {
-        let db = Database::in_memory("fault-test");
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-        let io = DmIo::new(
-            vec![db],
-            Partitioning::single(),
-            Arc::new(FileStore::new()),
-            Clock::starting_at(0),
-            &IoConfig::default(),
-        );
-        io.insert(
-            "catalog",
-            vec![
-                Value::Int(1),
-                Value::Int(0),
-                Value::Text("c".into()),
-                Value::Null,
-                Value::Text("system".into()),
-                Value::Bool(true),
-                Value::Int(0),
-            ],
-        )
-        .unwrap();
-        Arc::new(LocalNode { io })
+    fn node() -> Arc<DmIo> {
+        Arc::new(catalog_node("fault-test", 1))
     }
 
     fn outcome_tag(r: &DmResult<QueryResult>) -> &'static str {

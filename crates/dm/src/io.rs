@@ -488,6 +488,41 @@ impl DmIo {
     }
 }
 
+/// Fixture shared by this crate's unit tests: a one-database in-memory
+/// store with both schemas and `rows` rows in `catalog`.
+#[cfg(test)]
+pub(crate) fn catalog_node(label: &str, rows: i64) -> DmIo {
+    let db = Database::in_memory(label);
+    let mut conn = db.connect();
+    crate::schema::create_generic(&mut conn).unwrap();
+    crate::schema::create_domain(&mut conn).unwrap();
+    let io = DmIo::new(
+        vec![db],
+        Partitioning::single(),
+        Arc::new(FileStore::new()),
+        Clock::starting_at(0),
+        &IoConfig::default(),
+    );
+    for i in 0..rows {
+        io.insert("catalog", catalog_row(i + 1, &format!("c{i}")))
+            .unwrap();
+    }
+    io
+}
+
+#[cfg(test)]
+fn catalog_row(id: i64, name: &str) -> Vec<Value> {
+    vec![
+        Value::Int(id),
+        Value::Int(0),
+        Value::Text(name.into()),
+        Value::Null,
+        Value::Text("system".into()),
+        Value::Bool(true),
+        Value::Int(0),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,17 +530,7 @@ mod tests {
     use hedc_metadb::Expr;
 
     fn io_single() -> DmIo {
-        let db = Database::in_memory("io-test");
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-        DmIo::new(
-            vec![db],
-            Partitioning::single(),
-            Arc::new(FileStore::new()),
-            Clock::starting_at(1_000_000),
-            &IoConfig::default(),
-        )
+        catalog_node("io-test", 0)
     }
 
     #[test]
@@ -604,18 +629,6 @@ mod tests {
         io.log("info", "test", "hello").unwrap();
         assert_eq!(browse_db.row_count("op_log").unwrap(), 1);
         assert_eq!(process_db.row_count("op_log").unwrap(), 0);
-    }
-
-    fn catalog_row(id: i64, name: &str) -> Vec<Value> {
-        vec![
-            Value::Int(id),
-            Value::Int(0),
-            Value::Text(name.into()),
-            Value::Null,
-            Value::Text("system".into()),
-            Value::Bool(true),
-            Value::Int(0),
-        ]
     }
 
     #[test]

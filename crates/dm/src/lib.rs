@@ -51,23 +51,23 @@ mod semantic;
 mod session;
 pub mod shard;
 mod version;
+pub mod workflow;
 
 pub use error::{DmError, DmResult};
 pub use fault::{splitmix64, FaultCounts, FaultPlan, FaultyDmNode};
 pub use io::{Clock, DmCaches, DmIo, IoConfig, Partitioning};
 pub use names::{NameType, Names, ResolvedName};
-pub use pipeline::{
-    CrashPlan, CrashSite, IngestOptions, JournalStep, PipelineReport, UnitResult, UnitStatus,
-};
+pub use pipeline::{CrashPlan, IngestOptions, JournalStep, PipelineReport, UnitResult, UnitStatus};
 pub use process::{IngestConfig, IngestReport, Processes};
-pub use redirect::{DmNode, DmRouter, RemoteDm};
+pub use redirect::{DmNode, DmRouter};
 pub use semantic::{scope_query, AnaSpec, FilePayload, HleSpec, Services};
 pub use session::{create_user, password_hash, Rights, Session, SessionKind, SessionManager};
 pub use shard::{
-    FanoutPlan, MoveCrash, MoveOutcome, MoveSpec, MoveStep, Route, ShardMap, ShardMapHandle,
-    ShardMover, ShardScheme, ShardedDm, TableSharding,
+    FanoutPlan, MoveOutcome, MoveSpec, MoveStep, Route, ShardMap, ShardMapHandle, ShardMover,
+    ShardScheme, ShardedDm, TableSharding,
 };
 pub use version::{RecalReport, Versioning};
+pub use workflow::{CrashSite, Step};
 
 use hedc_filestore::FileStore;
 use hedc_metadb::{Database, MatViewManager, Query, QueryResult};
@@ -277,21 +277,41 @@ impl Dm {
     }
 }
 
-impl DmNode for Dm {
+/// The I/O layer is the smallest thing that can serve another node's reads;
+/// it identifies itself by its first database's name.
+impl DmNode for DmIo {
     fn node_id(&self) -> String {
-        "dm-local".to_string()
+        self.databases()[0].name().to_string()
     }
 
     fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
-        self.io.query(q)
+        self.query(q)
     }
 
     fn resolve_names(&self, item_id: i64, want: NameType) -> DmResult<Vec<ResolvedName>> {
-        self.names().resolve(item_id, want)
+        Names::new(self).resolve(item_id, want)
     }
 
     fn resolve_batch(&self, item_ids: &[i64], want: NameType) -> Vec<DmResult<Vec<ResolvedName>>> {
-        self.names().resolve_batch(item_ids, want)
+        Names::new(self).resolve_batch(item_ids, want)
+    }
+}
+
+impl DmNode for Dm {
+    fn node_id(&self) -> String {
+        self.io.node_id()
+    }
+
+    fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
+        self.io.execute_query(q)
+    }
+
+    fn resolve_names(&self, item_id: i64, want: NameType) -> DmResult<Vec<ResolvedName>> {
+        self.io.resolve_names(item_id, want)
+    }
+
+    fn resolve_batch(&self, item_ids: &[i64], want: NameType) -> Vec<DmResult<Vec<ResolvedName>>> {
+        self.io.resolve_batch(item_ids, want)
     }
 }
 

@@ -9,16 +9,14 @@
 //!   stages (`package` → `write` → `meta` → `events` → `view`), each with N
 //!   worker threads. Bounded channels give backpressure: a slow stage stalls
 //!   its producers instead of buffering without limit.
-//! * **A persistent workflow journal** — every completed step of every unit
-//!   appends a row to `op_ingest_journal` *after* the step's effects. Journal
-//!   rows are ordinary inserts, so they ride the metadb WAL: after a crash the
-//!   recovered journal tells the resume path exactly which steps completed.
-//!   A unit resumes at its first unrecorded step; partial effects of that
-//!   step (the crash landed mid-step) are compensated first, mirroring the
-//!   paper's compensation logic. A unit whose `done` record survived is
-//!   skipped entirely — re-running an ingest is idempotent.
+//! * **A persistent workflow journal** — each unit is one run of the
+//!   [`crate::workflow`] engine, keyed by its archive path: every completed
+//!   step is journaled after its effects, a crashed unit resumes at its first
+//!   unrecorded step once that step's partial effects are compensated, and a
+//!   unit whose `done` record survived is skipped entirely — re-running an
+//!   ingest is idempotent.
 //!
-//! The journal steps, in order:
+//! The step table, in order:
 //!
 //! | step | effects |
 //! |---|---|
@@ -47,12 +45,14 @@ use crate::names::{NameType, Names};
 use crate::process::{IngestConfig, IngestReport, Processes};
 use crate::semantic::{HleSpec, Services};
 use crate::session::Session;
+use crate::workflow::{self, CrashSite, Probe, Run, Step, Workflow};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use hedc_events::{detect, EventKind, TelemetryUnit};
 use hedc_filestore::checksum;
 use hedc_metadb::{Expr, Query, Statement, Value};
 use hedc_wavelet::PartitionedView;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -78,54 +78,21 @@ pub enum JournalStep {
     Done,
 }
 
-impl JournalStep {
-    /// Every step, in execution order.
-    pub const ALL: [JournalStep; 6] = [
-        JournalStep::Admitted,
-        JournalStep::RawStored,
-        JournalStep::RawRow,
-        JournalStep::Events,
-        JournalStep::View,
-        JournalStep::Done,
+impl Step for JournalStep {
+    const KIND: &'static str = "ingest";
+    const TABLE: &'static [(Self, &'static str)] = &[
+        (JournalStep::Admitted, "admitted"),
+        (JournalStep::RawStored, "raw_stored"),
+        (JournalStep::RawRow, "raw_row"),
+        (JournalStep::Events, "events"),
+        (JournalStep::View, "view"),
+        (JournalStep::Done, "done"),
     ];
-
-    /// Stable string stored in the journal's `step` column.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            JournalStep::Admitted => "admitted",
-            JournalStep::RawStored => "raw_stored",
-            JournalStep::RawRow => "raw_row",
-            JournalStep::Events => "events",
-            JournalStep::View => "view",
-            JournalStep::Done => "done",
-        }
-    }
-
-    /// Parse the stored representation back.
-    pub fn parse(s: &str) -> Option<JournalStep> {
-        JournalStep::ALL.into_iter().find(|st| st.as_str() == s)
-    }
-
-    /// Position in [`JournalStep::ALL`].
-    pub fn index(self) -> usize {
-        self as usize
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Crash injection (tests and the bench crash-cycle)
 // ---------------------------------------------------------------------------
-
-/// Where, relative to one journal step of one unit, an injected crash fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashSite {
-    /// After the step's effects but *before* its journal record: the
-    /// worst-case mid-step crash. Resume must compensate.
-    MidStep(JournalStep),
-    /// After the step's journal record: a clean step boundary. Resume must
-    /// continue without compensation and reproduce a byte-identical state.
-    Boundary(JournalStep),
-}
 
 /// A one-shot injected process crash: ingest dies with [`DmError::Crashed`]
 /// when the named unit reaches the named site.
@@ -134,7 +101,7 @@ pub struct CrashPlan {
     /// `TelemetryUnit::seq` of the victim unit.
     pub unit_seq: u32,
     /// Crash site within that unit's workflow.
-    pub site: CrashSite,
+    pub site: CrashSite<JournalStep>,
 }
 
 // ---------------------------------------------------------------------------
@@ -149,9 +116,6 @@ pub struct IngestOptions {
     pub workers: usize,
     /// Bound of each inter-stage queue (backpressure window).
     pub queue_depth: usize,
-    /// Write the workflow journal. Disabled for the legacy
-    /// [`Processes::ingest_unit`] single-shot path.
-    pub journal: bool,
     /// Injected crash, if any (tests, bench crash-cycle).
     pub crash: Option<CrashPlan>,
 }
@@ -161,19 +125,13 @@ impl Default for IngestOptions {
         IngestOptions {
             workers: 1,
             queue_depth: 8,
-            journal: true,
             crash: None,
         }
     }
 }
 
 impl IngestOptions {
-    /// Journaled serial ingest (the deterministic baseline).
-    pub fn serial() -> Self {
-        IngestOptions::default()
-    }
-
-    /// Journaled staged ingest with `n` workers per stage.
+    /// Staged ingest with `n` workers per stage.
     pub fn with_workers(n: usize) -> Self {
         IngestOptions {
             workers: n,
@@ -217,15 +175,6 @@ pub struct UnitResult {
 }
 
 impl UnitResult {
-    fn skipped(seq: u32, state: &UnitState) -> UnitResult {
-        UnitResult {
-            seq,
-            status: UnitStatus::Skipped,
-            report: Some(state.report()),
-            error: None,
-        }
-    }
-
     fn failed(seq: u32, error: DmError) -> UnitResult {
         UnitResult {
             seq,
@@ -350,29 +299,25 @@ fn done_message(unit: &TelemetryUnit, state: &UnitState) -> String {
 /// lazily.
 #[derive(Debug, Default)]
 struct Artifacts {
-    fits: Option<Vec<u8>>,
-    view: Option<Vec<u8>>,
+    fits: OnceLock<Vec<u8>>,
+    view: OnceLock<Vec<u8>>,
 }
 
 impl Artifacts {
-    fn fits(&mut self, unit: &TelemetryUnit) -> &[u8] {
-        self.fits
-            .get_or_insert_with(|| unit.to_fits().to_bytes())
-            .as_slice()
+    fn fits(&self, unit: &TelemetryUnit) -> &[u8] {
+        self.fits.get_or_init(|| unit.to_fits().to_bytes())
     }
 
-    fn view(&mut self, unit: &TelemetryUnit, cfg: &IngestConfig) -> &[u8] {
-        self.view
-            .get_or_insert_with(|| build_view_bytes(unit, cfg))
-            .as_slice()
+    fn view(&self, unit: &TelemetryUnit, cfg: &IngestConfig) -> &[u8] {
+        self.view.get_or_init(|| build_view_bytes(unit, cfg))
     }
 
-    /// Eagerly compute whatever the remaining steps will need.
-    fn precompute(&mut self, unit: &TelemetryUnit, cfg: &IngestConfig, next_idx: usize) {
-        if next_idx <= JournalStep::RawStored.index() {
+    /// Eagerly compute whatever the steps from `next` on will need.
+    fn precompute(&self, unit: &TelemetryUnit, cfg: &IngestConfig, next: JournalStep) {
+        if next.index() <= JournalStep::RawStored.index() {
             let _ = self.fits(unit);
         }
-        if next_idx <= JournalStep::View.index() {
+        if next.index() <= JournalStep::View.index() {
             let _ = self.view(unit, cfg);
         }
     }
@@ -386,17 +331,16 @@ fn build_view_bytes(unit: &TelemetryUnit, cfg: &IngestConfig) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------------
-// The unit runner: step execution, journaling, compensation
+// The unit workflow: step bodies and compensation over the shared engine
 // ---------------------------------------------------------------------------
 
 /// One unit mid-flight through the stages.
-struct Flight<'u> {
-    unit: &'u TelemetryUnit,
-    art: Artifacts,
-    state: UnitState,
-    next_idx: usize,
-    resumed_from: Option<JournalStep>,
-    compensations: usize,
+struct Flight<'a> {
+    flow: UnitFlow<'a>,
+    run: Run<JournalStep, UnitState>,
+    /// Decided at admission: skipped (`done` survived), resumed, or fresh.
+    status: UnitStatus,
+    probe: Probe<JournalStep>,
     /// Per-unit trace root, minted by the package stage and finished by
     /// whichever stage terminates the unit (done or failed). Stages adopt
     /// its context so their spans join one tree per unit.
@@ -406,69 +350,59 @@ struct Flight<'u> {
     handed_off: Option<Instant>,
 }
 
-impl<'u> Flight<'u> {
-    fn fresh(unit: &'u TelemetryUnit) -> Flight<'u> {
-        Flight {
-            unit,
-            art: Artifacts::default(),
-            state: UnitState::default(),
-            next_idx: 0,
-            resumed_from: None,
-            compensations: 0,
-            trace: None,
-            handed_off: None,
-        }
+impl Flight<'_> {
+    /// Execute steps up to and including `through`, journaling each.
+    fn advance(&mut self, through: JournalStep) -> DmResult<()> {
+        workflow::advance(
+            self.flow.io,
+            &self.flow,
+            &mut self.run,
+            through,
+            &self.probe,
+        )
     }
 
     fn into_result(self) -> UnitResult {
         UnitResult {
-            seq: self.unit.seq,
-            status: match self.resumed_from {
-                Some(from) => UnitStatus::Resumed {
-                    from,
-                    compensations: self.compensations,
-                },
-                None => UnitStatus::Ingested,
-            },
-            report: Some(self.state.report()),
+            seq: self.flow.unit.seq,
+            status: self.status,
+            report: Some(self.run.state.report()),
             error: None,
         }
     }
 }
 
-enum Admit<'u> {
-    Run(Flight<'u>),
-    Skip(UnitState),
-}
-
+/// What every unit of one ingest run shares.
 struct UnitRunner<'a> {
     io: &'a DmIo,
     session: &'a Session,
     cfg: &'a IngestConfig,
-    journal: bool,
     crash: Option<CrashPlan>,
 }
 
-impl UnitRunner<'_> {
+impl<'a> UnitRunner<'a> {
     /// Read the unit's journal trail and decide how to enter the workflow:
     /// fresh, resumed at the first unrecorded step (after compensating any
-    /// partial effects of that step), or skipped because `done` survived.
-    fn admit<'u>(&self, unit: &'u TelemetryUnit) -> DmResult<Admit<'u>> {
-        match self.journal_last(unit)? {
-            None => Ok(Admit::Run(Flight::fresh(unit))),
-            Some((JournalStep::Done, state)) => Ok(Admit::Skip(state)),
-            Some((last, state)) => {
-                let next = JournalStep::ALL[last.index() + 1];
-                let n = self.compensate(next, unit, &state)?;
+    /// partial effects of that step), or skipped because `done` survived —
+    /// advancing a skipped flight is a no-op.
+    fn admit(&self, unit: &'a TelemetryUnit) -> DmResult<Flight<'a>> {
+        let flow = UnitFlow {
+            io: self.io,
+            session: self.session,
+            cfg: self.cfg,
+            unit,
+            art: Artifacts::default(),
+        };
+        let run = workflow::resume(self.io, &flow)?;
+        let status = match (run.next_step(), run.resumed_from) {
+            (None, _) => UnitStatus::Skipped,
+            (Some(_), None) => UnitStatus::Ingested,
+            (Some(next), Some(from)) => {
+                let (seq, n, next, last) = (unit.seq, run.compensations, next.text(), from.text());
                 if n > 0 {
                     hedc_obs::emit(
                         hedc_obs::kind::INGEST_COMPENSATE,
-                        format!(
-                            "unit {} step {}: {} compensating actions",
-                            unit.seq,
-                            next.as_str(),
-                            n
-                        ),
+                        format!("unit {seq} step {next}: {n} compensating actions"),
                     );
                     hedc_obs::global()
                         .counter("ingest.compensations")
@@ -476,148 +410,87 @@ impl UnitRunner<'_> {
                 }
                 hedc_obs::emit(
                     hedc_obs::kind::INGEST_RESUME,
-                    format!(
-                        "unit {} resumes at {} (journal ends after {})",
-                        unit.seq,
-                        next.as_str(),
-                        last.as_str()
-                    ),
+                    format!("unit {seq} resumes at {next} (journal ends after {last})"),
                 );
-                Ok(Admit::Run(Flight {
-                    unit,
-                    art: Artifacts::default(),
-                    state,
-                    next_idx: last.index() + 1,
-                    resumed_from: Some(last),
+                UnitStatus::Resumed {
+                    from,
                     compensations: n,
-                    trace: None,
-                    handed_off: None,
-                }))
+                }
             }
-        }
+        };
+        let site = self
+            .crash
+            .filter(|p| p.unit_seq == unit.seq)
+            .map(|p| p.site);
+        Ok(Flight {
+            flow,
+            run,
+            status,
+            probe: Probe(site),
+            trace: None,
+            handed_off: None,
+        })
+    }
+}
+
+/// One unit's run of the ingest step table.
+struct UnitFlow<'a> {
+    io: &'a DmIo,
+    session: &'a Session,
+    cfg: &'a IngestConfig,
+    unit: &'a TelemetryUnit,
+    art: Artifacts,
+}
+
+impl Workflow for UnitFlow<'_> {
+    type Step = JournalStep;
+    type State = UnitState;
+
+    fn key(&self) -> String {
+        self.unit.archive_path()
     }
 
-    /// Execute steps up to and including `through`, journaling each.
-    fn advance(&self, flight: &mut Flight<'_>, through: JournalStep) -> DmResult<()> {
-        while flight.next_idx <= through.index() {
-            let step = JournalStep::ALL[flight.next_idx];
-            self.exec_step(step, flight.unit, &mut flight.art, &mut flight.state)?;
-            self.crash_check(flight.unit.seq, CrashSite::MidStep(step))?;
-            self.journal_record(flight.unit, step, &flight.state)?;
-            self.crash_check(flight.unit.seq, CrashSite::Boundary(step))?;
-            flight.next_idx += 1;
-        }
-        Ok(())
-    }
-
-    fn crash_check(&self, seq: u32, site: CrashSite) -> DmResult<()> {
-        if let Some(plan) = &self.crash {
-            if plan.unit_seq == seq && plan.site == site {
-                hedc_obs::emit(
-                    hedc_obs::kind::FAULT_INJECT,
-                    format!("ingest crash injected: unit {seq} at {site:?}"),
-                );
-                return Err(DmError::Crashed(format!("unit {seq} at {site:?}")));
-            }
-        }
-        Ok(())
-    }
-
-    // -- journal ------------------------------------------------------------
-
-    fn journal_record(
-        &self,
-        unit: &TelemetryUnit,
-        step: JournalStep,
-        state: &UnitState,
-    ) -> DmResult<()> {
-        if !self.journal {
-            return Ok(());
-        }
-        let payload = serde_json::to_string(state)
-            .map_err(|e| DmError::Integrity(format!("ingest journal payload: {e}")))?;
-        let id = self.io.next_id();
-        let ts = self.io.clock.now_ms();
-        self.io.insert(
-            "op_ingest_journal",
-            vec![
-                Value::Int(id),
-                Value::Text(unit.archive_path()),
-                Value::Int(i64::from(unit.seq)),
-                Value::Text(step.as_str().to_string()),
-                Value::Text(payload),
-                Value::Int(ts as i64),
-            ],
-        )?;
-        Ok(())
-    }
-
-    fn journal_last(&self, unit: &TelemetryUnit) -> DmResult<Option<(JournalStep, UnitState)>> {
-        if !self.journal {
-            return Ok(None);
-        }
-        let key = unit.archive_path();
-        let r = self
-            .io
-            .query(&Query::table("op_ingest_journal").filter(Expr::eq("unit_key", key.as_str())))?;
-        let mut best: Option<(JournalStep, String)> = None;
-        for row in &r.rows {
-            let step = match row[3].as_text().and_then(JournalStep::parse) {
-                Some(s) => s,
-                None => continue,
-            };
-            if best
-                .as_ref()
-                .map_or(true, |(b, _)| step.index() > b.index())
-            {
-                best = Some((step, row[4].as_text().unwrap_or("{}").to_string()));
-            }
-        }
-        match best {
-            None => Ok(None),
-            Some((step, payload)) => {
-                let state = serde_json::from_str(&payload).map_err(|e| {
-                    DmError::Integrity(format!("ingest journal payload for `{key}`: {e}"))
-                })?;
-                Ok(Some((step, state)))
-            }
-        }
-    }
-
-    // -- step execution -----------------------------------------------------
-
-    fn exec_step(
+    fn exec(
         &self,
         step: JournalStep,
-        unit: &TelemetryUnit,
-        art: &mut Artifacts,
         state: &mut UnitState,
+        _probe: &Probe<JournalStep>,
     ) -> DmResult<()> {
         match step {
             JournalStep::Admitted => Ok(()),
-            JournalStep::RawStored => self.step_raw_stored(unit, art, state),
-            JournalStep::RawRow => self.step_raw_row(unit, state),
-            JournalStep::Events => self.step_events(unit, state),
-            JournalStep::View => self.step_view(unit, art, state),
-            JournalStep::Done => self.step_done(unit, state),
+            JournalStep::RawStored => self.step_raw_stored(state),
+            JournalStep::RawRow => self.step_raw_row(state),
+            JournalStep::Events => self.step_events(state),
+            JournalStep::View => self.step_view(state),
+            JournalStep::Done => self.step_done(state),
         }
     }
 
-    fn step_raw_stored(
-        &self,
-        unit: &TelemetryUnit,
-        art: &mut Artifacts,
-        state: &mut UnitState,
-    ) -> DmResult<()> {
-        let names = Names::new(self.io);
-        let raw_path = unit.archive_path();
-        let physical = names.physical_path(self.cfg.raw_archive, &raw_path)?;
-        let (size, sum) = {
-            let fits = art.fits(unit);
-            self.io.files.store(self.cfg.raw_archive, &physical, fits)?;
-            (fits.len() as u64, checksum(fits))
-        };
-        let raw_item = self.io.next_id();
+    /// Every query keys off deterministic unit properties — archive paths,
+    /// the unit's time window — never off allocated ids, which the crash may
+    /// not have persisted anywhere.
+    fn compensate(&self, step: JournalStep, state: &UnitState) -> DmResult<usize> {
+        match step {
+            JournalStep::Admitted => Ok(0),
+            JournalStep::RawStored => {
+                self.compensate_file_location(self.unit.archive_path(), self.cfg.raw_archive)
+            }
+            JournalStep::RawRow => self.compensate_raw_row(state),
+            JournalStep::Events => self.compensate_events(),
+            JournalStep::View => self.compensate_view(state),
+            JournalStep::Done => self.compensate_done(state),
+        }
+    }
+}
+
+impl UnitFlow<'_> {
+    /// Store `bytes` at `path` in `archive` and register the location:
+    /// returns `(item_id, entry_id, size)`. The mirror of
+    /// [`UnitFlow::compensate_file_location`].
+    fn store_located(&self, archive: u32, path: String, bytes: &[u8]) -> DmResult<(i64, i64, u64)> {
+        let physical = Names::new(self.io).physical_path(archive, &path)?;
+        self.io.files.store(archive, &physical, bytes)?;
+        let item_id = self.io.next_id();
         let entry_id = self.io.next_id();
         // loc_entry before loc_item: a mid-step crash may leave an entry
         // whose item row is missing (cleaned by path-keyed compensation) but
@@ -626,19 +499,26 @@ impl UnitRunner<'_> {
             "loc_entry",
             vec![
                 Value::Int(entry_id),
-                Value::Int(raw_item),
+                Value::Int(item_id),
                 Value::Text(NameType::File.as_str().to_string()),
-                Value::Int(i64::from(self.cfg.raw_archive)),
-                Value::Text(raw_path),
-                Value::Int(size as i64),
-                Value::Int(i64::from(sum)),
+                Value::Int(i64::from(archive)),
+                Value::Text(path),
+                Value::Int(bytes.len() as i64),
+                Value::Int(i64::from(checksum(bytes))),
                 Value::Text("data".to_string()),
             ],
         )?;
         let ts = self.io.clock.now_ms();
-        self.io.insert(
-            "loc_item",
-            vec![Value::Int(raw_item), Value::Int(ts as i64)],
+        self.io
+            .insert("loc_item", vec![Value::Int(item_id), Value::Int(ts as i64)])?;
+        Ok((item_id, entry_id, bytes.len() as u64))
+    }
+
+    fn step_raw_stored(&self, state: &mut UnitState) -> DmResult<()> {
+        let (raw_item, entry_id, size) = self.store_located(
+            self.cfg.raw_archive,
+            self.unit.archive_path(),
+            self.art.fits(self.unit),
         )?;
         state.raw_item = Some(raw_item);
         state.raw_entry = Some(entry_id);
@@ -646,7 +526,8 @@ impl UnitRunner<'_> {
         Ok(())
     }
 
-    fn step_raw_row(&self, unit: &TelemetryUnit, state: &mut UnitState) -> DmResult<()> {
+    fn step_raw_row(&self, state: &mut UnitState) -> DmResult<()> {
+        let unit = self.unit;
         let raw_item = state.raw_item.ok_or_else(|| {
             DmError::Integrity("ingest journal: raw_row without raw_stored".into())
         })?;
@@ -669,7 +550,8 @@ impl UnitRunner<'_> {
         Ok(())
     }
 
-    fn step_events(&self, unit: &TelemetryUnit, state: &mut UnitState) -> DmResult<()> {
+    fn step_events(&self, state: &mut UnitState) -> DmResult<()> {
+        let unit = self.unit;
         let svc = Services::new(self.io);
         let procs = Processes::new(self.io);
         let raw_id = state
@@ -709,44 +591,15 @@ impl UnitRunner<'_> {
         Ok(())
     }
 
-    fn step_view(
-        &self,
-        unit: &TelemetryUnit,
-        art: &mut Artifacts,
-        state: &mut UnitState,
-    ) -> DmResult<()> {
-        let names = Names::new(self.io);
+    fn step_view(&self, state: &mut UnitState) -> DmResult<()> {
+        let unit = self.unit;
         let raw_id = state
             .raw_id
             .ok_or_else(|| DmError::Integrity("ingest journal: view without raw_row".into()))?;
-        let view_path = view_path_of(unit, self.cfg);
-        let physical = names.physical_path(self.cfg.derived_archive, &view_path)?;
-        let (size, sum) = {
-            let bytes = art.view(unit, self.cfg);
-            self.io
-                .files
-                .store(self.cfg.derived_archive, &physical, bytes)?;
-            (bytes.len() as u64, checksum(bytes))
-        };
-        let view_item = self.io.next_id();
-        let entry_id = self.io.next_id();
-        self.io.insert(
-            "loc_entry",
-            vec![
-                Value::Int(entry_id),
-                Value::Int(view_item),
-                Value::Text(NameType::File.as_str().to_string()),
-                Value::Int(i64::from(self.cfg.derived_archive)),
-                Value::Text(view_path),
-                Value::Int(size as i64),
-                Value::Int(i64::from(sum)),
-                Value::Text("data".to_string()),
-            ],
-        )?;
-        let ts = self.io.clock.now_ms();
-        self.io.insert(
-            "loc_item",
-            vec![Value::Int(view_item), Value::Int(ts as i64)],
+        let (view_item, entry_id, size) = self.store_located(
+            self.cfg.derived_archive,
+            view_path_of(unit, self.cfg),
+            self.art.view(unit, self.cfg),
         )?;
         let view_id = self.io.next_id();
         self.io.insert(
@@ -776,34 +629,12 @@ impl UnitRunner<'_> {
         Ok(())
     }
 
-    fn step_done(&self, unit: &TelemetryUnit, state: &mut UnitState) -> DmResult<()> {
-        self.io.log("info", "ingest", &done_message(unit, state))
+    fn step_done(&self, state: &UnitState) -> DmResult<()> {
+        self.io
+            .log("info", "ingest", &done_message(self.unit, state))
     }
 
     // -- compensation -------------------------------------------------------
-
-    /// Remove partial effects of `step` (the first unrecorded step of a
-    /// crashed unit) so the step can re-run from a clean slate. Every query
-    /// keys off deterministic unit properties — archive paths, the unit's
-    /// time window — never off allocated ids, which the crash may not have
-    /// persisted anywhere. Returns the number of compensating actions.
-    fn compensate(
-        &self,
-        step: JournalStep,
-        unit: &TelemetryUnit,
-        state: &UnitState,
-    ) -> DmResult<usize> {
-        match step {
-            JournalStep::Admitted => Ok(0),
-            JournalStep::RawStored => {
-                self.compensate_file_location(unit.archive_path(), self.cfg.raw_archive)
-            }
-            JournalStep::RawRow => self.compensate_raw_row(state),
-            JournalStep::Events => self.compensate_events(unit),
-            JournalStep::View => self.compensate_view(unit, state),
-            JournalStep::Done => self.compensate_done(unit, state),
-        }
-    }
 
     /// Delete the location rows and archive file of one path, if present.
     fn compensate_file_location(&self, path: String, archive: u32) -> DmResult<usize> {
@@ -846,7 +677,8 @@ impl UnitRunner<'_> {
     /// inside the unit's half-open time window, and units partition the
     /// downlink on disjoint windows, so `source = 'detection'` rows starting
     /// in `[start_ms, end_ms)` can only be this unit's partial output.
-    fn compensate_events(&self, unit: &TelemetryUnit) -> DmResult<usize> {
+    fn compensate_events(&self) -> DmResult<usize> {
+        let unit = self.unit;
         if unit.end_ms <= unit.start_ms {
             return Ok(0);
         }
@@ -876,8 +708,8 @@ impl UnitRunner<'_> {
         Ok(n)
     }
 
-    fn compensate_view(&self, unit: &TelemetryUnit, state: &UnitState) -> DmResult<usize> {
-        let view_path = view_path_of(unit, self.cfg);
+    fn compensate_view(&self, state: &UnitState) -> DmResult<usize> {
+        let view_path = view_path_of(self.unit, self.cfg);
         let mut n = 0usize;
         let entries = self.io.query(
             &Query::table("loc_entry").filter(
@@ -904,12 +736,12 @@ impl UnitRunner<'_> {
 
     /// The done step's only effect is the ingest log line; its message is
     /// deterministic, so an exact-match delete removes a pre-crash duplicate.
-    fn compensate_done(&self, unit: &TelemetryUnit, state: &UnitState) -> DmResult<usize> {
+    fn compensate_done(&self, state: &UnitState) -> DmResult<usize> {
         Ok(self.io.execute(Statement::Delete {
             table: "op_log".into(),
             filter: Some(
                 Expr::eq("component", "ingest")
-                    .and(Expr::eq("message", done_message(unit, state).as_str())),
+                    .and(Expr::eq("message", done_message(self.unit, state).as_str())),
             ),
         })?)
     }
@@ -922,29 +754,6 @@ fn view_path_of(unit: &TelemetryUnit, cfg: &IngestConfig) -> String {
 // ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
-
-/// Journal-less single-unit ingest: the legacy [`Processes::ingest_unit`]
-/// path, now expressed through the shared step executor.
-pub(crate) fn ingest_one(
-    io: &DmIo,
-    session: &Session,
-    unit: &TelemetryUnit,
-    cfg: &IngestConfig,
-) -> DmResult<IngestReport> {
-    let runner = UnitRunner {
-        io,
-        session,
-        cfg,
-        journal: false,
-        crash: None,
-    };
-    let mut flight = match runner.admit(unit)? {
-        Admit::Run(f) => f,
-        Admit::Skip(state) => return Ok(state.report()),
-    };
-    runner.advance(&mut flight, JournalStep::Done)?;
-    Ok(flight.state.report())
-}
 
 /// Ingest a batch of units: serial when `opts.workers <= 1`, staged-parallel
 /// otherwise. Either way the run ends with the operational catalog refresh
@@ -963,10 +772,16 @@ pub fn ingest(
     cfg: &IngestConfig,
     opts: &IngestOptions,
 ) -> DmResult<PipelineReport> {
+    let runner = UnitRunner {
+        io,
+        session,
+        cfg,
+        crash: opts.crash,
+    };
     let report = if opts.workers <= 1 {
-        ingest_serial(io, session, units, cfg, opts)?
+        ingest_serial(&runner, units)?
     } else {
-        ingest_parallel(io, session, units, cfg, opts)?
+        ingest_parallel(&runner, units, opts)?
     };
     finish(io)?;
     Ok(report)
@@ -980,36 +795,21 @@ fn finish(io: &DmIo) -> DmResult<()> {
     Ok(())
 }
 
-fn ingest_serial(
-    io: &DmIo,
-    session: &Session,
-    units: &[TelemetryUnit],
-    cfg: &IngestConfig,
-    opts: &IngestOptions,
-) -> DmResult<PipelineReport> {
-    let runner = UnitRunner {
-        io,
-        session,
-        cfg,
-        journal: opts.journal,
-        crash: opts.crash,
-    };
+fn ingest_serial(runner: &UnitRunner<'_>, units: &[TelemetryUnit]) -> DmResult<PipelineReport> {
     let mut results = Vec::with_capacity(units.len());
     for unit in units {
         // One trace per unit, same shape as the staged pipeline's.
         let root = hedc_obs::Span::root("ingest.unit");
-        let outcome = match runner.admit(unit) {
-            Ok(Admit::Skip(state)) => Ok(UnitResult::skipped(unit.seq, &state)),
-            Ok(Admit::Run(mut flight)) => match runner.advance(&mut flight, JournalStep::Done) {
-                Ok(()) => Ok(flight.into_result()),
-                Err(DmError::Crashed(site)) => Err(DmError::Crashed(site)),
-                Err(e) => Ok(UnitResult::failed(unit.seq, e)),
-            },
-            Err(DmError::Crashed(site)) => Err(DmError::Crashed(site)),
-            Err(e) => Ok(UnitResult::failed(unit.seq, e)),
-        };
+        let outcome = runner.admit(unit).and_then(|mut flight| {
+            flight.advance(JournalStep::Done)?;
+            Ok(flight.into_result())
+        });
         drop(root);
-        results.push(outcome?);
+        results.push(match outcome {
+            Ok(result) => result,
+            Err(crash @ DmError::Crashed(_)) => return Err(crash),
+            Err(e) => UnitResult::failed(unit.seq, e),
+        });
     }
     Ok(PipelineReport::from_units(units.len(), results))
 }
@@ -1035,21 +835,12 @@ impl Ctrl {
 }
 
 fn ingest_parallel(
-    io: &DmIo,
-    session: &Session,
+    runner: &UnitRunner<'_>,
     units: &[TelemetryUnit],
-    cfg: &IngestConfig,
     opts: &IngestOptions,
 ) -> DmResult<PipelineReport> {
     let workers = opts.workers.max(1);
     let depth = opts.queue_depth.max(1);
-    let runner = UnitRunner {
-        io,
-        session,
-        cfg,
-        journal: opts.journal,
-        crash: opts.crash,
-    };
     let ctrl = Ctrl {
         abort: AtomicBool::new(false),
         crash: parking_lot::Mutex::new(None),
@@ -1066,7 +857,7 @@ fn ingest_parallel(
     let results = std::thread::scope(|s| {
         for _ in 0..workers {
             let (rx, tx, res) = (in_rx.clone(), write_tx.clone(), res_tx.clone());
-            let (runner, ctrl) = (&runner, &ctrl);
+            let ctrl = &ctrl;
             s.spawn(move || package_worker(runner, rx, tx, res, ctrl));
         }
         let stages = [
@@ -1078,8 +869,8 @@ fn ingest_parallel(
         for (name, through, rx, tx) in stages {
             for _ in 0..workers {
                 let (rx, tx, res) = (rx.clone(), tx.clone(), res_tx.clone());
-                let (runner, ctrl) = (&runner, &ctrl);
-                s.spawn(move || stage_worker(runner, name, through, rx, tx, res, ctrl));
+                let ctrl = &ctrl;
+                s.spawn(move || stage_worker(name, through, rx, tx, res, ctrl));
             }
             // The per-stage clones moved into the workers; dropping the
             // originals here lets each channel close once its stage drains.
@@ -1104,7 +895,7 @@ fn ingest_parallel(
 /// First stage: journal lookup (admit/skip/resume) plus the CPU-heavy byte
 /// products, so the DB-bound stages downstream stay short.
 fn package_worker<'u>(
-    runner: &UnitRunner<'_>,
+    runner: &UnitRunner<'u>,
     rx: Receiver<&'u TelemetryUnit>,
     tx: Sender<Flight<'u>>,
     results: Sender<UnitResult>,
@@ -1120,17 +911,18 @@ fn package_worker<'u>(
         }
         let started = Instant::now();
         match runner.admit(unit) {
-            Ok(Admit::Skip(state)) => {
-                let _ = results.send(UnitResult::skipped(unit.seq, &state));
-            }
-            Ok(Admit::Run(mut flight)) => {
+            Ok(mut flight) => {
+                let Some(next) = flight.run.next_step() else {
+                    let _ = results.send(flight.into_result());
+                    continue;
+                };
                 // Mint the unit's trace; the package work becomes its first
                 // stage span, and downstream stages adopt the same context.
                 let root = hedc_obs::PendingRoot::begin("ingest.unit");
                 {
                     let _g = hedc_obs::adopt(Some(root.context()));
                     let _span = hedc_obs::Span::child("ingest.stage.package");
-                    flight.art.precompute(unit, runner.cfg, flight.next_idx);
+                    flight.flow.art.precompute(unit, runner.cfg, next);
                 }
                 lat.record(started.elapsed());
                 flight.trace = Some(root);
@@ -1150,7 +942,6 @@ fn package_worker<'u>(
 /// A DB-bound stage: advance each in-flight unit through this stage's steps,
 /// journaling as it goes, then hand it downstream (or finalize it).
 fn stage_worker<'u>(
-    runner: &UnitRunner<'_>,
     name: &'static str,
     through: JournalStep,
     rx: Receiver<Flight<'u>>,
@@ -1175,7 +966,7 @@ fn stage_worker<'u>(
         let started = Instant::now();
         let outcome = {
             let _span = hedc_obs::Span::child(&format!("ingest.stage.{name}"));
-            runner.advance(&mut flight, through)
+            flight.advance(through)
         };
         match outcome {
             Ok(()) => {
@@ -1201,7 +992,7 @@ fn stage_worker<'u>(
                 if let Some(root) = flight.trace.take() {
                     root.finish();
                 }
-                let _ = results.send(UnitResult::failed(flight.unit.seq, e));
+                let _ = results.send(UnitResult::failed(flight.flow.unit.seq, e));
             }
         }
     }
@@ -1210,16 +1001,6 @@ fn stage_worker<'u>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn journal_step_roundtrip_and_order() {
-        for (i, step) in JournalStep::ALL.into_iter().enumerate() {
-            assert_eq!(step.index(), i);
-            assert_eq!(JournalStep::parse(step.as_str()), Some(step));
-        }
-        assert_eq!(JournalStep::parse("nonsense"), None);
-        assert!(JournalStep::Admitted < JournalStep::Done);
-    }
 
     #[test]
     fn report_accounts_for_every_unit() {

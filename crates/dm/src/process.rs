@@ -11,7 +11,7 @@ use crate::io::DmIo;
 use crate::names::{NameType, Names};
 use crate::semantic::Services;
 use crate::session::Session;
-use hedc_events::{DetectConfig, TelemetryUnit};
+use hedc_events::DetectConfig;
 use hedc_filestore::migrate_batch;
 use hedc_metadb::{Expr, Query, Statement, Value};
 
@@ -71,21 +71,6 @@ impl<'a> Processes<'a> {
     /// Wrap the I/O layer.
     pub fn new(io: &'a DmIo) -> Self {
         Processes { io }
-    }
-
-    /// The data-loading workflow (§2.2/§4.1): store the raw unit, register
-    /// its location, run event detection, create public HLEs in the
-    /// extended catalog, and build the load-time wavelet view (§3.4).
-    ///
-    /// `import_session` is the system import user (HLEs it creates are
-    /// published immediately, as the paper's catalogs are).
-    pub fn ingest_unit(
-        &self,
-        import_session: &Session,
-        unit: &TelemetryUnit,
-        cfg: &IngestConfig,
-    ) -> DmResult<IngestReport> {
-        crate::pipeline::ingest_one(self.io, import_session, unit, cfg)
     }
 
     /// Synchronize the `op_archives` operational table with the live
@@ -246,9 +231,10 @@ impl<'a> Processes<'a> {
 mod tests {
     use super::*;
     use crate::io::{Clock, IoConfig, Partitioning};
+    use crate::pipeline::{self, IngestOptions};
     use crate::schema;
     use crate::session::{create_user, Rights, SessionKind, SessionManager};
-    use hedc_events::{generate, package, GenConfig};
+    use hedc_events::{generate, package, GenConfig, TelemetryUnit};
     use hedc_filestore::{Archive, ArchiveTier, FileStore};
     use hedc_metadb::Database;
     use hedc_wavelet::PartitionedView;
@@ -318,6 +304,14 @@ mod tests {
         }
     }
 
+    fn ingest(f: &Fx, unit: &TelemetryUnit) -> IngestReport {
+        let cfg = IngestConfig::new(1, 2, f.extended);
+        let units = std::slice::from_ref(unit);
+        let mut run =
+            pipeline::ingest(&f.io, &f.import, units, &cfg, &IngestOptions::default()).unwrap();
+        run.units.remove(0).report.expect("the unit ingests")
+    }
+
     fn busy_unit() -> TelemetryUnit {
         let t = generate(&GenConfig {
             duration_ms: 30 * 60 * 1000,
@@ -334,8 +328,7 @@ mod tests {
         let f = fixture();
         let procs = Processes::new(&f.io);
         let unit = busy_unit();
-        let cfg = IngestConfig::new(1, 2, f.extended);
-        let report = procs.ingest_unit(&f.import, &unit, &cfg).unwrap();
+        let report = ingest(&f, &unit);
         assert!(report.bytes_stored > 0);
         assert!(
             !report.hle_ids.is_empty(),
@@ -373,8 +366,7 @@ mod tests {
         let f = fixture();
         let procs = Processes::new(&f.io);
         let unit = busy_unit();
-        let cfg = IngestConfig::new(1, 2, f.extended);
-        procs.ingest_unit(&f.import, &unit, &cfg).unwrap();
+        ingest(&f, &unit);
         let path = unit.archive_path();
         let moved = procs.relocate(1, 3, std::slice::from_ref(&path)).unwrap();
         assert_eq!(moved, 1);
@@ -394,8 +386,7 @@ mod tests {
         let f = fixture();
         let procs = Processes::new(&f.io);
         let unit = busy_unit();
-        let cfg = IngestConfig::new(1, 2, f.extended);
-        procs.ingest_unit(&f.import, &unit, &cfg).unwrap();
+        ingest(&f, &unit);
         let good = unit.archive_path();
         let paths = vec![good.clone(), "missing/file".to_string()];
         let err = procs.relocate(1, 3, &paths).unwrap_err();
@@ -417,8 +408,7 @@ mod tests {
         let f = fixture();
         let procs = Processes::new(&f.io);
         let unit = busy_unit();
-        let cfg = IngestConfig::new(1, 2, f.extended);
-        let report = procs.ingest_unit(&f.import, &unit, &cfg).unwrap();
+        let report = ingest(&f, &unit);
         let (cat, n) = procs
             .generate_catalog(&f.import, "flares-only", Expr::eq("event_type", "flare"))
             .unwrap();
@@ -432,8 +422,7 @@ mod tests {
         let f = fixture();
         let procs = Processes::new(&f.io);
         let unit = busy_unit();
-        let cfg = IngestConfig::new(1, 2, f.extended);
-        procs.ingest_unit(&f.import, &unit, &cfg).unwrap();
+        ingest(&f, &unit);
         // Nothing obsolete yet.
         assert_eq!(procs.purge_obsolete_raw().unwrap(), 0);
         f.io.execute(Statement::Update {

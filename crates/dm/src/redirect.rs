@@ -12,7 +12,7 @@ use crate::error::{DmError, DmResult};
 use crate::names::{NameType, ResolvedName};
 use hedc_cache::{CacheConfig, DepSnapshot, QueryCache};
 use hedc_metadb::{Query, QueryResult};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Cache scope tag for router-side entries. Queries reaching the router are
@@ -58,105 +58,6 @@ pub trait DmNode: Send + Sync {
     /// Liveness probe.
     fn is_available(&self) -> bool {
         true
-    }
-}
-
-/// A remote DM node: wraps another node behind a simulated network hop with
-/// failure injection. Latency is *accounted*, not slept, and read back by
-/// the evaluation harness.
-pub struct RemoteDm<N: DmNode> {
-    inner: Arc<N>,
-    label: String,
-    hop_us: u64,
-    accumulated_us: AtomicU64,
-    down: AtomicBool,
-    calls: AtomicU64,
-}
-
-impl<N: DmNode> RemoteDm<N> {
-    /// Wrap `inner` behind a hop of `hop_us` simulated microseconds.
-    pub fn new(inner: Arc<N>, label: impl Into<String>, hop_us: u64) -> Self {
-        RemoteDm {
-            inner,
-            label: label.into(),
-            hop_us,
-            accumulated_us: AtomicU64::new(0),
-            down: AtomicBool::new(false),
-            calls: AtomicU64::new(0),
-        }
-    }
-
-    /// Simulate the node going down / coming back.
-    pub fn set_down(&self, down: bool) {
-        self.down.store(down, Ordering::SeqCst);
-    }
-
-    /// Calls served.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Total simulated network time, microseconds.
-    pub fn network_us(&self) -> u64 {
-        self.accumulated_us.load(Ordering::Relaxed)
-    }
-}
-
-impl<N: DmNode> DmNode for RemoteDm<N> {
-    fn node_id(&self) -> String {
-        self.label.clone()
-    }
-
-    fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
-        if self.down.load(Ordering::SeqCst) {
-            return Err(DmError::RemoteUnavailable(self.label.clone()));
-        }
-        // Round trip: request + response.
-        self.accumulated_us
-            .fetch_add(self.hop_us * 2, Ordering::Relaxed);
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.execute_query(q)
-    }
-
-    fn execute_batch(&self, qs: &[Query]) -> Vec<DmResult<QueryResult>> {
-        if self.down.load(Ordering::SeqCst) {
-            return qs
-                .iter()
-                .map(|_| Err(DmError::RemoteUnavailable(self.label.clone())))
-                .collect();
-        }
-        // The whole batch crosses the wire once — that is the point.
-        self.accumulated_us
-            .fetch_add(self.hop_us * 2, Ordering::Relaxed);
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.execute_batch(qs)
-    }
-
-    fn resolve_names(&self, item_id: i64, want: NameType) -> DmResult<Vec<ResolvedName>> {
-        if self.down.load(Ordering::SeqCst) {
-            return Err(DmError::RemoteUnavailable(self.label.clone()));
-        }
-        self.accumulated_us
-            .fetch_add(self.hop_us * 2, Ordering::Relaxed);
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.resolve_names(item_id, want)
-    }
-
-    fn resolve_batch(&self, item_ids: &[i64], want: NameType) -> Vec<DmResult<Vec<ResolvedName>>> {
-        if self.down.load(Ordering::SeqCst) {
-            return item_ids
-                .iter()
-                .map(|_| Err(DmError::RemoteUnavailable(self.label.clone())))
-                .collect();
-        }
-        self.accumulated_us
-            .fetch_add(self.hop_us * 2, Ordering::Relaxed);
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.resolve_batch(item_ids, want)
-    }
-
-    fn is_available(&self) -> bool {
-        !self.down.load(Ordering::SeqCst) && self.inner.is_available()
     }
 }
 
@@ -422,95 +323,58 @@ impl DmRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{Clock, DmIo, IoConfig, Partitioning};
-    use crate::schema;
-    use hedc_filestore::FileStore;
-    use hedc_metadb::{Database, Value};
+    use crate::fault::{FaultPlan, FaultyDmNode};
+    use crate::io::{catalog_node, DmIo};
 
-    /// Minimal local node for routing tests.
-    struct LocalNode {
-        io: DmIo,
-        label: String,
+    /// A one-database node behind a fault wrapper that injects nothing
+    /// until a test flips it down.
+    fn node(label: &str, rows: i64) -> Arc<FaultyDmNode<DmIo>> {
+        wrap(catalog_node(label, rows), label)
     }
 
-    impl DmNode for LocalNode {
-        fn node_id(&self) -> String {
-            self.label.clone()
-        }
-        fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
-            self.io.query(q)
-        }
-    }
-
-    fn node(label: &str, rows: i64) -> Arc<LocalNode> {
-        let db = Database::in_memory(label);
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-        let io = DmIo::new(
-            vec![db],
-            Partitioning::single(),
-            Arc::new(FileStore::new()),
-            Clock::starting_at(0),
-            &IoConfig::default(),
-        );
-        for i in 0..rows {
-            io.insert(
-                "catalog",
-                vec![
-                    Value::Int(i + 1),
-                    Value::Int(0),
-                    Value::Text(format!("c{i}")),
-                    Value::Null,
-                    Value::Text("system".into()),
-                    Value::Bool(true),
-                    Value::Int(0),
-                ],
-            )
-            .unwrap();
-        }
-        Arc::new(LocalNode {
-            io,
-            label: label.to_string(),
-        })
+    fn wrap<N: DmNode>(inner: N, label: &str) -> Arc<FaultyDmNode<N>> {
+        Arc::new(FaultyDmNode::new(
+            Arc::new(inner),
+            label,
+            FaultPlan::seeded(0),
+        ))
     }
 
     #[test]
     fn round_robin_spreads_calls() {
-        let a = Arc::new(RemoteDm::new(node("a", 1), "node-a", 100));
-        let b = Arc::new(RemoteDm::new(node("b", 1), "node-b", 100));
+        let a = node("node-a", 1);
+        let b = node("node-b", 1);
         let router = DmRouter::new(vec![a.clone(), b.clone()]);
         for _ in 0..10 {
             router.execute_query(&Query::table("catalog")).unwrap();
         }
-        assert_eq!(a.calls(), 5);
-        assert_eq!(b.calls(), 5);
-        assert_eq!(a.network_us(), 5 * 200);
+        assert_eq!(a.counts().passed, 5);
+        assert_eq!(b.counts().passed, 5);
     }
 
     #[test]
     fn failover_skips_down_nodes() {
-        let a = Arc::new(RemoteDm::new(node("a", 1), "node-a", 50));
-        let b = Arc::new(RemoteDm::new(node("b", 1), "node-b", 50));
+        let a = node("node-a", 1);
+        let b = node("node-b", 1);
         let router = DmRouter::new(vec![a.clone(), b.clone()]);
         a.set_down(true);
         for _ in 0..6 {
             router.execute_query(&Query::table("catalog")).unwrap();
         }
-        assert_eq!(a.calls(), 0);
-        assert_eq!(b.calls(), 6);
+        assert_eq!(a.counts().passed, 0);
+        assert_eq!(b.counts().passed, 6);
         // Recovery.
         a.set_down(false);
         for _ in 0..2 {
             router.execute_query(&Query::table("catalog")).unwrap();
         }
-        assert!(a.calls() > 0);
+        assert!(a.counts().passed > 0);
     }
 
     #[test]
     fn recovery_emits_redirect_event() {
-        let a = Arc::new(RemoteDm::new(node("a", 1), "node-recov-a", 50));
-        let b = Arc::new(RemoteDm::new(node("b", 1), "node-recov-b", 50));
+        let a = node("node-recov-a", 1);
+        let b = node("node-recov-b", 1);
         let router = DmRouter::new(vec![a.clone(), b]);
         a.set_down(true);
         for _ in 0..4 {
@@ -536,7 +400,7 @@ mod tests {
 
     #[test]
     fn all_nodes_down_errors() {
-        let a = Arc::new(RemoteDm::new(node("a", 1), "node-a", 50));
+        let a = node("node-a", 1);
         let router = DmRouter::new(vec![a.clone() as Arc<dyn DmNode>]);
         a.set_down(true);
         assert!(matches!(
@@ -547,7 +411,7 @@ mod tests {
 
     #[test]
     fn warm_router_cache_survives_total_outage() {
-        let a = Arc::new(RemoteDm::new(node("a", 3), "node-cache-a", 50));
+        let a = node("node-cache-a", 3);
         let config = hedc_cache::CacheConfig {
             ttl: Some(std::time::Duration::from_secs(3600)),
             ..hedc_cache::CacheConfig::default()
@@ -555,10 +419,10 @@ mod tests {
         let router = DmRouter::with_cache(vec![a.clone() as Arc<dyn DmNode>], &config);
         let q = Query::table("catalog");
         let cold = router.execute_query(&q).unwrap();
-        assert_eq!(a.calls(), 1);
+        assert_eq!(a.counts().passed, 1);
         // Warm: served from cache, the node sees no second call.
         let warm = router.execute_query(&q).unwrap();
-        assert_eq!(a.calls(), 1, "warm request must not reach the node");
+        assert_eq!(a.counts().passed, 1, "warm request must not reach the node");
         assert_eq!(cold.rows, warm.rows);
         // Total outage: the warm entry still answers (degraded read-only).
         a.set_down(true);
@@ -573,7 +437,7 @@ mod tests {
 
     #[test]
     fn expired_entries_are_stale_served_only_during_outage() {
-        let a = Arc::new(RemoteDm::new(node("a", 2), "node-ttl-a", 50));
+        let a = node("node-ttl-a", 2);
         let config = hedc_cache::CacheConfig {
             ttl: Some(std::time::Duration::ZERO), // everything expires at once
             ..hedc_cache::CacheConfig::default()
@@ -583,7 +447,7 @@ mod tests {
         router.execute_query(&q).unwrap();
         router.execute_query(&q).unwrap();
         // TTL zero: both requests hit the node.
-        assert_eq!(a.calls(), 2);
+        assert_eq!(a.counts().passed, 2);
         // But an outage falls back to the expired entry, with an event.
         a.set_down(true);
         assert!(router.execute_query(&q).is_ok());
@@ -627,20 +491,18 @@ mod tests {
 
     #[test]
     fn batch_fans_out_across_healthy_nodes_and_stitches_in_order() {
-        let a = Arc::new(RemoteDm::new(
-            Arc::new(ResolvingNode {
+        let a = wrap(
+            ResolvingNode {
                 label: "fan-a".into(),
-            }),
+            },
             "fan-a",
-            50,
-        ));
-        let b = Arc::new(RemoteDm::new(
-            Arc::new(ResolvingNode {
+        );
+        let b = wrap(
+            ResolvingNode {
                 label: "fan-b".into(),
-            }),
+            },
             "fan-b",
-            50,
-        ));
+        );
         let router = DmRouter::new(vec![
             a.clone() as Arc<dyn DmNode>,
             b.clone() as Arc<dyn DmNode>,
@@ -652,10 +514,8 @@ mod tests {
             let names = r.as_ref().expect("healthy cluster resolves everything");
             assert_eq!(names[0].entry_id, items[i], "stitched back in input order");
         }
-        // One wire call per chunk, one chunk per healthy node — not one
-        // call per item.
-        assert_eq!(a.calls(), 1);
-        assert_eq!(b.calls(), 1);
+        // Every item crossed exactly one node.
+        assert_eq!(a.counts().passed + b.counts().passed, items.len() as u64);
         // Both directions of the split actually went out in parallel.
         let served: std::collections::HashSet<String> = out
             .iter()
@@ -667,20 +527,18 @@ mod tests {
 
     #[test]
     fn batch_chunk_fails_over_to_the_surviving_node() {
-        let a = Arc::new(RemoteDm::new(
-            Arc::new(ResolvingNode {
+        let a = wrap(
+            ResolvingNode {
                 label: "surv-a".into(),
-            }),
+            },
             "surv-a",
-            50,
-        ));
-        let b = Arc::new(RemoteDm::new(
-            Arc::new(ResolvingNode {
+        );
+        let b = wrap(
+            ResolvingNode {
                 label: "surv-b".into(),
-            }),
+            },
             "surv-b",
-            50,
-        ));
+        );
         let router = DmRouter::new(vec![
             a.clone() as Arc<dyn DmNode>,
             b.clone() as Arc<dyn DmNode>,
@@ -694,7 +552,7 @@ mod tests {
             assert_eq!(names[0].entry_id, items[i]);
             assert!(names[0].full_name.contains("surv-b"));
         }
-        assert_eq!(a.calls(), 0, "a down node serves nothing");
+        assert_eq!(a.counts().passed, 0, "a down node serves nothing");
 
         // Total outage: one positional error per input, none dropped.
         b.set_down(true);
@@ -707,10 +565,19 @@ mod tests {
 
     #[test]
     fn batch_on_nodes_without_resolution_surfaces_per_entry_errors() {
-        // LocalNode keeps the trait default: resolution unsupported. The
+        // A node that keeps the trait default: resolution unsupported. The
         // error is final (the node is up), so the router must not spin
         // through the rotation — every entry reports it positionally.
-        let router = DmRouter::new(vec![node("plain", 1) as Arc<dyn DmNode>]);
+        struct QueryOnly;
+        impl DmNode for QueryOnly {
+            fn node_id(&self) -> String {
+                "plain".into()
+            }
+            fn execute_query(&self, _q: &Query) -> DmResult<QueryResult> {
+                Err(DmError::RemoteFailed("queries unsupported".into()))
+            }
+        }
+        let router = DmRouter::new(vec![Arc::new(QueryOnly) as Arc<dyn DmNode>]);
         let out = router.resolve_batch(&[1, 2, 3], NameType::File);
         assert_eq!(out.len(), 3);
         assert!(out
@@ -721,11 +588,11 @@ mod tests {
     #[test]
     fn non_availability_errors_pass_through() {
         // A real query error (unknown table) must not trigger failover.
-        let a = Arc::new(RemoteDm::new(node("a", 1), "node-a", 50));
-        let b = Arc::new(RemoteDm::new(node("b", 1), "node-b", 50));
+        let a = node("node-a", 1);
+        let b = node("node-b", 1);
         let router = DmRouter::new(vec![a, b.clone()]);
         let err = router.execute_query(&Query::table("nope")).unwrap_err();
         assert!(matches!(err, DmError::BadQuery(_)));
-        assert_eq!(b.calls(), 0, "no failover on query errors");
+        assert_eq!(b.counts().passed, 0, "no failover on query errors");
     }
 }

@@ -7,6 +7,7 @@
 //! part (7 tables) carries the HLE/ANA/catalog model and can be replaced
 //! wholesale when the instrument changes, which is the point of the split.
 
+use crate::workflow::{journal_schema, JOURNAL_TABLE};
 use hedc_metadb::{ColumnDef, Connection, DataType, DbResult, Schema};
 
 // ---------------------------------------------------------------------------
@@ -121,51 +122,6 @@ pub fn op_archives() -> Schema {
         ],
     )
     .primary_key(&["archive_id"])
-}
-
-/// `op_ingest_journal`: the ingest workflow journal (§5.2). One row per
-/// completed workflow step of one telemetry unit, appended *after* the
-/// step's effects so a recovered journal never claims work that did not
-/// happen. `unit_key` is the unit's archive path (stable across retries),
-/// `payload` the cumulative JSON state the resume path needs (allocated
-/// ids, byte counts). Rows ride the metadb WAL like any other insert, which
-/// is what makes the journal crash-persistent.
-pub fn op_ingest_journal() -> Schema {
-    Schema::new(
-        "op_ingest_journal",
-        vec![
-            ColumnDef::new("id", DataType::Int).not_null(),
-            ColumnDef::new("unit_key", DataType::Text).not_null(),
-            ColumnDef::new("unit_seq", DataType::Int).not_null(),
-            ColumnDef::new("step", DataType::Text).not_null(),
-            ColumnDef::new("payload", DataType::Text),
-            ColumnDef::new("ts_ms", DataType::Timestamp).not_null(),
-        ],
-    )
-    .primary_key(&["id"])
-}
-
-/// `op_shard_journal`: the shard-rebalance workflow journal. Same
-/// discipline as [`op_ingest_journal`]: one row per completed move step,
-/// appended *after* the step's effects, riding the WAL. `move_key`
-/// identifies the move (`table:partN->sM`, stable across resumes), `part`
-/// the hash slot or range interval being moved, `payload` the JSON
-/// [`crate::shard::MoveSpec`] state (source shard, target epoch) the
-/// resume path needs so it never re-derives placement from an
-/// already-cut-over map.
-pub fn op_shard_journal() -> Schema {
-    Schema::new(
-        "op_shard_journal",
-        vec![
-            ColumnDef::new("id", DataType::Int).not_null(),
-            ColumnDef::new("move_key", DataType::Text).not_null(),
-            ColumnDef::new("part", DataType::Int).not_null(),
-            ColumnDef::new("step", DataType::Text).not_null(),
-            ColumnDef::new("payload", DataType::Text),
-            ColumnDef::new("ts_ms", DataType::Timestamp).not_null(),
-        ],
-    )
-    .primary_key(&["id"])
 }
 
 /// `op_usage`: usage statistics and audit trail.
@@ -457,15 +413,14 @@ pub fn version_log() -> Schema {
 }
 
 /// Names of the generic tables (administrative + operational + location).
-pub const GENERIC_TABLES: [&str; 13] = [
+pub const GENERIC_TABLES: [&str; 12] = [
     "admin_config",
     "admin_services",
     "admin_users",
     "op_log",
     "op_lineage",
     "op_archives",
-    "op_ingest_journal",
-    "op_shard_journal",
+    JOURNAL_TABLE,
     "op_usage",
     "loc_item",
     "loc_entry",
@@ -492,8 +447,7 @@ pub fn create_generic(conn: &mut Connection) -> DbResult<()> {
     conn.create_table(op_log())?;
     conn.create_table(op_lineage())?;
     conn.create_table(op_archives())?;
-    conn.create_table(op_ingest_journal())?;
-    conn.create_table(op_shard_journal())?;
+    conn.create_table(journal_schema())?;
     conn.create_table(op_usage())?;
     conn.create_table(loc_item())?;
     conn.create_table(loc_entry())?;
@@ -503,8 +457,9 @@ pub fn create_generic(conn: &mut Connection) -> DbResult<()> {
     conn.create_index("loc_entry", "entry_item", &["item_id"], false)?;
     conn.create_index("loc_transform", "transform_entry", &["entry_id"], false)?;
     conn.create_index("op_lineage", "lineage_entity", &["entity_id"], false)?;
-    conn.create_index("op_ingest_journal", "ingest_unit_key", &["unit_key"], false)?;
-    conn.create_index("op_shard_journal", "shard_move_key", &["move_key"], false)?;
+    // One index over the journal's `(kind, key)` pair; `key` leads because
+    // the planner probes an index by its first column.
+    conn.create_index(JOURNAL_TABLE, "workflow_run", &["key", "kind"], false)?;
     conn.create_index("op_usage", "usage_user", &["user_id"], false)?;
     Ok(())
 }

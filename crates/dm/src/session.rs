@@ -276,23 +276,9 @@ pub fn create_user(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{Clock, IoConfig, Partitioning};
-    use crate::schema;
-    use hedc_filestore::FileStore;
-    use hedc_metadb::Database;
 
     fn io() -> DmIo {
-        let db = Database::in_memory("session-test");
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-        DmIo::new(
-            vec![db],
-            Partitioning::single(),
-            Arc::new(FileStore::new()),
-            Clock::starting_at(5000),
-            &IoConfig::default(),
-        )
+        crate::io::catalog_node("session-test", 0)
     }
 
     #[test]

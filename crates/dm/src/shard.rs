@@ -20,10 +20,9 @@
 //!   heap at the router recombines; the PR 8 `Overloaded` policy composes
 //!   untouched because each shard *is* a `DmRouter`.
 //! * [`ShardMover`] — rebalancing on node add/remove as §5.2 archive
-//!   relocation at cluster scale: a staged, crash-resumable workflow
-//!   journaled through `op_shard_journal` (the PR 5 `op_ingest_journal`
-//!   pattern — a step's row is appended *after* its effects, done ⇒ skip,
-//!   interrupted copies are compensated by idempotent redo). The old shard
+//!   relocation at cluster scale: a staged, crash-resumable step table
+//!   over the [`crate::workflow`] engine (done ⇒ skip, an interrupted copy
+//!   is compensated, cutover and cleanup redo idempotently). The old shard
 //!   serves reads until the cutover step bumps the map epoch and the moved
 //!   shards' cache generations.
 //!
@@ -46,6 +45,7 @@ use crate::error::{DmError, DmResult};
 use crate::fault::splitmix64;
 use crate::io::DmIo;
 use crate::redirect::{DmNode, DmRouter};
+use crate::workflow::{self, CrashSite, Probe, Step, Workflow};
 use crate::{NameType, ResolvedName};
 use hedc_cache::{CacheConfig, DepSnapshot, GenerationMap, QueryCache};
 use hedc_metadb::{
@@ -53,6 +53,7 @@ use hedc_metadb::{
     Statement, Value,
 };
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
@@ -1159,15 +1160,14 @@ impl DmNode for ShardedDm {
 }
 
 // ---------------------------------------------------------------------------
-// Rebalance: the journaled shard-move workflow
+// Rebalance: the shard-move step table over the workflow engine
 // ---------------------------------------------------------------------------
 
-/// Steps of one shard move, in execution order. A step's journal row is
-/// appended *after* its effects (the `op_ingest_journal` discipline), so
-/// a recovered journal never claims work that did not happen.
+/// Steps of one shard move, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MoveStep {
-    /// The move spec is journaled; nothing has happened yet.
+    /// The move is planned (source shard, target epoch, row count);
+    /// nothing has happened yet.
     Planned,
     /// Every owned row is copied to the destination shard. Readers still
     /// hit the source: the map has not changed.
@@ -1181,48 +1181,15 @@ pub enum MoveStep {
     Done,
 }
 
-impl MoveStep {
-    /// All steps in order.
-    pub const ALL: [MoveStep; 5] = [
-        MoveStep::Planned,
-        MoveStep::Copied,
-        MoveStep::Cutover,
-        MoveStep::Cleaned,
-        MoveStep::Done,
+impl Step for MoveStep {
+    const KIND: &'static str = "shard_move";
+    const TABLE: &'static [(Self, &'static str)] = &[
+        (MoveStep::Planned, "planned"),
+        (MoveStep::Copied, "copied"),
+        (MoveStep::Cutover, "cutover"),
+        (MoveStep::Cleaned, "cleaned"),
+        (MoveStep::Done, "done"),
     ];
-
-    /// Journal text for this step.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MoveStep::Planned => "planned",
-            MoveStep::Copied => "copied",
-            MoveStep::Cutover => "cutover",
-            MoveStep::Cleaned => "cleaned",
-            MoveStep::Done => "done",
-        }
-    }
-
-    /// Parse journal text.
-    pub fn parse(s: &str) -> Option<MoveStep> {
-        MoveStep::ALL.into_iter().find(|x| x.as_str() == s)
-    }
-
-    /// Position in [`MoveStep::ALL`].
-    pub fn index(self) -> usize {
-        MoveStep::ALL.iter().position(|x| *x == self).unwrap()
-    }
-}
-
-/// Where to kill the mover, for the crash-matrix suite. Mirrors
-/// [`crate::CrashSite`]: a `Boundary` crash fires after the step's journal
-/// row is durable; `MidStep` fires after some of the step's effects but
-/// before its journal row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MoveCrash {
-    /// After `step`'s effects and journal row.
-    Boundary(MoveStep),
-    /// Mid-effects of `step`, journal row not written.
-    MidStep(MoveStep),
 }
 
 /// One shard move: partition `part` of `table` goes to shard `to`.
@@ -1245,7 +1212,7 @@ impl MoveSpec {
 
 /// Durable per-move state, carried in the journal payload so a resumed
 /// mover re-derives nothing from the (possibly already cut-over) map.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct MoveState {
     from: u32,
     target_epoch: u64,
@@ -1278,7 +1245,7 @@ pub struct ShardMover<'a> {
     journal_io: &'a DmIo,
     stores: Vec<&'a DmIo>,
     sharded: &'a ShardedDm,
-    crash: Option<MoveCrash>,
+    crash: Option<CrashSite<MoveStep>>,
 }
 
 impl<'a> ShardMover<'a> {
@@ -1296,64 +1263,13 @@ impl<'a> ShardMover<'a> {
     }
 
     /// Inject a crash for the matrix suite.
-    pub fn with_crash(mut self, crash: MoveCrash) -> Self {
+    pub fn with_crash(mut self, crash: CrashSite<MoveStep>) -> Self {
         self.crash = Some(crash);
         self
     }
 
-    fn crash_gate(&self, at: MoveCrash) -> DmResult<()> {
-        if self.crash == Some(at) {
-            return Err(DmError::Crashed(format!("{at:?}")));
-        }
-        Ok(())
-    }
-
-    fn journal(&self, spec: &MoveSpec, step: MoveStep, state: &MoveState) -> DmResult<()> {
-        let payload = serde_json::to_string(state)
-            .map_err(|e| DmError::Integrity(format!("shard journal payload: {e}")))?;
-        let id = self.journal_io.next_id();
-        let ts = self.journal_io.clock.now_ms();
-        self.journal_io.insert(
-            "op_shard_journal",
-            vec![
-                Value::Int(id),
-                Value::Text(spec.key()),
-                Value::Int(i64::from(spec.part)),
-                Value::Text(step.as_str().to_string()),
-                Value::Text(payload),
-                Value::Int(ts as i64),
-            ],
-        )?;
-        Ok(())
-    }
-
-    /// The furthest journaled step (and its payload) for this move.
-    fn journal_last(&self, spec: &MoveSpec) -> DmResult<Option<(MoveStep, MoveState)>> {
-        let r = self.journal_io.query(
-            &Query::table("op_shard_journal")
-                .select(&["step", "payload"])
-                .filter(Expr::eq("move_key", spec.key())),
-        )?;
-        let mut best: Option<(MoveStep, MoveState)> = None;
-        for row in &r.rows {
-            let Some(step) = row[0].as_text().and_then(MoveStep::parse) else {
-                continue;
-            };
-            let state: MoveState = match row[1].as_text() {
-                Some(s) => serde_json::from_str(s)
-                    .map_err(|e| DmError::Integrity(format!("shard journal payload: {e}")))?,
-                None => continue,
-            };
-            if best.as_ref().is_none_or(|(b, _)| step.index() > b.index()) {
-                best = Some((step, state));
-            }
-        }
-        Ok(best)
-    }
-
-    /// Rows of `spec.table` on shard `from` that belong to the moved
-    /// partition, as full rows plus their primary ids (column 0 of the
-    /// table — every partitioned table keys on a leading integer id).
+    /// Rows of `spec.table` on shard `shard` that belong to the moved
+    /// partition under `map`.
     fn owned_rows(&self, spec: &MoveSpec, map: &ShardMap, shard: u32) -> DmResult<Vec<Vec<Value>>> {
         let sharding = map.sharding(&spec.table).ok_or_else(|| {
             DmError::BadQuery(format!("table `{}` is not sharded", spec.table))
@@ -1381,19 +1297,17 @@ impl<'a> ShardMover<'a> {
         Ok(rows)
     }
 
-    fn row_ids(rows: &[Vec<Value>]) -> Vec<Expr> {
-        rows.iter().map(|r| Expr::Literal(r[0].clone())).collect()
-    }
-
-    fn delete_ids(&self, shard: u32, table: &str, ids: Vec<Expr>) -> DmResult<usize> {
-        if ids.is_empty() {
+    /// Delete `rows` from `shard` by primary id (column 0 of the table —
+    /// every partitioned table keys on a leading integer id).
+    fn delete_rows(&self, shard: u32, table: &str, rows: &[Vec<Value>]) -> DmResult<usize> {
+        if rows.is_empty() {
             return Ok(0);
         }
         self.stores[shard as usize].execute(Statement::Delete {
             table: table.to_string(),
             filter: Some(Expr::InList {
                 expr: Box::new(Expr::Name("id".into())),
-                list: ids,
+                list: rows.iter().map(|r| Expr::Literal(r[0].clone())).collect(),
             }),
         })
     }
@@ -1404,161 +1318,140 @@ impl<'a> ShardMover<'a> {
     /// deleted, then re-copied), cutover and cleanup redo idempotently.
     pub fn run(&self, spec: &MoveSpec) -> DmResult<MoveOutcome> {
         let metrics = hedc_obs::global();
-        let last = self.journal_last(spec)?;
-        let resumed_from = last.as_ref().map(|(s, _)| *s);
-        if resumed_from.is_some() {
-            metrics.counter("dm.shard.rebalance.resumes").inc();
-        }
-
-        // --- plan (or recover the plan) -----------------------------------
-        let state = match &last {
-            Some((_, state)) => state.clone(),
-            None => {
-                let map = self.sharded.map();
-                let from = map.assignment(&spec.table, spec.part).ok_or_else(|| {
-                    DmError::BadQuery(format!(
-                        "no partition {} in `{}`",
-                        spec.part, spec.table
-                    ))
-                })?;
-                if from == spec.to {
-                    // Nothing to move; journal a complete trivial move.
-                    let state = MoveState {
-                        from,
-                        target_epoch: map.epoch,
-                        rows_planned: 0,
-                    };
-                    self.journal(spec, MoveStep::Done, &state)?;
-                    return Ok(MoveOutcome {
-                        from,
-                        to: spec.to,
-                        rows_moved: 0,
-                        rows_planned: 0,
-                        resumed_from,
-                        compensated_rows: 0,
-                    });
-                }
-                let rows_planned = self.owned_rows(spec, &map, from)?.len();
-                let state = MoveState {
-                    from,
-                    target_epoch: map.epoch + 1,
-                    rows_planned,
-                };
-                self.journal(spec, MoveStep::Planned, &state)?;
-                state
-            }
+        let flow = MoveFlow {
+            mover: self,
+            spec,
+            rows_moved: Cell::new(0),
         };
-        let done_through = resumed_from.map_or(-1, |s| s.index() as i64);
-        if done_through >= MoveStep::Done.index() as i64 {
+        let mut run = workflow::resume(self.journal_io, &flow)?;
+        if run.resumed_from.is_some() {
+            metrics.counter("dm.shard.rebalance.resumes").inc();
+        } else if self.sharded.map().assignment(&spec.table, spec.part) == Some(spec.to) {
+            // Already there and never started: nothing to move or journal.
             return Ok(MoveOutcome {
-                from: state.from,
+                from: spec.to,
                 to: spec.to,
                 rows_moved: 0,
-                rows_planned: state.rows_planned,
-                resumed_from,
+                rows_planned: 0,
+                resumed_from: None,
                 compensated_rows: 0,
             });
         }
-        self.crash_gate(MoveCrash::Boundary(MoveStep::Planned))?;
-
-        // The *pre-move* map drives row ownership throughout: after a
-        // crash between cutover and done the live map already points at
-        // the destination, but copy/clean must still see the original
-        // partition contents.
-        let placement = {
-            let live = self.sharded.map();
-            if live.assignment(&spec.table, spec.part) == Some(spec.to) {
-                Arc::new(live.reassign(&spec.table, spec.part, state.from))
-            } else {
-                live
-            }
-        };
-
-        let mut rows_moved = 0usize;
-        let mut compensated_rows = 0usize;
-
-        // --- copy ---------------------------------------------------------
-        if done_through < MoveStep::Copied.index() as i64 {
-            // Compensate an interrupted copy: whatever partial rows the
-            // dead mover left on the destination are deleted, then the
-            // copy redoes from scratch — byte-identical to a clean run.
-            let stale = self.owned_rows(spec, &placement, spec.to)?;
-            compensated_rows = stale.len();
-            if compensated_rows > 0 {
-                metrics
-                    .counter("dm.shard.rebalance.compensations")
-                    .add(compensated_rows as u64);
-                self.delete_ids(spec.to, &spec.table, Self::row_ids(&stale))?;
-            }
-            let rows = self.owned_rows(spec, &placement, state.from)?;
-            let crash_mid = self.crash == Some(MoveCrash::MidStep(MoveStep::Copied));
-            let cutoff = if crash_mid { rows.len() / 2 } else { rows.len() };
-            for (i, row) in rows.iter().enumerate() {
-                if i >= cutoff {
-                    break;
-                }
-                self.stores[spec.to as usize].insert(&spec.table, row.clone())?;
-                rows_moved += 1;
-            }
-            if crash_mid {
-                return Err(DmError::Crashed(format!(
-                    "{:?}",
-                    MoveCrash::MidStep(MoveStep::Copied)
-                )));
-            }
-            metrics
-                .counter("dm.shard.rebalance.rows_moved")
-                .add(rows_moved as u64);
-            self.journal(spec, MoveStep::Copied, &state)?;
+        metrics
+            .counter("dm.shard.rebalance.compensations")
+            .add(run.compensations as u64);
+        if run.next_step().is_some() {
+            let probe = Probe(self.crash);
+            workflow::advance(self.journal_io, &flow, &mut run, MoveStep::Done, &probe)?;
+            metrics.counter("dm.shard.rebalance.moves").inc();
         }
-        self.crash_gate(MoveCrash::Boundary(MoveStep::Copied))?;
-
-        // --- cutover ------------------------------------------------------
-        if done_through < MoveStep::Cutover.index() as i64 {
-            let live = self.sharded.map();
-            if live.assignment(&spec.table, spec.part) != Some(spec.to) {
-                let mut next = live.reassign(&spec.table, spec.part, spec.to);
-                next.epoch = next.epoch.max(state.target_epoch);
-                self.sharded.map_handle().install(next);
-            }
-            self.crash_gate(MoveCrash::MidStep(MoveStep::Cutover))?;
-            // Generation bumps make every cached result assembled from
-            // either moved shard stale — re-run after a mid-cutover crash
-            // re-bumps, which is harmless.
-            self.sharded.bump_shard(state.from, &spec.table);
-            self.sharded.bump_shard(spec.to, &spec.table);
-            self.journal(spec, MoveStep::Cutover, &state)?;
-        }
-        self.crash_gate(MoveCrash::Boundary(MoveStep::Cutover))?;
-
-        // --- clean --------------------------------------------------------
-        if done_through < MoveStep::Cleaned.index() as i64 {
-            let leftovers = self.owned_rows(spec, &placement, state.from)?;
-            let ids = Self::row_ids(&leftovers);
-            let crash_mid = self.crash == Some(MoveCrash::MidStep(MoveStep::Cleaned));
-            if crash_mid {
-                let half: Vec<Expr> = ids.iter().take(ids.len() / 2).cloned().collect();
-                self.delete_ids(state.from, &spec.table, half)?;
-                return Err(DmError::Crashed(format!(
-                    "{:?}",
-                    MoveCrash::MidStep(MoveStep::Cleaned)
-                )));
-            }
-            self.delete_ids(state.from, &spec.table, ids)?;
-            self.journal(spec, MoveStep::Cleaned, &state)?;
-        }
-        self.crash_gate(MoveCrash::Boundary(MoveStep::Cleaned))?;
-
-        self.journal(spec, MoveStep::Done, &state)?;
-        metrics.counter("dm.shard.rebalance.moves").inc();
         Ok(MoveOutcome {
-            from: state.from,
+            from: run.state.from,
             to: spec.to,
-            rows_moved,
-            rows_planned: state.rows_planned,
-            resumed_from,
-            compensated_rows,
+            rows_moved: flow.rows_moved.get(),
+            rows_planned: run.state.rows_planned,
+            resumed_from: run.resumed_from,
+            compensated_rows: run.compensations,
         })
+    }
+}
+
+/// One move's run of the shard-move step table.
+struct MoveFlow<'m> {
+    mover: &'m ShardMover<'m>,
+    spec: &'m MoveSpec,
+    /// Rows copied by this run — reported, not journaled.
+    rows_moved: Cell<usize>,
+}
+
+impl MoveFlow<'_> {
+    /// The *pre-move* map, which drives row ownership throughout: after a
+    /// crash between cutover and done the live map already points at the
+    /// destination, but copy/clean must still see the original partition
+    /// contents.
+    fn placement(&self, state: &MoveState) -> Arc<ShardMap> {
+        let live = self.mover.sharded.map();
+        if live.assignment(&self.spec.table, self.spec.part) == Some(self.spec.to) {
+            Arc::new(live.reassign(&self.spec.table, self.spec.part, state.from))
+        } else {
+            live
+        }
+    }
+}
+
+impl Workflow for MoveFlow<'_> {
+    type Step = MoveStep;
+    type State = MoveState;
+
+    fn key(&self) -> String {
+        self.spec.key()
+    }
+
+    fn exec(&self, step: MoveStep, state: &mut MoveState, probe: &Probe<MoveStep>) -> DmResult<()> {
+        let (mover, spec) = (self.mover, self.spec);
+        match step {
+            MoveStep::Planned => {
+                let map = mover.sharded.map();
+                let from = map.assignment(&spec.table, spec.part).ok_or_else(|| {
+                    DmError::BadQuery(format!("no partition {} in `{}`", spec.part, spec.table))
+                })?;
+                *state = MoveState {
+                    from,
+                    target_epoch: map.epoch + 1,
+                    rows_planned: mover.owned_rows(spec, &map, from)?.len(),
+                };
+            }
+            MoveStep::Copied => {
+                let rows = mover.owned_rows(spec, &self.placement(state), state.from)?;
+                let half = rows.len() / 2;
+                for (i, row) in rows.into_iter().enumerate() {
+                    if i == half {
+                        probe.mid_step(step)?;
+                    }
+                    mover.stores[spec.to as usize].insert(&spec.table, row)?;
+                    self.rows_moved.set(self.rows_moved.get() + 1);
+                }
+                hedc_obs::global()
+                    .counter("dm.shard.rebalance.rows_moved")
+                    .add(self.rows_moved.get() as u64);
+            }
+            MoveStep::Cutover => {
+                let live = mover.sharded.map();
+                if live.assignment(&spec.table, spec.part) != Some(spec.to) {
+                    let mut next = live.reassign(&spec.table, spec.part, spec.to);
+                    next.epoch = next.epoch.max(state.target_epoch);
+                    mover.sharded.map_handle().install(next);
+                }
+                probe.mid_step(step)?;
+                // Generation bumps make every cached result assembled from
+                // either moved shard stale — re-run after a mid-cutover crash
+                // re-bumps, which is harmless.
+                mover.sharded.bump_shard(state.from, &spec.table);
+                mover.sharded.bump_shard(spec.to, &spec.table);
+            }
+            MoveStep::Cleaned => {
+                let leftovers = mover.owned_rows(spec, &self.placement(state), state.from)?;
+                let (first, rest) = leftovers.split_at(leftovers.len() / 2);
+                mover.delete_rows(state.from, &spec.table, first)?;
+                probe.mid_step(step)?;
+                mover.delete_rows(state.from, &spec.table, rest)?;
+            }
+            MoveStep::Done => {}
+        }
+        Ok(())
+    }
+
+    /// Only the copy leaves effects a redo cannot absorb: whatever partial
+    /// rows a dead mover left on the destination are deleted, so the copy
+    /// redoes from scratch — byte-identical to a clean run. Cutover and
+    /// cleanup are idempotent as written.
+    fn compensate(&self, step: MoveStep, state: &MoveState) -> DmResult<usize> {
+        if step != MoveStep::Copied {
+            return Ok(0);
+        }
+        let (mover, spec) = (self.mover, self.spec);
+        let stale = mover.owned_rows(spec, &self.placement(state), spec.to)?;
+        mover.delete_rows(spec.to, &spec.table, &stale)
     }
 }
 

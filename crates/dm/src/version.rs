@@ -248,6 +248,7 @@ impl<'a> Versioning<'a> {
 mod tests {
     use super::*;
     use crate::io::{Clock, IoConfig, Partitioning};
+    use crate::pipeline::{self, IngestOptions};
     use crate::process::IngestConfig;
     use crate::schema;
     use crate::semantic::{AnaSpec, Services};
@@ -313,7 +314,7 @@ mod tests {
         }
     }
 
-    fn ingest_one(f: &Fx) -> (i64, Vec<i64>) {
+    fn ingest_first_unit(f: &Fx) -> (i64, Vec<i64>) {
         let t = generate(&GenConfig {
             duration_ms: 20 * 60 * 1000,
             flares_per_hour: 6.0,
@@ -322,16 +323,17 @@ mod tests {
             ..GenConfig::default()
         });
         let unit = package(&t, usize::MAX, 1).remove(0);
-        let procs = Processes::new(&f.io);
         let cfg = IngestConfig::new(1, 2, f.extended);
-        let rep = procs.ingest_unit(&f.import, &unit, &cfg).unwrap();
+        let mut run =
+            pipeline::ingest(&f.io, &f.import, &[unit], &cfg, &IngestOptions::default()).unwrap();
+        let rep = run.units.remove(0).report.expect("the unit ingests");
         (rep.raw_id, rep.hle_ids)
     }
 
     #[test]
     fn recalibration_rederives_and_invalidates() {
         let f = fixture();
-        let (raw_id, hle_ids) = ingest_one(&f);
+        let (raw_id, hle_ids) = ingest_first_unit(&f);
         // Attach an analysis computed under v1.
         let svc = Services::new(&f.io);
         let (ana_id, _) = svc
@@ -416,7 +418,7 @@ mod tests {
     #[test]
     fn old_files_remain_for_history() {
         let f = fixture();
-        ingest_one(&f);
+        ingest_first_unit(&f);
         let before: Vec<String> = f.io.files.archive(1).unwrap().list();
         let v1 = Calibration::launch();
         let v2 = v1.recalibrated(0.02, 0.1);

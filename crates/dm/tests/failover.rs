@@ -11,31 +11,17 @@
 //! `scripts/check.sh --seed <seed>`.
 
 use hedc_dm::{
-    schema, Clock, Dm, DmConfig, DmError, DmIo, DmNode, DmResult, DmRouter, FaultCounts, FaultPlan,
-    FaultyDmNode, IoConfig, NameType, Partitioning, RemoteDm,
+    schema, Clock, Dm, DmConfig, DmError, DmIo, DmNode, DmRouter, FaultCounts, FaultPlan,
+    FaultyDmNode, IoConfig, NameType, Partitioning,
 };
 use hedc_filestore::{Archive, ArchiveTier, FileStore};
-use hedc_metadb::{Database, Query, QueryResult, Value};
+use hedc_metadb::{Database, Query, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-struct LocalNode {
-    io: DmIo,
-    label: String,
-}
-
-impl DmNode for LocalNode {
-    fn node_id(&self) -> String {
-        self.label.clone()
-    }
-    fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
-        self.io.query(q)
-    }
-}
-
-fn node(label: &str) -> Arc<LocalNode> {
+fn node(label: &str) -> Arc<DmIo> {
     let db = Database::in_memory(label);
     let mut conn = db.connect();
     schema::create_generic(&mut conn).unwrap();
@@ -60,10 +46,12 @@ fn node(label: &str) -> Arc<LocalNode> {
         ],
     )
     .unwrap();
-    Arc::new(LocalNode {
-        io,
-        label: label.to_string(),
-    })
+    Arc::new(io)
+}
+
+/// A node whose only fault is the hard-down toggle: a zero-rate plan.
+fn toggled<N: DmNode>(inner: Arc<N>, label: &str) -> Arc<FaultyDmNode<N>> {
+    Arc::new(FaultyDmNode::new(inner, label, FaultPlan::seeded(0)))
 }
 
 #[test]
@@ -71,9 +59,9 @@ fn concurrent_load_survives_node_flapping_and_rebalances() {
     const THREADS: usize = 8;
     const REQUESTS_PER_THREAD: usize = 200;
 
-    let a = Arc::new(RemoteDm::new(node("flap-a"), "flap-a", 10));
-    let b = Arc::new(RemoteDm::new(node("flap-b"), "flap-b", 10));
-    let c = Arc::new(RemoteDm::new(node("flap-c"), "flap-c", 10));
+    let a = toggled(node("flap-a"), "flap-a");
+    let b = toggled(node("flap-b"), "flap-b");
+    let c = toggled(node("flap-c"), "flap-c");
     let router = Arc::new(DmRouter::new(vec![
         a.clone() as Arc<dyn DmNode>,
         b.clone() as Arc<dyn DmNode>,
@@ -121,7 +109,7 @@ fn concurrent_load_survives_node_flapping_and_rebalances() {
     assert_eq!(completed, THREADS * REQUESTS_PER_THREAD);
 
     // The healthy nodes carried the imbalance while A was down.
-    let (calls_a, calls_b, calls_c) = (a.calls(), b.calls(), c.calls());
+    let (calls_a, calls_b, calls_c) = (a.counts().passed, b.counts().passed, c.counts().passed);
     assert_eq!(
         (calls_a + calls_b + calls_c) as usize,
         completed,
@@ -130,11 +118,11 @@ fn concurrent_load_survives_node_flapping_and_rebalances() {
     assert!(calls_b > 0 && calls_c > 0);
 
     // Invariant 2: after recovery, calls rebalance back onto A.
-    let before = a.calls();
+    let before = a.counts().passed;
     for _ in 0..30 {
         router.execute_query(&Query::table("catalog")).unwrap();
     }
-    let gained = a.calls() - before;
+    let gained = a.counts().passed - before;
     // Round-robin over 3 healthy nodes gives A ~10 of 30; allow slack but
     // require genuine participation.
     assert!(gained >= 5, "recovered node got {gained}/30 calls");
@@ -147,7 +135,7 @@ fn concurrent_load_survives_node_flapping_and_rebalances() {
 /// does not fail over `RemoteFailed`, so every request must complete).
 fn run_seeded_scenario(seed: u64) -> Vec<FaultCounts> {
     const REQUESTS: usize = 300;
-    let nodes: Vec<Arc<FaultyDmNode<LocalNode>>> = vec![
+    let nodes: Vec<Arc<FaultyDmNode<DmIo>>> = vec![
         // ~20% unavailable, ~10% slow: the noisy node.
         Arc::new(FaultyDmNode::new(
             node("det-a"),
@@ -254,7 +242,7 @@ fn batched_resolution_survives_mid_batch_node_failures() {
         a.seed(),
         a.seed()
     );
-    let b = Arc::new(RemoteDm::new(dm_b, "batch-b", 10));
+    let b = toggled(dm_b, "batch-b");
     let router = DmRouter::new(vec![
         a.clone() as Arc<dyn DmNode>,
         b.clone() as Arc<dyn DmNode>,

@@ -18,9 +18,9 @@
 //! with `scripts/check.sh --seed <seed>` (`HEDC_TEST_SEED`).
 
 use hedc_dm::{
-    create_user, pipeline, schema, Clock, CrashPlan, CrashSite, DmError, DmIo, IngestConfig,
-    IngestOptions, IoConfig, JournalStep, Names, Partitioning, Rights, Services, Session,
-    SessionKind, SessionManager, UnitStatus,
+    create_user, pipeline, schema, workflow, Clock, CrashPlan, CrashSite, DmError, DmIo,
+    IngestConfig, IngestOptions, IoConfig, JournalStep, Names, Partitioning, Rights, Services,
+    Session, SessionKind, SessionManager, Step, UnitStatus,
 };
 use hedc_events::{generate, package, GenConfig, TelemetryUnit};
 use hedc_filestore::{Archive, ArchiveTier, DirBackend, FileStore};
@@ -198,16 +198,29 @@ fn assert_no_orphans(io: &DmIo) {
 }
 
 fn serial() -> IngestOptions {
-    IngestOptions::serial()
+    IngestOptions::default()
 }
 
-fn crashing(victim: u32, site: CrashSite) -> IngestOptions {
+/// One half of the crash matrix, enumerated from the ingest step table.
+fn matrix_steps(mid_step: bool) -> Vec<JournalStep> {
+    let steps: Vec<JournalStep> = CrashSite::<JournalStep>::all()
+        .filter_map(|site| match site {
+            CrashSite::MidStep(s) if mid_step => Some(s),
+            CrashSite::Boundary(s) if !mid_step => Some(s),
+            _ => None,
+        })
+        .collect();
+    assert!(steps.len() >= 6, "the matrix must not shrink: {steps:?}");
+    steps
+}
+
+fn crashing(victim: u32, site: CrashSite<JournalStep>) -> IngestOptions {
     IngestOptions {
         crash: Some(CrashPlan {
             unit_seq: victim,
             site,
         }),
-        ..IngestOptions::serial()
+        ..IngestOptions::default()
     }
 }
 
@@ -232,7 +245,7 @@ fn boundary_crash_matrix_resumes_byte_identical() {
     assert_eq!(ref_report.ingested, units.len());
     let ref_dump = dump(&reference.io);
 
-    for step in JournalStep::ALL {
+    for step in matrix_steps(false) {
         let fix = fixture();
         let crashed = pipeline::ingest(
             &fix.io,
@@ -296,7 +309,7 @@ fn midstep_crash_matrix_compensates_without_duplicates() {
     .unwrap();
     let ref_counts = table_counts(&reference.io);
 
-    for step in JournalStep::ALL {
+    for step in matrix_steps(true) {
         let fix = fixture();
         let crashed = pipeline::ingest(
             &fix.io,
@@ -639,12 +652,12 @@ fn failed_units_are_reported_not_lost() {
     let id = fix.io.next_id();
     fix.io
         .insert(
-            "op_ingest_journal",
+            workflow::JOURNAL_TABLE,
             vec![
                 Value::Int(id),
+                Value::Text(JournalStep::KIND.into()),
                 Value::Text(victim.archive_path()),
-                Value::Int(i64::from(victim.seq)),
-                Value::Text("raw_row".into()),
+                Value::Text(JournalStep::RawRow.text().into()),
                 Value::Text("{}".into()),
                 Value::Int(0),
             ],

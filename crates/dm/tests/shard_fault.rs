@@ -18,7 +18,7 @@
 
 use hedc_dm::{
     schema, splitmix64, Clock, DmError, DmIo, DmNode, DmResult, FaultPlan, FaultyDmNode, IoConfig,
-    NameType, Names, Partitioning, ResolvedName, ShardMap, ShardedDm,
+    NameType, Partitioning, ShardMap, ShardedDm,
 };
 use hedc_filestore::FileStore;
 use hedc_metadb::{Database, Expr, OrderDir, Query, QueryResult, Value};
@@ -50,27 +50,10 @@ fn store(label: &str) -> Arc<DmIo> {
     ))
 }
 
-struct LocalNode {
-    io: Arc<DmIo>,
-    label: String,
-}
-
-impl DmNode for LocalNode {
-    fn node_id(&self) -> String {
-        self.label.clone()
-    }
-    fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
-        self.io.query(q)
-    }
-    fn resolve_names(&self, item_id: i64, want: NameType) -> DmResult<Vec<ResolvedName>> {
-        Names::new(&self.io).resolve(item_id, want)
-    }
-}
-
 /// Sheds the first `sheds` queries with [`DmError::Overloaded`], serves
 /// everything after; counts what it actually served.
 struct ShedFirst {
-    inner: LocalNode,
+    inner: Arc<DmIo>,
     sheds: AtomicU64,
     served: AtomicU64,
 }
@@ -92,7 +75,7 @@ impl DmNode for ShedFirst {
             {
                 return Err(DmError::Overloaded(format!(
                     "{}: queue full",
-                    self.inner.label
+                    self.inner.node_id()
                 )));
             }
         }
@@ -171,10 +154,7 @@ fn replica_death_mid_scatter_is_absorbed_by_the_sibling() {
     // exactly 3 served calls — mid-way through the query sequence.
     let mk = |io: &Arc<DmIo>, label: &str| {
         Arc::new(FaultyDmNode::new(
-            Arc::new(LocalNode {
-                io: Arc::clone(io),
-                label: label.into(),
-            }),
+            Arc::clone(io),
             label,
             FaultPlan::seeded(1),
         ))
@@ -228,20 +208,14 @@ fn seeded_replica_flapping_never_surfaces_or_truncates() {
     // always healthy, so every scatter must complete exactly.
     let noisy = |io: &Arc<DmIo>, label: &str, s: u64| {
         Arc::new(FaultyDmNode::new(
-            Arc::new(LocalNode {
-                io: Arc::clone(io),
-                label: label.into(),
-            }),
+            Arc::clone(io),
             label,
             FaultPlan::seeded(s).unavailable(250),
         ))
     };
     let steady = |io: &Arc<DmIo>, label: &str| {
         Arc::new(FaultyDmNode::new(
-            Arc::new(LocalNode {
-                io: Arc::clone(io),
-                label: label.into(),
-            }),
+            Arc::clone(io),
             label,
             FaultPlan::seeded(0),
         ))
@@ -285,23 +259,15 @@ fn overload_shed_redirects_within_the_shard_without_health_flip() {
     seed_rows(&map, &stores, &oracle, 150);
 
     let shedder = Arc::new(ShedFirst {
-        inner: LocalNode {
-            io: Arc::clone(&stores[0]),
-            label: "shed-a".into(),
-        },
+        inner: Arc::clone(&stores[0]),
         sheds: AtomicU64::new(2),
         served: AtomicU64::new(0),
     });
-    let mk = |io: &Arc<DmIo>, label: &str| {
-        Arc::new(LocalNode {
-            io: Arc::clone(io),
-            label: label.into(),
-        }) as Arc<dyn DmNode>
-    };
+    let mk = |io: &Arc<DmIo>| Arc::clone(io) as Arc<dyn DmNode>;
     let sharded = ShardedDm::new(
         vec![
-            vec![Arc::clone(&shedder) as Arc<dyn DmNode>, mk(&stores[0], "shed-b")],
-            vec![mk(&stores[1], "c"), mk(&stores[1], "d")],
+            vec![Arc::clone(&shedder) as Arc<dyn DmNode>, mk(&stores[0])],
+            vec![mk(&stores[1]), mk(&stores[1])],
         ],
         map,
     );
@@ -336,10 +302,7 @@ fn whole_shard_loss_is_a_typed_error_not_a_truncated_result() {
 
     let mk = |io: &Arc<DmIo>, label: &str| {
         Arc::new(FaultyDmNode::new(
-            Arc::new(LocalNode {
-                io: Arc::clone(io),
-                label: label.into(),
-            }),
+            Arc::clone(io),
             label,
             FaultPlan::seeded(2),
         ))
@@ -399,10 +362,7 @@ fn shard_loss_during_batch_resolution_errors_per_entry() {
     let stores = [store("br-s0"), store("br-s1")];
     let mk = |io: &Arc<DmIo>, label: &str| {
         Arc::new(FaultyDmNode::new(
-            Arc::new(LocalNode {
-                io: Arc::clone(io),
-                label: label.into(),
-            }),
+            Arc::clone(io),
             label,
             FaultPlan::seeded(3),
         ))

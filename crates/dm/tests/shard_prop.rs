@@ -12,8 +12,8 @@
 //! replaces single-node scan order).
 
 use hedc_dm::{
-    schema, splitmix64, Clock, DmIo, DmNode, DmResult, FanoutPlan, IoConfig, NameType, Names,
-    Partitioning, ResolvedName, ShardMap, ShardedDm,
+    schema, splitmix64, Clock, DmIo, DmNode, DmResult, FanoutPlan, IoConfig, NameType,
+    Partitioning, ShardMap, ShardedDm,
 };
 use hedc_filestore::FileStore;
 use hedc_metadb::{AggFunc, CmpOp, Database, Expr, OrderDir, Query, QueryResult, Value};
@@ -62,28 +62,10 @@ fn store(label: &str) -> Arc<DmIo> {
     ))
 }
 
-/// A local [`DmNode`] over a shared store.
-struct LocalNode {
-    io: Arc<DmIo>,
-    label: String,
-}
-
-impl DmNode for LocalNode {
-    fn node_id(&self) -> String {
-        self.label.clone()
-    }
-    fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
-        self.io.query(q)
-    }
-    fn resolve_names(&self, item_id: i64, want: NameType) -> DmResult<Vec<ResolvedName>> {
-        Names::new(&self.io).resolve(item_id, want)
-    }
-}
-
 /// A [`DmNode`] that records every query it serves — the probe for the
 /// LIMIT-pushdown assertions.
 struct RecordingNode {
-    inner: LocalNode,
+    inner: Arc<DmIo>,
     seen: Mutex<Vec<Query>>,
 }
 
@@ -171,13 +153,7 @@ fn cluster(seed: u64, shards: u32, map: ShardMap, n_rows: usize) -> Cluster {
     }
     let replica_sets: Vec<Vec<Arc<dyn DmNode>>> = stores
         .iter()
-        .enumerate()
-        .map(|(s, io)| {
-            vec![Arc::new(LocalNode {
-                io: Arc::clone(io),
-                label: format!("s{s}"),
-            }) as Arc<dyn DmNode>]
-        })
+        .map(|io| vec![Arc::clone(io) as Arc<dyn DmNode>])
         .collect();
     Cluster {
         sharded: ShardedDm::new(replica_sets, map),
@@ -369,13 +345,9 @@ fn limit_pushdown_caps_what_each_shard_returns() {
     }
     let recorders: Vec<Arc<RecordingNode>> = stores
         .iter()
-        .enumerate()
-        .map(|(s, io)| {
+        .map(|io| {
             Arc::new(RecordingNode {
-                inner: LocalNode {
-                    io: Arc::clone(io),
-                    label: format!("rec-{s}"),
-                },
+                inner: Arc::clone(io),
                 seen: Mutex::new(Vec::new()),
             })
         })
@@ -435,13 +407,7 @@ fn point_and_batch_resolution_route_like_the_oracle() {
     let sharded = ShardedDm::new(
         stores
             .iter()
-            .enumerate()
-            .map(|(s, io)| {
-                vec![Arc::new(LocalNode {
-                    io: Arc::clone(io),
-                    label: format!("res-{s}"),
-                }) as Arc<dyn DmNode>]
-            })
+            .map(|io| vec![Arc::clone(io) as Arc<dyn DmNode>])
             .collect(),
         map.clone(),
     );

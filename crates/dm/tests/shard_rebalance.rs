@@ -18,11 +18,11 @@
 
 use hedc_cache::CacheConfig;
 use hedc_dm::{
-    schema, splitmix64, Clock, DmError, DmIo, DmNode, DmResult, IoConfig, MoveCrash, MoveSpec,
-    MoveStep, Partitioning, ShardMap, ShardMover, ShardedDm,
+    schema, splitmix64, Clock, CrashSite, DmError, DmIo, DmNode, DmResult, IoConfig, MoveSpec,
+    MoveStep, Partitioning, ShardMap, ShardMover, ShardedDm, Step,
 };
 use hedc_filestore::FileStore;
-use hedc_metadb::{Database, Expr, OrderDir, Query, QueryResult, Value};
+use hedc_metadb::{Database, Expr, OrderDir, Query, Value};
 use std::sync::Arc;
 
 const BASE_SEED: u64 = 0x5AAD_0EBA;
@@ -51,20 +51,6 @@ fn store(label: &str) -> Arc<DmIo> {
         Clock::starting_at(0),
         &IoConfig::default(),
     ))
-}
-
-struct LocalNode {
-    io: Arc<DmIo>,
-    label: String,
-}
-
-impl DmNode for LocalNode {
-    fn node_id(&self) -> String {
-        self.label.clone()
-    }
-    fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
-        self.io.query(q)
-    }
 }
 
 fn hle_row(id: i64, time_end: i64) -> Vec<Value> {
@@ -121,13 +107,7 @@ fn fixture(seed: u64, cache: bool) -> Fix {
     }
     let replica_sets: Vec<Vec<Arc<dyn DmNode>>> = stores
         .iter()
-        .enumerate()
-        .map(|(s, io)| {
-            vec![Arc::new(LocalNode {
-                io: Arc::clone(io),
-                label: format!("reb-{s}"),
-            }) as Arc<dyn DmNode>]
-        })
+        .map(|io| vec![Arc::clone(io) as Arc<dyn DmNode>])
         .collect();
     let sharded = if cache {
         ShardedDm::with_cache(replica_sets, map, &CacheConfig::default())
@@ -155,7 +135,7 @@ fn hle_dump(io: &DmIo) -> Vec<String> {
     rows
 }
 
-fn run_mover(fix: &Fix, crash: Option<MoveCrash>) -> DmResult<hedc_dm::MoveOutcome> {
+fn run_mover(fix: &Fix, crash: Option<CrashSite<MoveStep>>) -> DmResult<hedc_dm::MoveOutcome> {
     let stores: Vec<&DmIo> = fix.stores.iter().map(|s| s.as_ref()).collect();
     let mut mover = ShardMover::new(fix.stores[0].as_ref(), stores, &fix.sharded);
     if let Some(c) = crash {
@@ -223,15 +203,9 @@ fn crash_matrix_resumes_to_the_twin_placement_byte_for_byte() {
     let twin_dumps: Vec<Vec<String>> = twin.stores.iter().map(|s| hle_dump(s)).collect();
     let twin_epoch = twin.sharded.map().epoch;
 
-    let matrix = [
-        MoveCrash::Boundary(MoveStep::Planned),
-        MoveCrash::Boundary(MoveStep::Copied),
-        MoveCrash::Boundary(MoveStep::Cutover),
-        MoveCrash::Boundary(MoveStep::Cleaned),
-        MoveCrash::MidStep(MoveStep::Copied),
-        MoveCrash::MidStep(MoveStep::Cutover),
-        MoveCrash::MidStep(MoveStep::Cleaned),
-    ];
+    // Every cell of the step table: steps × {MidStep, Boundary}.
+    let matrix: Vec<CrashSite<MoveStep>> = CrashSite::all().collect();
+    assert!(matrix.len() >= 7, "the matrix must not shrink: {matrix:?}");
     for crash in matrix {
         let fix = fixture(seed, false);
         let ids = moved_ids(&fix.sharded.map());
@@ -245,21 +219,14 @@ fn crash_matrix_resumes_to_the_twin_placement_byte_for_byte() {
 
         // The journal pins where the resume picked up.
         let expected_resume = match crash {
-            MoveCrash::Boundary(s) => s,
+            CrashSite::Boundary(s) => Some(s),
             // A mid-step death loses that step's journal row: the resume
-            // sees only the previous step.
-            MoveCrash::MidStep(MoveStep::Copied) => MoveStep::Planned,
-            MoveCrash::MidStep(MoveStep::Cutover) => MoveStep::Copied,
-            MoveCrash::MidStep(MoveStep::Cleaned) => MoveStep::Cutover,
-            MoveCrash::MidStep(other) => panic!("no mid-step injection for {other:?}"),
+            // sees only the previous step (none before the first).
+            CrashSite::MidStep(s) => s.index().checked_sub(1).map(|i| MoveStep::TABLE[i].0),
         };
-        assert_eq!(
-            out.resumed_from,
-            Some(expected_resume),
-            "{crash:?}: resume point"
-        );
+        assert_eq!(out.resumed_from, expected_resume, "{crash:?}: resume point");
         assert_eq!(out.rows_planned, ids.len(), "{crash:?}: recovered plan");
-        if crash == MoveCrash::MidStep(MoveStep::Copied) {
+        if crash == CrashSite::MidStep(MoveStep::Copied) {
             assert_eq!(
                 out.compensated_rows,
                 ids.len() / 2,
@@ -300,7 +267,7 @@ fn cutover_leaves_zero_stale_cache_hits() {
     // The matrix includes the nastiest window: a crash *between* the map
     // install and the generation bumps (MidStep(Cutover)). Resume must
     // re-bump, so even entries cached inside that window cannot be served.
-    for crash in [None, Some(MoveCrash::MidStep(MoveStep::Cutover))] {
+    for crash in [None, Some(CrashSite::MidStep(MoveStep::Cutover))] {
         let fix = fixture(seed, true);
         let ids = moved_ids(&fix.sharded.map());
         let probe = Query::table("hle")

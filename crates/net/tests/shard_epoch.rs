@@ -14,8 +14,7 @@
 //! (`HEDC_TEST_SEED` overrides; replay with `scripts/check.sh --seed`).
 
 use hedc_dm::{
-    schema, splitmix64, Clock, DmIo, DmNode, DmResult, IoConfig, Partitioning, ShardMap,
-    ShardMapHandle,
+    schema, splitmix64, Clock, DmIo, DmNode, IoConfig, Partitioning, ShardMap, ShardMapHandle,
 };
 use hedc_metadb::{Database, Expr, Query, QueryResult, Value};
 use hedc_net::proto::{Request, Response, WireErrorKind};
@@ -59,20 +58,6 @@ fn store(label: &str) -> Arc<DmIo> {
         Clock::starting_at(0),
         &IoConfig::default(),
     ))
-}
-
-struct LocalNode {
-    io: Arc<DmIo>,
-    label: String,
-}
-
-impl DmNode for LocalNode {
-    fn node_id(&self) -> String {
-        self.label.clone()
-    }
-    fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
-        self.io.query(q)
-    }
 }
 
 /// The payload a probe for `id` must come back with.
@@ -134,10 +119,7 @@ fn cluster() -> Cluster {
     let mut servers = Vec::new();
     let mut addrs = Vec::new();
     for (s, io) in stores.into_iter().enumerate() {
-        let node: Arc<dyn DmNode> = Arc::new(LocalNode {
-            io,
-            label: format!("epoch-{s}"),
-        });
+        let node: Arc<dyn DmNode> = io;
         let server = DmServer::bind_sharded(
             "127.0.0.1:0",
             node,

@@ -69,7 +69,7 @@ pub use server_mgr::{MgrStats, ServerManager};
 mod tests {
     use super::*;
     use hedc_analysis::{AlgorithmRegistry, AnalysisParams};
-    use hedc_dm::{Dm, DmConfig, IngestConfig, Session};
+    use hedc_dm::{pipeline, Dm, DmConfig, IngestConfig, IngestOptions, Session};
     use hedc_events::{generate, package, GenConfig};
     use hedc_filestore::{Archive, ArchiveTier, FileStore};
     use std::sync::Arc;
@@ -106,9 +106,9 @@ mod tests {
         });
         let session = dm.import_session();
         let cfg = IngestConfig::new(1, 2, dm.extended_catalog);
-        for unit in package(&t, 200_000, 1) {
-            dm.processes().ingest_unit(&session, &unit, &cfg).unwrap();
-        }
+        let units = package(&t, 200_000, 1);
+        let run = pipeline::ingest(&dm.io, &session, &units, &cfg, &IngestOptions::default());
+        assert_eq!(run.unwrap().failed, 0);
         let registry = Arc::new(AlgorithmRegistry::with_builtins());
         let pl = ProcessingLogic::start(
             Arc::clone(&dm),

@@ -5,7 +5,7 @@
 #![allow(dead_code)] // each test binary uses a subset of this fixture
 
 use hedc_analysis::{Algorithm, AnalysisError, AnalysisParams, AnalysisProduct};
-use hedc_dm::{Dm, DmConfig, IngestConfig, Session};
+use hedc_dm::{pipeline, Dm, DmConfig, IngestConfig, IngestOptions, Session};
 use hedc_events::{generate, package, GenConfig};
 use hedc_filestore::{Archive, ArchiveTier, FileStore, PhotonList};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,9 +48,9 @@ pub fn dm_with_data() -> Arc<Dm> {
     });
     let session = dm.import_session();
     let cfg = IngestConfig::new(1, 2, dm.extended_catalog);
-    for unit in package(&t, 200_000, 1) {
-        dm.processes().ingest_unit(&session, &unit, &cfg).unwrap();
-    }
+    let units = package(&t, 200_000, 1);
+    let run = pipeline::ingest(&dm.io, &session, &units, &cfg, &IngestOptions::default());
+    assert_eq!(run.unwrap().failed, 0);
     dm
 }
 

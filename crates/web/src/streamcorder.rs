@@ -313,7 +313,7 @@ fn value_to_string(v: &Value) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hedc_dm::{IngestConfig, Rights, SessionKind};
+    use hedc_dm::{pipeline, IngestConfig, IngestOptions, Rights, SessionKind};
     use hedc_events::{generate, package, GenConfig};
 
     struct Fx {
@@ -349,10 +349,14 @@ mod tests {
         let import = server.import_session();
         let cfg = IngestConfig::new(1, 2, server.extended_catalog);
         let unit = package(&t, usize::MAX, 1).remove(0);
-        server
-            .processes()
-            .ingest_unit(&import, &unit, &cfg)
-            .unwrap();
+        let run = pipeline::ingest(
+            &server.io,
+            &import,
+            &[unit],
+            &cfg,
+            &IngestOptions::default(),
+        );
+        assert_eq!(run.unwrap().ingested, 1);
         server
             .create_user("scientist", "pw", "sci", Rights::SCIENTIST)
             .unwrap();

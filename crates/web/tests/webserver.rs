@@ -1,7 +1,7 @@
 //! Full-stack tests of the thin Web interface: DM + PL + web routing.
 
 use hedc_analysis::AlgorithmRegistry;
-use hedc_dm::{Dm, DmConfig, IngestConfig, Rights};
+use hedc_dm::{pipeline, Dm, DmConfig, IngestConfig, IngestOptions, Rights};
 use hedc_events::{generate, package, GenConfig};
 use hedc_filestore::{Archive, ArchiveTier, FileStore};
 use hedc_pl::{PlConfig, ProcessingLogic};
@@ -40,7 +40,9 @@ fn stack() -> Stack {
     let import = dm.import_session();
     let cfg = IngestConfig::new(1, 2, dm.extended_catalog);
     let unit = package(&telemetry, usize::MAX, 1).remove(0);
-    let report = dm.processes().ingest_unit(&import, &unit, &cfg).unwrap();
+    let mut run =
+        pipeline::ingest(&dm.io, &import, &[unit], &cfg, &IngestOptions::default()).unwrap();
+    let report = run.units.remove(0).report.expect("the unit ingests");
     assert!(!report.hle_ids.is_empty());
     dm.create_user("ana", "pw", "sci", Rights::SCIENTIST)
         .unwrap();

@@ -32,6 +32,11 @@
 #                              rebalance crash-matrix, and epoch-churn
 #                              suites plus the fig5_shards scale-out sweep
 #                              on a tiny config, then exit
+#   scripts/check.sh --e2e-smoke
+#                              run only the frozen-benchmark drift gate:
+#                              build e2e_bench/ (the repo's performance
+#                              gate, see BENCHMARK.json) and run its own
+#                              tests against the current crates, then exit
 #
 # The full gate also fails if the test run minted new proptest-regressions
 # entries: a fresh regression file is a real counterexample that must be
@@ -39,25 +44,25 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The smoke modes, in full-gate order: `--<name>-smoke` runs `<name>_smoke`
+# alone; the full gate runs them all.
+smokes=(bench ingest obs pl shard e2e)
+usage="usage: $0 [--fast] $(printf -- '[--%s-smoke] ' "${smokes[@]}")[--seed N]"
+
 fast=0
 seed=""
-smoke_only=0
-ingest_smoke_only=0
-obs_smoke_only=0
-pl_smoke_only=0
-shard_smoke_only=0
+only=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --fast) fast=1; shift ;;
-    --bench-smoke) smoke_only=1; shift ;;
-    --ingest-smoke) ingest_smoke_only=1; shift ;;
-    --obs-smoke) obs_smoke_only=1; shift ;;
-    --pl-smoke) pl_smoke_only=1; shift ;;
-    --shard-smoke) shard_smoke_only=1; shift ;;
     --seed)
-      [[ $# -ge 2 ]] || { echo "usage: $0 [--fast] [--bench-smoke] [--ingest-smoke] [--obs-smoke] [--pl-smoke] [--shard-smoke] [--seed N]" >&2; exit 2; }
+      [[ $# -ge 2 ]] || { echo "$usage" >&2; exit 2; }
       seed="$2"; shift 2 ;;
-    *) echo "usage: $0 [--fast] [--bench-smoke] [--ingest-smoke] [--obs-smoke] [--pl-smoke] [--shard-smoke] [--seed N]" >&2; exit 2 ;;
+    --*-smoke)
+      only="${1#--}"; only="${only%-smoke}"
+      [[ " ${smokes[*]} " == *" $only "* ]] || { echo "$usage" >&2; exit 2; }
+      shift ;;
+    *) echo "$usage" >&2; exit 2 ;;
   esac
 done
 
@@ -163,38 +168,19 @@ ingest_smoke() {
   rm -rf "$out"
 }
 
-if [[ "$smoke_only" -eq 1 ]]; then
-  cargo build --release -q -p hedc-bench
-  bench_smoke
-  echo "OK (bench smoke)"
-  exit 0
-fi
+# API drift against the frozen benchmark: e2e_bench/ is its own workspace
+# (offline stand-ins for the third-party crates) and names `hedc_*` items
+# directly, so it must keep building and passing against the current crates.
+e2e_smoke() {
+  echo "==> e2e smoke (e2e_bench builds and passes against the current crates)"
+  cargo build --release --offline --manifest-path e2e_bench/Cargo.toml
+  (cd e2e_bench && cargo test --release --offline --workspace)
+}
 
-if [[ "$ingest_smoke_only" -eq 1 ]]; then
-  cargo build --release -q -p hedc-bench
-  ingest_smoke
-  echo "OK (ingest smoke)"
-  exit 0
-fi
-
-if [[ "$obs_smoke_only" -eq 1 ]]; then
-  cargo build --release -q -p hedc-bench
-  obs_smoke
-  echo "OK (obs smoke)"
-  exit 0
-fi
-
-if [[ "$pl_smoke_only" -eq 1 ]]; then
-  cargo build --release -q -p hedc-bench
-  pl_smoke
-  echo "OK (pl smoke)"
-  exit 0
-fi
-
-if [[ "$shard_smoke_only" -eq 1 ]]; then
-  cargo build --release -q -p hedc-bench
-  shard_smoke
-  echo "OK (shard smoke)"
+if [[ -n "$only" ]]; then
+  [[ "$only" == e2e ]] || cargo build --release -q -p hedc-bench
+  "${only}_smoke"
+  echo "OK ($only smoke)"
   exit 0
 fi
 
@@ -205,7 +191,7 @@ if [[ -n "$seed" ]]; then
   export HEDC_TEST_SEED="$seed"
   cargo test -q -p hedc-dm --test failover --test cache --test ingest_crash \
     --test ingest_browse --test shard_prop --test shard_fault \
-    --test shard_rebalance -- --nocapture
+    --test shard_rebalance --test workflow -- --nocapture
   cargo test -q -p hedc-metadb --test paged_model -- --nocapture
   cargo test -q -p hedc-net --test cluster --test churn --test mux_prop \
     --test slow_client --test shard_epoch -- --nocapture
@@ -237,11 +223,9 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-bench_smoke
-ingest_smoke
-obs_smoke
-pl_smoke
-shard_smoke
+for name in "${smokes[@]}"; do
+  "${name}_smoke"
+done
 
 # The committed results/ reports must satisfy the schema, and the committed
 # tier (fig4, fig5_shards, batch, ingest, store, pl) must be present.

@@ -2,7 +2,7 @@
 //! behind the router, browse load spread across them, node failure and
 //! recovery, and the partitioned-database configuration.
 
-use hedc_dm::{Dm, DmConfig, DmNode, DmRouter, HleSpec, Partitioning, RemoteDm};
+use hedc_dm::{Dm, DmConfig, DmNode, DmRouter, FaultPlan, FaultyDmNode, HleSpec, Partitioning};
 use hedc_filestore::{Archive, ArchiveTier, FileStore};
 use hedc_metadb::{AggFunc, Expr, Query};
 use std::sync::Arc;
@@ -24,6 +24,16 @@ fn files() -> Arc<FileStore> {
     Arc::new(fs)
 }
 
+/// A replica behind the fault wrapper with a zero-rate plan: it fails only
+/// when a test flips it down.
+fn replica(events: i64, label: &str) -> Arc<FaultyDmNode<Dm>> {
+    Arc::new(FaultyDmNode::new(
+        seeded_node(events),
+        label,
+        FaultPlan::seeded(0),
+    ))
+}
+
 fn seeded_node(events: i64) -> Arc<Dm> {
     let dm = Dm::bootstrap(files(), DmConfig::default()).unwrap();
     let session = dm.import_session();
@@ -43,9 +53,7 @@ fn seeded_node(events: i64) -> Arc<Dm> {
 #[test]
 fn router_spreads_browse_load_and_survives_failures() {
     // Three replicas of the same catalog (read scale-out, §7.3).
-    let nodes: Vec<Arc<RemoteDm<Dm>>> = (0..3)
-        .map(|i| Arc::new(RemoteDm::new(seeded_node(40), format!("node-{i}"), 150)))
-        .collect();
+    let nodes: Vec<_> = (0..3).map(|i| replica(40, &format!("node-{i}"))).collect();
     let router = DmRouter::new(
         nodes
             .iter()
@@ -65,7 +73,7 @@ fn router_spreads_browse_load_and_survives_failures() {
         assert_eq!(r.rows.len(), 10);
     }
     for n in &nodes {
-        assert_eq!(n.calls(), 10, "even spread");
+        assert_eq!(n.counts().passed, 10, "even spread");
     }
 
     // Node 1 dies; traffic flows on.
@@ -75,14 +83,14 @@ fn router_spreads_browse_load_and_survives_failures() {
             .execute_query(&Query::table("hle").aggregate(AggFunc::CountStar))
             .unwrap();
     }
-    assert_eq!(nodes[1].calls(), 10, "no calls while down");
+    assert_eq!(nodes[1].counts().passed, 10, "no calls while down");
 
     // It comes back and rejoins the rotation.
     nodes[1].set_down(false);
     for _ in 0..6 {
         router.execute_query(&Query::table("hle").limit(1)).unwrap();
     }
-    assert!(nodes[1].calls() > 10);
+    assert!(nodes[1].counts().passed > 10);
 }
 
 #[test]
@@ -139,11 +147,12 @@ fn partitioned_databases_separate_browse_from_processing() {
 
 #[test]
 fn network_accounting_scales_with_traffic() {
-    let node = Arc::new(RemoteDm::new(seeded_node(5), "far-node", 2_000));
+    let node = replica(5, "far-node");
+    let hop_us = 2_000;
     let router = DmRouter::new(vec![Arc::clone(&node) as Arc<dyn DmNode>]);
     for _ in 0..10 {
         router.execute_query(&Query::table("hle").limit(1)).unwrap();
     }
     // 10 calls × 2 ms hop × 2 directions.
-    assert_eq!(node.network_us(), 40_000);
+    assert_eq!(node.counts().passed * 2 * hop_us, 40_000);
 }
