@@ -907,6 +907,48 @@ pub struct ShardedDm {
     gens: Arc<GenerationMap>,
     cache: Option<QueryCache>,
     rotate: AtomicUsize,
+    metrics: RouteMetrics,
+}
+
+/// Obs handles resolved once per router, not by name on every query.
+struct RouteMetrics {
+    point: Arc<hedc_obs::Counter>,
+    replicated: Arc<hedc_obs::Counter>,
+    fanout_queries: Arc<hedc_obs::Counter>,
+    fanout_batches: Arc<hedc_obs::Counter>,
+    fanout_targets: Arc<hedc_obs::Counter>,
+    shard_loss: Arc<hedc_obs::Counter>,
+}
+
+/// Run `call` once per target and return the answers in target order. The
+/// first target runs on the calling thread — which would otherwise only
+/// wait — and each of the others on a scoped thread that joins the caller's
+/// trace; a scatter with a single target spawns nothing.
+fn scatter<T: Sync, R: Send>(targets: &[T], call: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let Some((first, rest)) = targets.split_first() else {
+        return Vec::new();
+    };
+    let ctx = hedc_obs::current();
+    let call = &call;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = rest
+            .iter()
+            .map(|t| {
+                scope.spawn(move || {
+                    let _trace = hedc_obs::adopt(ctx);
+                    call(t)
+                })
+            })
+            .collect();
+        let mut out = Vec::with_capacity(targets.len());
+        out.push(call(first));
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("scatter target panicked")),
+        );
+        out
+    })
 }
 
 impl ShardedDm {
@@ -920,12 +962,21 @@ impl ShardedDm {
             "one replica set per shard"
         );
         let shards = replica_sets.into_iter().map(DmRouter::new).collect();
+        let obs = hedc_obs::global();
         ShardedDm {
             shards,
             map: ShardMapHandle::new(map),
             gens: Arc::new(GenerationMap::new()),
             cache: None,
             rotate: AtomicUsize::new(0),
+            metrics: RouteMetrics {
+                point: obs.counter("dm.shard.route.point"),
+                replicated: obs.counter("dm.shard.route.replicated"),
+                fanout_queries: obs.counter("dm.shard.fanout.queries"),
+                fanout_batches: obs.counter("dm.shard.fanout.batches"),
+                fanout_targets: obs.counter("dm.shard.fanout.targets"),
+                shard_loss: obs.counter("dm.shard.fanout.shard_loss"),
+            },
         }
     }
 
@@ -1015,55 +1066,43 @@ impl ShardedDm {
         };
         // Cache lookup + pre-read dependency snapshot over the shard-scoped
         // generations of every shard this answer will be assembled from.
-        let deps: Option<DepSnapshot> = self.cache.as_ref().map(|c| {
-            let shard_list: Vec<u32> = targets.clone();
-            let _ = &shard_list;
-            c.generations().snapshot_shards(&targets, &q.table)
-        });
+        let deps: Option<DepSnapshot> = self
+            .cache
+            .as_ref()
+            .map(|c| c.generations().snapshot_shards(&targets, &q.table));
         if let Some(cache) = &self.cache {
             if let Some(hit) = cache.get(SHARD_SCOPE, q) {
                 return Ok(hit);
             }
         }
-        let metrics = hedc_obs::global();
+        let metrics = &self.metrics;
         let result = match route {
             Route::Single(s) => {
-                metrics.counter("dm.shard.route.point").inc();
+                metrics.point.inc();
                 self.shards[s as usize]
                     .execute_query(q)
                     .map_err(|e| Self::shard_err(s, e))?
             }
             Route::Replicated => {
-                metrics.counter("dm.shard.route.replicated").inc();
+                metrics.replicated.inc();
                 let s = targets[0];
                 self.shards[s as usize]
                     .execute_query(q)
                     .map_err(|e| Self::shard_err(s, e))?
             }
             Route::Fanout(set) => {
-                metrics.counter("dm.shard.fanout.queries").inc();
-                metrics
-                    .counter("dm.shard.fanout.targets")
-                    .add(set.len() as u64);
+                metrics.fanout_queries.inc();
+                metrics.fanout_targets.add(set.len() as u64);
                 let plan = FanoutPlan::new(q);
                 let pushed = plan.pushed();
-                let replies: Vec<(u32, DmResult<QueryResult>)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = set
-                        .iter()
-                        .map(|&s| {
-                            let router = &self.shards[s as usize];
-                            scope.spawn(move || (s, router.execute_query(pushed)))
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                });
+                let replies = scatter(&set, |&s| self.shards[s as usize].execute_query(pushed));
                 let mut parts = Vec::with_capacity(replies.len());
-                for (s, r) in replies {
+                for (&s, r) in set.iter().zip(replies) {
                     match r {
                         Ok(part) => parts.push(part),
                         Err(e) => {
                             if matches!(e, DmError::RemoteUnavailable(_)) {
-                                metrics.counter("dm.shard.fanout.shard_loss").inc();
+                                metrics.shard_loss.inc();
                             }
                             return Err(Self::shard_err(s, e));
                         }
@@ -1098,7 +1137,7 @@ impl DmNode for ShardedDm {
     fn resolve_names(&self, item_id: i64, want: NameType) -> DmResult<Vec<ResolvedName>> {
         let map = self.map.current();
         let s = self.item_shard(&map, item_id);
-        hedc_obs::global().counter("dm.shard.route.point").inc();
+        self.metrics.point.inc();
         self.shards[s as usize]
             .resolve_batch(&[item_id], want)
             .pop()
@@ -1119,34 +1158,21 @@ impl DmNode for ShardedDm {
                 .push((pos, id));
         }
         if by_shard.len() > 1 {
-            let metrics = hedc_obs::global();
-            metrics.counter("dm.shard.fanout.batches").inc();
-            metrics
-                .counter("dm.shard.fanout.targets")
-                .add(by_shard.len() as u64);
+            self.metrics.fanout_batches.inc();
+            self.metrics.fanout_targets.add(by_shard.len() as u64);
         } else {
-            hedc_obs::global().counter("dm.shard.route.point").inc();
+            self.metrics.point.inc();
         }
         let mut out: Vec<Option<DmResult<Vec<ResolvedName>>>> = Vec::new();
         out.resize_with(item_ids.len(), || None);
         let groups: Vec<(u32, Vec<(usize, i64)>)> = by_shard.into_iter().collect();
-        let replies: Vec<(u32, &Vec<(usize, i64)>, Vec<DmResult<Vec<ResolvedName>>>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .iter()
-                    .map(|(s, entries)| {
-                        let router = &self.shards[*s as usize];
-                        scope.spawn(move || {
-                            let ids: Vec<i64> = entries.iter().map(|(_, id)| *id).collect();
-                            (*s, entries, router.resolve_batch(&ids, want))
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-        for (s, entries, results) in replies {
+        let replies = scatter(&groups, |(s, entries)| {
+            let ids: Vec<i64> = entries.iter().map(|(_, id)| *id).collect();
+            self.shards[*s as usize].resolve_batch(&ids, want)
+        });
+        for ((s, entries), results) in groups.iter().zip(replies) {
             for ((pos, _), r) in entries.iter().zip(results) {
-                out[*pos] = Some(r.map_err(|e| Self::shard_err(s, e)));
+                out[*pos] = Some(r.map_err(|e| Self::shard_err(*s, e)));
             }
         }
         out.into_iter()

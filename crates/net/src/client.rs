@@ -21,7 +21,6 @@ use hedc_dm::{DmError, DmNode, DmResult, NameType, ResolvedName};
 use hedc_metadb::{Query, QueryResult};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -67,10 +66,30 @@ impl Default for NetConfig {
     }
 }
 
+/// The warm connections, plus how many more are being dialed right now so
+/// that concurrent callers do not all dial at once.
+#[derive(Default)]
+struct Pool {
+    conns: Vec<Arc<MuxClient>>,
+    dialing: usize,
+}
+
 #[derive(Debug)]
 struct Health {
     available: bool,
     checked: Option<Instant>,
+}
+
+/// Obs handles resolved once per client: the registry lookup is a
+/// process-wide lock and a map probe, which has no place on the per-request
+/// path.
+struct ClientMetrics {
+    rpc: Arc<hedc_obs::Histogram>,
+    bytes_out: Arc<hedc_obs::Counter>,
+    bytes_in: Arc<hedc_obs::Counter>,
+    retries: Arc<hedc_obs::Counter>,
+    overload_retries: Arc<hedc_obs::Counter>,
+    unavailable: Arc<hedc_obs::Counter>,
 }
 
 /// A remote DM node reached over the `hedc-net` wire protocol.
@@ -78,27 +97,35 @@ pub struct NetDm {
     addr: SocketAddr,
     label: String,
     config: NetConfig,
-    pool: Mutex<Vec<Arc<MuxClient>>>,
-    rr: AtomicUsize,
+    pool: Mutex<Pool>,
     health: Mutex<Health>,
     cache: Option<QueryCache>,
+    metrics: ClientMetrics,
 }
 
 impl NetDm {
     /// Create a client for the server at `addr`. No connection is made
     /// until the first request or probe.
     pub fn connect(addr: SocketAddr, label: impl Into<String>, config: NetConfig) -> NetDm {
+        let obs = hedc_obs::global();
         NetDm {
             addr,
             label: label.into(),
             config,
-            pool: Mutex::new(Vec::new()),
-            rr: AtomicUsize::new(0),
+            pool: Mutex::new(Pool::default()),
             health: Mutex::new(Health {
                 available: true,
                 checked: None,
             }),
             cache: None,
+            metrics: ClientMetrics {
+                rpc: obs.histogram("net.rpc.client"),
+                bytes_out: obs.counter("net.client.bytes_out"),
+                bytes_in: obs.counter("net.client.bytes_in"),
+                retries: obs.counter("net.client.retries"),
+                overload_retries: obs.counter("net.client.overload_retries"),
+                unavailable: obs.counter("net.client.unavailable"),
+            },
         }
     }
 
@@ -123,24 +150,29 @@ impl NetDm {
         self.addr
     }
 
-    /// Pick a live multiplexed connection round-robin, dialing a fresh one
-    /// when the pool is empty (dead connections are pruned on the way).
-    /// Connections are *shared*, not checked out exclusively: any number of
-    /// in-flight requests ride each socket.
+    /// Pick the live multiplexed connection with the fewest requests in
+    /// flight (dead ones are pruned on the way). Connections are *shared*,
+    /// not checked out exclusively: any number of in-flight requests ride
+    /// each socket. Another one is dialed only while every pooled
+    /// connection is busy and the pool has room, so a lone caller keeps one
+    /// socket and `n` concurrent callers spread over up to `pool_size`.
     fn checkout(&self) -> io::Result<Arc<MuxClient>> {
         {
             let mut pool = self.pool.lock().unwrap();
-            pool.retain(|c| !c.is_dead());
-            if !pool.is_empty() {
-                let idx = self.rr.fetch_add(1, Ordering::Relaxed) % pool.len();
-                return Ok(Arc::clone(&pool[idx]));
+            pool.conns.retain(|c| !c.is_dead());
+            let full = pool.conns.len() + pool.dialing >= self.config.pool_size;
+            match pool.conns.iter().min_by_key(|c| c.in_flight()) {
+                Some(idlest) if full || idlest.in_flight() == 0 => return Ok(Arc::clone(idlest)),
+                _ => pool.dialing += 1,
             }
         }
         // Dial outside the lock so a slow connect does not serialize peers.
-        let conn = Arc::new(MuxClient::connect(self.addr, self.config.connect_timeout)?);
+        let dialed = MuxClient::connect(self.addr, self.config.connect_timeout);
         let mut pool = self.pool.lock().unwrap();
-        if pool.len() < self.config.pool_size {
-            pool.push(Arc::clone(&conn));
+        pool.dialing -= 1;
+        let conn = Arc::new(dialed?);
+        if pool.conns.len() < self.config.pool_size {
+            pool.conns.push(Arc::clone(&conn));
         }
         Ok(conn)
     }
@@ -175,22 +207,22 @@ impl NetDm {
     /// the last `Overloaded` rejection when every attempt was shed, or
     /// `None` after exhausting retries against a dead transport.
     fn exchange(&self, request: &Request) -> Option<Response> {
-        let obs = hedc_obs::global();
+        let obs = &self.metrics;
         let mut last_shed: Option<Response> = None;
         for attempt in 0..=self.config.retries {
             if attempt > 0 {
-                obs.counter("net.client.retries").inc();
+                obs.retries.inc();
                 std::thread::sleep(backoff(&self.config, attempt));
             }
             match self.roundtrip(request) {
                 Ok((response, sent, received)) => {
-                    obs.counter("net.client.bytes_out").add(sent as u64);
-                    obs.counter("net.client.bytes_in").add(received as u64);
+                    obs.bytes_out.add(sent as u64);
+                    obs.bytes_in.add(received as u64);
                     if matches!(&response, Response::Error(e) if e.kind == WireErrorKind::Overloaded)
                     {
                         // The server shed the request: back off and retry.
                         // The node is up, so this is not a health event.
-                        obs.counter("net.client.overload_retries").inc();
+                        obs.overload_retries.inc();
                         last_shed = Some(response);
                         continue;
                     }
@@ -296,8 +328,8 @@ impl DmNode for NetDm {
         let span = hedc_obs::Span::child("net.rpc.client");
         let start = Instant::now();
         let outcome = self.exchange(&Request::Query(q.clone()));
-        hedc_obs::global()
-            .histogram("net.rpc.client")
+        self.metrics
+            .rpc
             .record_us(start.elapsed().as_micros() as u64);
         drop(span);
         match outcome {
@@ -320,7 +352,7 @@ impl DmNode for NetDm {
             ))),
             None => {
                 self.set_health(false);
-                hedc_obs::global().counter("net.client.unavailable").inc();
+                self.metrics.unavailable.inc();
                 if let Some(cache) = &self.cache {
                     if let Some(stale) = cache.get_stale(CLIENT_SCOPE, q) {
                         hedc_obs::emit(
@@ -374,8 +406,8 @@ impl DmNode for NetDm {
         let span = hedc_obs::Span::child("net.rpc.client");
         let start = Instant::now();
         let outcome = self.exchange(&Request::Batch(entries));
-        hedc_obs::global()
-            .histogram("net.rpc.client")
+        self.metrics
+            .rpc
             .record_us(start.elapsed().as_micros() as u64);
         drop(span);
         match outcome {
@@ -424,7 +456,7 @@ impl DmNode for NetDm {
             }
             None => {
                 self.set_health(false);
-                hedc_obs::global().counter("net.client.unavailable").inc();
+                self.metrics.unavailable.inc();
                 let mut served_stale = false;
                 for &i in &miss {
                     out[i] = Some(
@@ -465,8 +497,8 @@ impl DmNode for NetDm {
             item_id,
             name_type: want,
         });
-        hedc_obs::global()
-            .histogram("net.rpc.client")
+        self.metrics
+            .rpc
             .record_us(start.elapsed().as_micros() as u64);
         drop(span);
         match outcome {
@@ -485,7 +517,7 @@ impl DmNode for NetDm {
             ))),
             None => {
                 self.set_health(false);
-                hedc_obs::global().counter("net.client.unavailable").inc();
+                self.metrics.unavailable.inc();
                 Err(DmError::RemoteUnavailable(format!(
                     "{} ({})",
                     self.label, self.addr
@@ -513,8 +545,8 @@ impl DmNode for NetDm {
         let span = hedc_obs::Span::child("net.rpc.client");
         let start = Instant::now();
         let outcome = self.exchange(&Request::Batch(entries));
-        hedc_obs::global()
-            .histogram("net.rpc.client")
+        self.metrics
+            .rpc
             .record_us(start.elapsed().as_micros() as u64);
         drop(span);
         match outcome {
@@ -556,7 +588,7 @@ impl DmNode for NetDm {
             }
             None => {
                 self.set_health(false);
-                hedc_obs::global().counter("net.client.unavailable").inc();
+                self.metrics.unavailable.inc();
                 item_ids
                     .iter()
                     .map(|_| {

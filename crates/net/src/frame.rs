@@ -124,12 +124,14 @@ pub fn encode_frame(frame: &Frame) -> io::Result<Vec<u8>> {
 }
 
 /// Encode and write one frame. Returns the number of bytes written.
+///
+/// Header and payload go out in one `write_all`, so on a `TCP_NODELAY`
+/// socket a small frame is one segment and wakes its receiver once.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<usize> {
-    let header = encode_header(frame)?;
-    w.write_all(&header)?;
-    w.write_all(&frame.payload)?;
+    let wire = encode_frame(frame)?;
+    w.write_all(&wire)?;
     w.flush()?;
-    Ok(frame.wire_len())
+    Ok(wire.len())
 }
 
 /// Read one complete frame, blocking until it arrives or the stream's read

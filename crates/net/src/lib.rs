@@ -13,12 +13,13 @@
 //!   mirroring the `DmNode` trait, plus a liveness ping and a typed
 //!   `Overloaded` shed response.
 //! * [`DmServer`] — an event-driven server: a blocking acceptor with a
-//!   connection cap, reader shards sweeping nonblocking sockets, and a
-//!   bounded worker pool with deadline-aware load shedding
-//!   ([`AdmissionConfig`]). Concurrency is fixed by configuration, not by
-//!   client count.
+//!   connection cap, reader shards blocked in `poll(2)` over their
+//!   sockets, and a bounded worker pool with deadline-aware load shedding
+//!   ([`AdmissionConfig`]) whose workers write their own responses.
+//!   Concurrency is fixed by configuration, not by client count.
 //! * [`MuxClient`] — one multiplexed connection: concurrent requests
-//!   correlated by frame id, out-of-order completion, per-request waits.
+//!   correlated by frame id, out-of-order completion, per-request waits;
+//!   no thread of its own — a waiting caller reads the socket.
 //! * [`NetDm`] — a pooled, retrying client that *is* a `DmNode`, so a
 //!   [`hedc_dm::DmRouter`] mixes local and remote nodes transparently and
 //!   its failover works off the client's cached health probe. `Overloaded`
@@ -39,10 +40,11 @@
 //! ```
 //!
 //! Everything here is std + serde: no async runtime, no networking crates.
-//! Readiness is polled with nonblocking sockets and short condvar parks —
-//! no epoll dependency — which keeps the subsystem auditable while the
-//! serving thread count stays fixed as client count grows (the §5
-//! lesson: bound concurrency and reject work you cannot finish).
+//! Readiness comes from `poll(2)`, declared in one small private module
+//! (the crate's only `unsafe`); nothing sleeps on a timer, and an idle
+//! server wakes no thread. The serving thread count stays fixed as client
+//! count grows (the §5 lesson: bound concurrency and reject work you
+//! cannot finish).
 
 #![warn(missing_docs)]
 
@@ -51,6 +53,7 @@ pub mod proto;
 
 mod client;
 mod mux;
+mod poll;
 mod server;
 
 pub use client::{NetConfig, NetDm};

@@ -7,19 +7,30 @@
 //! ```text
 //!   acceptor ──► reader shards ──► bounded run queues ──► worker pool
 //!   (1 thread)   (own N conns     (per-worker, shed      (≈ CPU count,
-//!    blocking     each, non-       when full or stale)    executes the
-//!    accept)      blocking I/O)                           DmNode calls)
+//!    blocking     each, blocked    when full or stale)    executes the
+//!    accept)      in poll(2))                             DmNode calls,
+//!                      ▲                                  writes the
+//!                      └──── wake byte on a spilled ───── response)
+//!                            write / new connection
 //! ```
 //!
 //! * The **acceptor** blocks in `accept()` — no sleep-poll, so an idle
 //!   server admits a new connection in microseconds — and refuses
 //!   connections beyond `max_connections` outright.
-//! * **Reader shards** own the sockets. Each shard sweeps its connections
-//!   with nonblocking reads into an incremental [`FrameBuffer`], drains
-//!   complete frames to the run queues, and flushes response bytes back
-//!   out. A peer that starts a frame and stalls (slow loris) trips the
-//!   read deadline and is disconnected without ever pinning a worker.
-//! * **Workers** execute requests. Admission control sheds instead of
+//! * **Reader shards** own the read side of the sockets. Each shard blocks
+//!   in `poll(2)` over its connections plus a wake channel — no timer: the
+//!   timeout is the nearest pending read/write deadline, or none — reads
+//!   what is ready into an incremental [`FrameBuffer`] and drains complete
+//!   frames to the run queues. A peer that starts a frame and stalls (slow
+//!   loris) trips the read deadline and is disconnected without ever
+//!   pinning a worker.
+//! * **Workers** execute requests and write the encoded response straight
+//!   to the nonblocking socket under the connection's write lock. Only
+//!   what the socket would not take spills to the connection's backlog;
+//!   the worker then wakes the owning shard, which polls for `POLLOUT` and
+//!   finishes the write (or severs a peer that stays unwritable past
+//!   `write_timeout`) — a worker never waits on a slow reader. Admission
+//!   control sheds instead of
 //!   queueing without bound: a full run queue, a request that sat queued
 //!   past its deadline, or a connection over its in-flight cap gets an
 //!   immediate typed `Overloaded` response the client can retry or fail
@@ -32,11 +43,14 @@
 //! `/hedc/traces`.
 
 use crate::frame::{encode_frame, Frame, FrameBuffer, FrameKind};
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::proto::{decode, encode, Request, Response, WireError, WireErrorKind};
 use hedc_dm::{DmNode, NameType, ShardMapHandle};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -53,7 +67,7 @@ pub struct AdmissionConfig {
     /// Worker threads executing requests. `0` = one per available core
     /// (clamped to 2..=16).
     pub workers: usize,
-    /// Reader shards sweeping connection sockets. `0` = 2.
+    /// Reader shards polling connection sockets. `0` = 2.
     pub reader_shards: usize,
     /// Per-worker run-queue depth; a frame arriving at a full queue is shed
     /// (`net.server.shed.queue_full`).
@@ -108,10 +122,6 @@ impl AdmissionConfig {
 /// Server-side deadlines and limits.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Shard sweep park interval while a shard owns no connections; new
-    /// registrations and responses wake shards early, so this only bounds
-    /// how fast a completely idle shard notices shutdown.
-    pub idle_poll: Duration,
     /// Hard deadline for draining a response to a non-reading client
     /// before the connection is severed.
     pub write_timeout: Duration,
@@ -127,7 +137,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            idle_poll: Duration::from_millis(25),
             write_timeout: Duration::from_secs(2),
             slow_request: Duration::from_millis(100),
             admission: AdmissionConfig::default(),
@@ -148,26 +157,82 @@ pub struct ShardIdentity {
     pub map: Arc<ShardMapHandle>,
 }
 
-/// Park interval for a shard that owns live connections. Readiness is
-/// polled (pure std, no epoll dependency): responses and registrations
-/// wake the shard immediately; fresh request bytes are noticed within one
-/// park interval.
-const BUSY_PARK: Duration = Duration::from_micros(200);
-/// How long a worker sleeps between run-queue checks when idle (pops are
-/// condvar-notified; this only bounds shutdown latency).
-const WORKER_PARK: Duration = Duration::from_millis(25);
-
-/// Response bytes and liveness shared between the owning reader shard and
-/// the workers completing requests for the connection.
+/// The socket and liveness shared between the owning reader shard (which
+/// reads) and whoever answers a request on the connection (which writes).
 struct ConnShared {
-    /// Encoded response frames waiting for the shard to flush.
-    outbox: Mutex<VecDeque<Vec<u8>>>,
-    /// Set by a worker that hit an unrecoverable encode error; the shard
-    /// severs the connection on its next sweep.
+    /// Nonblocking. Only the owning shard reads; writes go through `out`.
+    stream: TcpStream,
+    /// The connection's write lock, and what the socket has not taken yet.
+    out: Mutex<Outbox>,
+    /// Set by a worker whose response could not be encoded or written; the
+    /// shard severs the connection when it next wakes.
     dead: AtomicBool,
     /// Requests dispatched but not yet answered, for the per-connection
     /// in-flight cap.
     inflight: AtomicI64,
+}
+
+/// Response bytes the socket would not take: whole frames in order, the
+/// front one possibly part-written.
+#[derive(Default)]
+struct Outbox {
+    backlog: VecDeque<Vec<u8>>,
+    /// Bytes of the front frame already on the wire.
+    cursor: usize,
+    /// When the backlog last became non-empty: the `write_timeout` clock.
+    since: Option<Instant>,
+}
+
+/// Where a connection's outgoing bytes stand after a write attempt.
+enum Drain {
+    /// Everything is on the wire.
+    Empty,
+    /// The socket is full; the rest waits in the backlog since this
+    /// instant.
+    Blocked(Instant),
+    /// The socket is gone.
+    Dead,
+}
+
+impl ConnShared {
+    /// Queue one encoded frame behind whatever is still unwritten and write
+    /// as much as the socket takes. Frames stay whole and in order because
+    /// every write happens under the one lock, front of the backlog first.
+    fn send(&self, frame: Vec<u8>, bytes_out: &hedc_obs::Counter) -> Drain {
+        let mut out = self.out.lock().unwrap();
+        out.backlog.push_back(frame);
+        out.drain(&self.stream, bytes_out)
+    }
+
+    /// Write as much of the backlog as the socket takes.
+    fn flush(&self, bytes_out: &hedc_obs::Counter) -> Drain {
+        self.out.lock().unwrap().drain(&self.stream, bytes_out)
+    }
+}
+
+impl Outbox {
+    fn drain(&mut self, mut stream: &TcpStream, bytes_out: &hedc_obs::Counter) -> Drain {
+        while let Some(front) = self.backlog.front() {
+            match stream.write(&front[self.cursor..]) {
+                Ok(0) => return Drain::Dead,
+                Ok(n) => {
+                    bytes_out.add(n as u64);
+                    self.cursor += n;
+                    if self.cursor == front.len() {
+                        self.backlog.pop_front();
+                        self.cursor = 0;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    return Drain::Blocked(*self.since.get_or_insert_with(Instant::now));
+                }
+                Err(_) => return Drain::Dead,
+            }
+        }
+        self.since = None;
+        Drain::Empty
+    }
 }
 
 /// One unit of admitted work: a decoded-enough request frame plus the
@@ -210,8 +275,9 @@ impl WorkQueue {
     }
 }
 
-/// Reader-shard wakeup state: pending connection registrations plus a wake
-/// flag set by workers when they enqueue a response.
+/// Reader-shard wakeup state: pending connection registrations plus a flag
+/// that coalesces wake bytes — set by whoever wakes the shard, cleared by
+/// the shard after it drained the channel.
 struct ShardState {
     incoming: Vec<(TcpStream, Arc<str>)>,
     wake: bool,
@@ -219,33 +285,45 @@ struct ShardState {
 
 struct Shard {
     state: Mutex<ShardState>,
-    cv: Condvar,
+    /// Write end of the wake channel the shard polls beside its sockets.
+    wake_tx: UnixStream,
 }
 
 impl Shard {
-    fn new() -> Shard {
-        Shard {
+    /// The shard handle and the read end of its wake channel.
+    fn new() -> io::Result<(Shard, UnixStream)> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        let shard = Shard {
             state: Mutex::new(ShardState {
                 incoming: Vec::new(),
                 wake: false,
             }),
-            cv: Condvar::new(),
-        }
+            wake_tx,
+        };
+        Ok((shard, wake_rx))
     }
 
+    /// Pop the shard out of `poll`: a spilled response, a dead connection,
+    /// or shutdown needs its attention.
     fn wake(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.wake = true;
-        drop(st);
-        self.cv.notify_all();
+        self.signal(&mut self.state.lock().unwrap());
     }
 
     fn register(&self, stream: TcpStream, peer: Arc<str>) {
         let mut st = self.state.lock().unwrap();
         st.incoming.push((stream, peer));
-        st.wake = true;
-        drop(st);
-        self.cv.notify_all();
+        self.signal(&mut st);
+    }
+
+    /// One byte per shard wake-up, however many callers asked for it.
+    fn signal(&self, st: &mut ShardState) {
+        if !st.wake {
+            st.wake = true;
+            // At most one byte is ever outstanding, so this cannot block;
+            // it can only fail once the shard thread (the reader) is gone.
+            let _ = (&self.wake_tx).write(&[1]);
+        }
     }
 }
 
@@ -306,7 +384,13 @@ impl DmServer {
                 .map(|_| Arc::new(WorkQueue::new(config.admission.queue_depth)))
                 .collect(),
         );
-        let shards: Vec<Arc<Shard>> = (0..n_shards).map(|_| Arc::new(Shard::new())).collect();
+        let mut shards: Vec<Arc<Shard>> = Vec::with_capacity(n_shards);
+        let mut wake_rxs: Vec<UnixStream> = Vec::with_capacity(n_shards);
+        for _ in 0..n_shards {
+            let (shard, wake_rx) = Shard::new()?;
+            shards.push(Arc::new(shard));
+            wake_rxs.push(wake_rx);
+        }
 
         let worker_handles: Vec<JoinHandle<()>> = queues
             .iter()
@@ -325,15 +409,16 @@ impl DmServer {
 
         let shard_handles: Vec<JoinHandle<()>> = shards
             .iter()
+            .zip(wake_rxs)
             .enumerate()
-            .map(|(i, shard)| {
+            .map(|(i, (shard, wake_rx))| {
                 let shard = Arc::clone(shard);
                 let queues = Arc::clone(&queues);
                 let stop = Arc::clone(&stop);
                 let conn_count = Arc::clone(&conn_count);
                 std::thread::Builder::new()
                     .name(format!("dm-net-shard-{}-{i}", addr.port()))
-                    .spawn(move || shard_loop(shard, queues, stop, conn_count, config))
+                    .spawn(move || shard_loop(shard, wake_rx, queues, stop, conn_count, config))
                     .expect("spawn reader shard")
             })
             .collect();
@@ -385,6 +470,9 @@ impl DmServer {
             shard.wake();
         }
         for q in self.queues.iter() {
+            // Under the queue lock, so a worker that saw `stop` unset is
+            // already parked on the condvar when the notification fires.
+            let _items = q.items.lock().unwrap();
             q.cv.notify_all();
         }
         if let Some(acceptor) = self.acceptor.take() {
@@ -457,19 +545,49 @@ fn accept_loop(
 
 /// One connection owned by a reader shard.
 struct Conn {
-    stream: TcpStream,
+    shared: Arc<ConnShared>,
     peer: Arc<str>,
     buf: FrameBuffer,
-    shared: Arc<ConnShared>,
-    write_pending: Vec<u8>,
+    /// `Some` while response bytes wait for the socket to drain: the shard
+    /// polls for `POLLOUT` and the `write_timeout` clock runs from here.
     write_since: Option<Instant>,
+    /// `Some` while a frame is part-received: the `read_deadline` clock.
     partial_since: Option<Instant>,
 }
 
-/// Reader-shard sweep loop: drain registrations, flush outboxes, read and
-/// parse request bytes, dispatch admitted frames to the run queues.
+impl Conn {
+    /// The earliest instant at which this connection must be looked at
+    /// again even if its socket stays quiet.
+    fn deadline(&self, config: &ServerConfig) -> Option<Instant> {
+        let read = self
+            .partial_since
+            .map(|t| t + config.admission.read_deadline);
+        let write = self.write_since.map(|t| t + config.write_timeout);
+        match (read, write) {
+            (Some(r), Some(w)) => Some(r.min(w)),
+            (r, w) => r.or(w),
+        }
+    }
+
+    /// Record where the outgoing bytes stand; `false` when the socket is
+    /// gone and the connection must be severed.
+    fn note_drain(&mut self, drain: Drain) -> bool {
+        match drain {
+            Drain::Empty => self.write_since = None,
+            Drain::Blocked(since) => self.write_since = Some(since),
+            Drain::Dead => return false,
+        }
+        true
+    }
+}
+
+/// Reader-shard event loop: block until a socket is ready, a deadline
+/// falls due, or someone writes the wake channel; then admit registrations,
+/// finish spilled writes, read and parse request bytes, and dispatch
+/// admitted frames to the run queues.
 fn shard_loop(
     shard: Arc<Shard>,
+    mut wake_rx: UnixStream,
     queues: Arc<Vec<Arc<WorkQueue>>>,
     stop: Arc<AtomicBool>,
     conn_count: Arc<AtomicI64>,
@@ -477,210 +595,207 @@ fn shard_loop(
 ) {
     let obs = hedc_obs::global();
     let connections = obs.gauge("net.server.connections");
-    let inflight = obs.gauge("net.server.inflight");
-    let queue_depth = obs.gauge("net.server.queue_depth");
-    let conn_max_inflight = obs.gauge("net.server.conn_max_inflight");
-    let requests = obs.counter("net.server.requests");
-    let bytes_in = obs.counter("net.server.bytes_in");
-    let bytes_out = obs.counter("net.server.bytes_out");
-    let overloaded = obs.counter("net.server.overloaded");
-    let shed_queue_full = obs.counter("net.server.shed.queue_full");
-    let shed_inflight = obs.counter("net.server.shed.inflight");
-    let read_kills = obs.counter("net.server.read_deadline_kills");
+    let wakeups = obs.counter("net.server.shard_wakeups");
+    let counters = ShardCounters {
+        requests: obs.counter("net.server.requests"),
+        bytes_in: obs.counter("net.server.bytes_in"),
+        bytes_out: obs.counter("net.server.bytes_out"),
+        overloaded: obs.counter("net.server.overloaded"),
+        shed_queue_full: obs.counter("net.server.shed.queue_full"),
+        shed_inflight: obs.counter("net.server.shed.inflight"),
+        read_kills: obs.counter("net.server.read_deadline_kills"),
+        inflight: obs.gauge("net.server.inflight"),
+        queue_depth: obs.gauge("net.server.queue_depth"),
+        conn_max_inflight: obs.gauge("net.server.conn_max_inflight"),
+    };
 
+    // `pollfds[0]` is the wake channel; `pollfds[i + 1]` watches `conns[i]`.
+    // Both are edited in place as connections come, go, and gain or lose
+    // write interest, so a wake-up costs the kernel's scan and nothing else.
     let mut conns: Vec<Conn> = Vec::new();
+    let mut pollfds: Vec<PollFd> = vec![PollFd::new(wake_rx.as_raw_fd(), POLLIN)];
     let mut scratch = vec![0u8; 64 * 1024];
     let mut rr = 0usize;
+    let mut next_deadline: Option<Instant> = None;
 
-    while !stop.load(Ordering::SeqCst) {
-        // Admit newly-registered connections.
-        let incoming: Vec<(TcpStream, Arc<str>)> = {
-            let mut st = shard.state.lock().unwrap();
-            st.wake = false;
-            std::mem::take(&mut st.incoming)
-        };
-        for (stream, peer) in incoming {
-            if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                conn_count.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            connections.add(1);
-            conns.push(Conn {
-                stream,
-                peer,
-                buf: FrameBuffer::new(),
-                shared: Arc::new(ConnShared {
-                    outbox: Mutex::new(VecDeque::new()),
-                    dead: AtomicBool::new(false),
-                    inflight: AtomicI64::new(0),
-                }),
-                write_pending: Vec::new(),
-                write_since: None,
-                partial_since: None,
-            });
+    loop {
+        let timeout = next_deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        if poll::wait(&mut pollfds, timeout).is_err() {
+            break; // the descriptor table itself is unusable
+        }
+        wakeups.inc();
+        if stop.load(Ordering::SeqCst) {
+            break;
         }
 
-        let mut progressed = false;
+        // A wake byte: new connections, and possibly a worker that spilled
+        // a response or marked a connection dead.
+        let woken = pollfds[0].revents() != 0;
+        if woken {
+            // Drain before clearing the flag: whoever sets it next writes
+            // a fresh byte, so no wake-up is lost between the two.
+            let _ = wake_rx.read(&mut [0u8; 8]);
+            let incoming = {
+                let mut st = shard.state.lock().unwrap();
+                st.wake = false;
+                std::mem::take(&mut st.incoming)
+            };
+            for (stream, peer) in incoming {
+                if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+                    conn_count.fetch_sub(1, Ordering::SeqCst);
+                    continue;
+                }
+                connections.add(1);
+                pollfds.push(PollFd::new(stream.as_raw_fd(), POLLIN));
+                conns.push(Conn {
+                    shared: Arc::new(ConnShared {
+                        stream,
+                        out: Mutex::new(Outbox::default()),
+                        dead: AtomicBool::new(false),
+                        inflight: AtomicI64::new(0),
+                    }),
+                    peer,
+                    buf: FrameBuffer::new(),
+                    write_since: None,
+                    partial_since: None,
+                });
+            }
+        }
+
+        next_deadline = None;
         let mut i = 0;
         while i < conns.len() {
-            let alive = sweep_conn(
-                &mut conns[i],
+            let conn = &mut conns[i];
+            let ready = pollfds[i + 1].revents();
+            let alive = service_conn(
+                conn,
+                ready,
+                woken,
                 &shard,
                 &queues,
                 &mut rr,
                 &mut scratch,
-                &mut progressed,
                 &config,
-                SweepCounters {
-                    requests: &requests,
-                    bytes_in: &bytes_in,
-                    bytes_out: &bytes_out,
-                    overloaded: &overloaded,
-                    shed_queue_full: &shed_queue_full,
-                    shed_inflight: &shed_inflight,
-                    read_kills: &read_kills,
-                    inflight: &inflight,
-                    queue_depth: &queue_depth,
-                    conn_max_inflight: &conn_max_inflight,
-                },
+                &counters,
             );
             if alive {
+                let events = if conn.write_since.is_some() {
+                    POLLIN | POLLOUT
+                } else {
+                    POLLIN
+                };
+                pollfds[i + 1].set_events(events);
+                if let Some(d) = conn.deadline(&config) {
+                    next_deadline = Some(next_deadline.map_or(d, |n| n.min(d)));
+                }
                 i += 1;
             } else {
                 let conn = conns.swap_remove(i);
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                conn.shared.dead.store(true, Ordering::SeqCst);
-                connections.add(-1);
-                conn_count.fetch_sub(1, Ordering::SeqCst);
+                pollfds.swap_remove(i + 1);
+                sever(&conn, &connections, &conn_count);
             }
-        }
-
-        if progressed {
-            continue; // keep sweeping while there is work
-        }
-        let park = if conns.is_empty() {
-            config.idle_poll
-        } else {
-            BUSY_PARK
-        };
-        let st = shard.state.lock().unwrap();
-        if !st.wake && st.incoming.is_empty() {
-            let _ = shard.cv.wait_timeout(st, park).unwrap();
         }
     }
 
     // Shutdown: sever everything this shard owns.
-    for conn in conns {
-        let _ = conn.stream.shutdown(Shutdown::Both);
-        conn.shared.dead.store(true, Ordering::SeqCst);
-        connections.add(-1);
-        conn_count.fetch_sub(1, Ordering::SeqCst);
+    for conn in &conns {
+        sever(conn, &connections, &conn_count);
     }
 }
 
-/// Obs handles threaded through one shard sweep.
-struct SweepCounters<'a> {
-    requests: &'a hedc_obs::Counter,
-    bytes_in: &'a hedc_obs::Counter,
-    bytes_out: &'a hedc_obs::Counter,
-    overloaded: &'a hedc_obs::Counter,
-    shed_queue_full: &'a hedc_obs::Counter,
-    shed_inflight: &'a hedc_obs::Counter,
-    read_kills: &'a hedc_obs::Counter,
-    inflight: &'a hedc_obs::Gauge,
-    queue_depth: &'a hedc_obs::Gauge,
-    conn_max_inflight: &'a hedc_obs::Gauge,
+/// Close a connection the shard is letting go of. Workers still holding
+/// the shared half see `dead` (or a failed write) and drop their answers.
+fn sever(conn: &Conn, connections: &hedc_obs::Gauge, conn_count: &AtomicI64) {
+    let _ = conn.shared.stream.shutdown(Shutdown::Both);
+    conn.shared.dead.store(true, Ordering::SeqCst);
+    connections.add(-1);
+    conn_count.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// One sweep over one connection: flush, read, parse, dispatch. Returns
-/// `false` when the connection must be severed.
+/// Obs handles a reader shard resolves once and uses on every wake-up.
+struct ShardCounters {
+    requests: Arc<hedc_obs::Counter>,
+    bytes_in: Arc<hedc_obs::Counter>,
+    bytes_out: Arc<hedc_obs::Counter>,
+    overloaded: Arc<hedc_obs::Counter>,
+    shed_queue_full: Arc<hedc_obs::Counter>,
+    shed_inflight: Arc<hedc_obs::Counter>,
+    read_kills: Arc<hedc_obs::Counter>,
+    inflight: Arc<hedc_obs::Gauge>,
+    queue_depth: Arc<hedc_obs::Gauge>,
+    conn_max_inflight: Arc<hedc_obs::Gauge>,
+}
+
+/// Look after one connection on a shard wake-up: finish spilled writes,
+/// read what `poll` reported (`ready`), parse, dispatch, and check both
+/// deadlines. Returns `false` when the connection must be severed.
 #[allow(clippy::too_many_arguments)]
-fn sweep_conn(
+fn service_conn(
     conn: &mut Conn,
+    ready: std::ffi::c_short,
+    woken: bool,
     shard: &Arc<Shard>,
     queues: &Arc<Vec<Arc<WorkQueue>>>,
     rr: &mut usize,
     scratch: &mut [u8],
-    progressed: &mut bool,
     config: &ServerConfig,
-    c: SweepCounters<'_>,
+    c: &ShardCounters,
 ) -> bool {
     if conn.shared.dead.load(Ordering::SeqCst) {
         return false;
     }
     let now = Instant::now();
 
-    // Flush: move queued response frames into the pending buffer, then
-    // write as much as the socket accepts.
+    // Writes: the socket drained, or a worker may just have spilled (it
+    // wakes the shard without saying which connection).
+    if (woken || ready & POLLOUT != 0) && !conn.note_drain(conn.shared.flush(&c.bytes_out)) {
+        return false;
+    }
+    if conn
+        .write_since
+        .is_some_and(|since| now.duration_since(since) > config.write_timeout)
     {
-        let mut outbox = conn.shared.outbox.lock().unwrap();
-        while let Some(bytes) = outbox.pop_front() {
-            conn.write_pending.extend_from_slice(&bytes);
-        }
-    }
-    while !conn.write_pending.is_empty() {
-        match conn.stream.write(&conn.write_pending) {
-            Ok(0) => return false,
-            Ok(n) => {
-                conn.write_pending.drain(..n);
-                c.bytes_out.add(n as u64);
-                *progressed = true;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                let since = *conn.write_since.get_or_insert(now);
-                if now.duration_since(since) > config.write_timeout {
-                    return false; // client stopped reading; cut it loose
-                }
-                break;
-            }
-            Err(_) => return false,
-        }
-    }
-    if conn.write_pending.is_empty() {
-        conn.write_since = None;
+        return false; // client stopped reading; cut it loose
     }
 
-    // Read whatever the socket has, with a per-sweep cap so one firehose
-    // connection cannot starve its shard siblings.
-    for _ in 0..4 {
-        match conn.stream.read(scratch) {
-            Ok(0) => return false, // orderly EOF
-            Ok(n) => {
-                conn.buf.extend(&scratch[..n]);
-                *progressed = true;
-                if n < scratch.len() {
-                    break;
+    // Anything but plain writability — data, hang-up, error — is read out;
+    // the read reports which. Capped per wake-up so one firehose connection
+    // cannot starve its shard siblings: `poll` is level-triggered, so what
+    // is left brings the shard straight back.
+    if ready & !POLLOUT != 0 {
+        for _ in 0..4 {
+            match (&conn.shared.stream).read(scratch) {
+                Ok(0) => return false, // orderly EOF
+                Ok(n) => {
+                    conn.buf.extend(&scratch[..n]);
+                    if n < scratch.len() {
+                        break;
+                    }
                 }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(_) => return false,
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                break;
-            }
-            Err(_) => return false,
         }
-    }
 
-    // Parse and dispatch every complete frame.
-    loop {
-        let frame = match conn.buf.next_frame() {
-            Ok(Some(f)) => f,
-            Ok(None) => break,
-            Err(_) => return false, // corrupt stream
-        };
-        if frame.kind != FrameKind::Request {
-            return false; // protocol violation
-        }
-        c.requests.inc();
-        c.bytes_in.add(frame.wire_len() as u64);
-        *progressed = true;
-        if !dispatch(frame, conn, shard, queues, rr, config, &c) {
-            // Shed, not fatal: the rejection is already in the outbox.
-            continue;
+        // Parse and dispatch every complete frame.
+        loop {
+            let frame = match conn.buf.next_frame() {
+                Ok(Some(f)) => f,
+                Ok(None) => break,
+                Err(_) => return false, // corrupt stream
+            };
+            if frame.kind != FrameKind::Request {
+                return false; // protocol violation
+            }
+            c.requests.inc();
+            c.bytes_in.add(frame.wire_len() as u64);
+            // A shed frame is not fatal by itself: the rejection is on its
+            // way and the connection stays up — unless writing it showed
+            // the socket is gone.
+            if !dispatch(frame, conn, shard, queues, rr, config, c) {
+                return false;
+            }
         }
     }
 
@@ -706,10 +821,10 @@ fn sweep_conn(
     true
 }
 
-/// Admission decision for one parsed request frame. Returns `true` when the
-/// frame was enqueued, `false` when it was shed (a typed `Overloaded`
-/// response is already queued for the client either way the connection
-/// stays up).
+/// Admission decision for one parsed request frame: enqueue it, or shed it
+/// with a typed `Overloaded` response (the connection stays up either way).
+/// Returns `false` only when writing the rejection showed the connection
+/// must be severed.
 fn dispatch(
     frame: Frame,
     conn: &mut Conn,
@@ -717,7 +832,7 @@ fn dispatch(
     queues: &Arc<Vec<Arc<WorkQueue>>>,
     rr: &mut usize,
     config: &ServerConfig,
-    c: &SweepCounters<'_>,
+    c: &ShardCounters,
 ) -> bool {
     // Per-connection in-flight cap.
     let cur = conn.shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;
@@ -725,8 +840,7 @@ fn dispatch(
         conn.shared.inflight.fetch_sub(1, Ordering::SeqCst);
         c.shed_inflight.inc();
         c.overloaded.inc();
-        shed_to_outbox(conn, &frame, "inflight_cap");
-        return false;
+        return shed(conn, &frame, "inflight_cap", c);
     }
     if cur > c.conn_max_inflight.get() {
         c.conn_max_inflight.set(cur);
@@ -757,17 +871,17 @@ fn dispatch(
     conn.shared.inflight.fetch_sub(1, Ordering::SeqCst);
     c.shed_queue_full.inc();
     c.overloaded.inc();
-    shed_to_outbox(conn, &item.frame, "queue_full");
-    false
+    shed(conn, &item.frame, "queue_full", c)
 }
 
-/// Queue a typed `Overloaded` rejection for `frame` directly on the
-/// connection's outbox (shard-side shed: the request never reaches a
-/// worker).
-fn shed_to_outbox(conn: &mut Conn, frame: &Frame, reason: &str) {
-    if let Some(bytes) = shed_response(frame, reason, &conn.peer) {
-        conn.shared.outbox.lock().unwrap().push_back(bytes);
-    }
+/// Shard-side shed: answer `frame` with a typed `Overloaded` rejection
+/// without it ever reaching a worker. Returns `false` when the connection
+/// must be severed.
+fn shed(conn: &mut Conn, frame: &Frame, reason: &str, c: &ShardCounters) -> bool {
+    let Some(bytes) = shed_response(frame, reason, &conn.peer) else {
+        return true;
+    };
+    conn.note_drain(conn.shared.send(bytes, &c.bytes_out))
 }
 
 /// Build the encoded `Overloaded` response frame for a shed request and
@@ -799,8 +913,7 @@ fn shed_response(frame: &Frame, reason: &str, peer: &str) -> Option<Vec<u8>> {
 }
 
 /// Worker loop: pop admitted requests, enforce the queue deadline, execute
-/// against the node, and hand the encoded response back to the owning
-/// shard.
+/// against the node, and write the encoded response to the connection.
 fn worker_loop(
     queue: Arc<WorkQueue>,
     node: Arc<dyn DmNode>,
@@ -814,6 +927,7 @@ fn worker_loop(
     let queue_depth = obs.gauge("net.server.queue_depth");
     let overloaded = obs.counter("net.server.overloaded");
     let shed_deadline = obs.counter("net.server.shed.deadline");
+    let bytes_out = obs.counter("net.server.bytes_out");
 
     loop {
         let item = {
@@ -825,8 +939,7 @@ fn worker_loop(
                 if stop.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (guard, _timeout) = queue.cv.wait_timeout(items, WORKER_PARK).unwrap();
-                items = guard;
+                items = queue.cv.wait(items).unwrap();
             }
         };
         let Some(item) = item else { break };
@@ -840,9 +953,9 @@ fn worker_loop(
             shed_deadline.inc();
             overloaded.inc();
             if let Some(bytes) = shed_response(frame, "queue_deadline", &item.peer) {
-                item.conn.outbox.lock().unwrap().push_back(bytes);
+                item.answer(Some(bytes), &bytes_out);
             }
-            finish_item(&item, &inflight);
+            item.finish(&inflight);
             continue;
         }
 
@@ -895,20 +1008,36 @@ fn worker_loop(
         }
         drop(span);
 
-        match reply {
-            Some(bytes) => item.conn.outbox.lock().unwrap().push_back(bytes),
-            None => item.conn.dead.store(true, Ordering::SeqCst),
-        }
-        finish_item(&item, &inflight);
+        item.answer(reply, &bytes_out);
+        item.finish(&inflight);
     }
 }
 
-/// Book-keeping after a work item is answered (or shed by the worker): the
-/// connection's in-flight slot frees and the owning shard wakes to flush.
-fn finish_item(item: &WorkItem, inflight: &hedc_obs::Gauge) {
-    item.conn.inflight.fetch_sub(1, Ordering::SeqCst);
-    inflight.add(-1);
-    item.shard.wake();
+impl WorkItem {
+    /// Write the response to the connection from this thread. The socket is
+    /// nonblocking, so a slow peer costs the worker nothing: what does not
+    /// fit stays in the connection's backlog and the owning shard is woken
+    /// to finish the write when the socket drains. `None` (the response
+    /// could not be encoded) or a failed write marks the connection dead
+    /// for the shard to sever.
+    fn answer(&self, reply: Option<Vec<u8>>, bytes_out: &hedc_obs::Counter) {
+        match reply.map_or(Drain::Dead, |bytes| self.conn.send(bytes, bytes_out)) {
+            Drain::Empty => {}
+            Drain::Blocked(_) => self.shard.wake(),
+            Drain::Dead => {
+                if !self.conn.dead.swap(true, Ordering::SeqCst) {
+                    self.shard.wake();
+                }
+            }
+        }
+    }
+
+    /// Book-keeping after the item is answered (or shed by the worker): the
+    /// connection's in-flight slot frees.
+    fn finish(&self, inflight: &hedc_obs::Gauge) {
+        self.conn.inflight.fetch_sub(1, Ordering::SeqCst);
+        inflight.add(-1);
+    }
 }
 
 /// Stable label for a request shape, for slow-request events.
@@ -938,7 +1067,11 @@ fn respond(
             node_id: node.node_id(),
             epoch: identity.map_or(0, |i| i.map.epoch()),
         },
-        Request::Sharded { shard, epoch, inner } if top_level => {
+        Request::Sharded {
+            shard,
+            epoch,
+            inner,
+        } if top_level => {
             if matches!(*inner, Request::Sharded { .. }) {
                 return Response::Error(WireError {
                     kind: WireErrorKind::Failed,

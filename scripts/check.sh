@@ -32,6 +32,14 @@
 #                              rebalance crash-matrix, and epoch-churn
 #                              suites plus the fig5_shards scale-out sweep
 #                              on a tiny config, then exit
+#   scripts/check.sh --net-smoke
+#                              run only the net-tier smoke: the hedc-net
+#                              suites in release mode (seeded multiplexing/
+#                              churn/slow-client/epoch suites, the response
+#                              spill path, the no-timers wake-up budgets)
+#                              and the cluster_scatter benchmark workload
+#                              at smoke size, which must answer correctly,
+#                              then exit
 #   scripts/check.sh --e2e-smoke
 #                              run only the frozen-benchmark drift gate:
 #                              build e2e_bench/ (the repo's performance
@@ -46,7 +54,7 @@ cd "$(dirname "$0")/.."
 
 # The smoke modes, in full-gate order: `--<name>-smoke` runs `<name>_smoke`
 # alone; the full gate runs them all.
-smokes=(bench ingest obs pl shard e2e)
+smokes=(bench ingest obs pl shard net e2e)
 usage="usage: $0 [--fast] $(printf -- '[--%s-smoke] ' "${smokes[@]}")[--seed N]"
 
 fast=0
@@ -168,6 +176,22 @@ ingest_smoke() {
   rm -rf "$out"
 }
 
+# Net-tier smoke: the event-driven round trip end to end — every hedc-net
+# suite in release mode (the wake-up budgets in no_timers.rs and the spill
+# path in write_timeout.rs are timing-sensitive, so they are gated at the
+# optimization level they are quoted for), then the one benchmark workload
+# that crosses real sockets, whose answers are checked against the
+# unsharded twin.
+net_smoke() {
+  echo "==> net smoke (hedc-net suites in release + cluster_scatter answers)"
+  cargo test --release -q -p hedc-net
+  local last
+  last="$(cargo run --release --offline --quiet --manifest-path e2e_bench/Cargo.toml \
+    --bin e2e_bench -- --workload cluster_scatter --smoke --trace 0 | tail -n 1)"
+  [[ "$last" == *'"correct":true'* ]] || {
+    echo "FAIL: cluster_scatter smoke did not report correct answers: $last" >&2; exit 1; }
+}
+
 # API drift against the frozen benchmark: e2e_bench/ is its own workspace
 # (offline stand-ins for the third-party crates) and names `hedc_*` items
 # directly, so it must keep building and passing against the current crates.
@@ -178,7 +202,7 @@ e2e_smoke() {
 }
 
 if [[ -n "$only" ]]; then
-  [[ "$only" == e2e ]] || cargo build --release -q -p hedc-bench
+  [[ "$only" == e2e || "$only" == net ]] || cargo build --release -q -p hedc-bench
   "${only}_smoke"
   echo "OK ($only smoke)"
   exit 0
@@ -194,7 +218,8 @@ if [[ -n "$seed" ]]; then
     --test shard_rebalance --test workflow -- --nocapture
   cargo test -q -p hedc-metadb --test paged_model -- --nocapture
   cargo test -q -p hedc-net --test cluster --test churn --test mux_prop \
-    --test slow_client --test shard_epoch -- --nocapture
+    --test slow_client --test shard_epoch --test write_timeout \
+    --test no_timers -- --nocapture
   cargo test -q -p hedc-pl --test coalesce --test fairness \
     --test staleness -- --nocapture
   echo "OK (seed $seed)"
