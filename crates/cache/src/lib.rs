@@ -140,7 +140,8 @@ impl GenerationMap {
     /// Record a write to `table` on one shard: only cached results
     /// assembled from that shard go stale.
     pub fn bump_shard(&self, shard: u32, table: &str) {
-        self.handle_shard(shard, table).fetch_add(1, Ordering::SeqCst);
+        self.handle_shard(shard, table)
+            .fetch_add(1, Ordering::SeqCst);
     }
 
     /// Current generation of shard `shard`'s copy of `table`.
@@ -220,6 +221,12 @@ pub struct ShardedCache<V> {
     invalidations: AtomicU64,
     stale_serves: AtomicU64,
     bytes: AtomicI64,
+    /// The process-wide `cache.*` metrics (summed across every cache
+    /// instance), resolved here so a hit never takes the registry lock.
+    global_hit: Arc<hedc_obs::Counter>,
+    global_miss: Arc<hedc_obs::Counter>,
+    global_evict: Arc<hedc_obs::Counter>,
+    global_bytes: Arc<hedc_obs::Gauge>,
 }
 
 impl<V: CacheValue> ShardedCache<V> {
@@ -238,6 +245,10 @@ impl<V: CacheValue> ShardedCache<V> {
             invalidations: AtomicU64::new(0),
             stale_serves: AtomicU64::new(0),
             bytes: AtomicI64::new(0),
+            global_hit: hedc_obs::global().counter("cache.hit"),
+            global_miss: hedc_obs::global().counter("cache.miss"),
+            global_evict: hedc_obs::global().counter("cache.evict"),
+            global_bytes: hedc_obs::global().gauge("cache.bytes"),
         }
     }
 
@@ -272,7 +283,7 @@ impl<V: CacheValue> ShardedCache<V> {
         let value = shard.get(key).expect("peeked entry").value.clone();
         drop(shard);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        hedc_obs::global().counter("cache.hit").inc();
+        self.global_hit.inc();
         Some(value)
     }
 
@@ -335,9 +346,7 @@ impl<V: CacheValue> ShardedCache<V> {
         if !evicted.is_empty() {
             self.evictions
                 .fetch_add(evicted.len() as u64, Ordering::Relaxed);
-            hedc_obs::global()
-                .counter("cache.evict")
-                .add(evicted.len() as u64);
+            self.global_evict.add(evicted.len() as u64);
         }
     }
 
@@ -347,7 +356,7 @@ impl<V: CacheValue> ShardedCache<V> {
             s.lock().expect("cache shard poisoned").clear();
         }
         let resident = self.bytes.swap(0, Ordering::Relaxed);
-        hedc_obs::global().gauge("cache.bytes").add(-(resident));
+        self.global_bytes.add(-resident);
     }
 
     /// Live entry count across shards.
@@ -381,7 +390,7 @@ impl<V: CacheValue> ShardedCache<V> {
 
     fn miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        hedc_obs::global().counter("cache.miss").inc();
+        self.global_miss.inc();
     }
 
     /// Apply a signed byte delta to this instance and mirror it into the
@@ -390,7 +399,7 @@ impl<V: CacheValue> ShardedCache<V> {
     fn adjust_bytes(&self, delta: i64) {
         if delta != 0 {
             self.bytes.fetch_add(delta, Ordering::Relaxed);
-            hedc_obs::global().gauge("cache.bytes").add(delta);
+            self.global_bytes.add(delta);
         }
     }
 }

@@ -7,10 +7,11 @@
 //! routes "data requests for certain parts of a database schema ... to a
 //! different DBMS".
 //!
-//! The query path is deliberately the long way around (§5.4): structured
-//! [`Query`] objects are *verified*, *scoped*, *compiled to SQL text*, and
-//! the SQL is parsed and executed — so generated SQL stays honest and "may
-//! be adapted and optimized without system downtime".
+//! The query path (§5.4): structured [`Query`] objects are *verified*,
+//! *scoped* and handed to the database as they are. SQL text is a
+//! *rendering* of a query object ([`query_to_sql`], used by the slow-query
+//! log), not a hop on the way to the executor; `hedc_metadb::parse` is the
+//! front end for text that arrives as text (user SQL, DDL).
 
 use crate::error::{DmError, DmResult};
 use crate::names::ResolvedSet;
@@ -19,6 +20,7 @@ use hedc_filestore::FileStore;
 use hedc_metadb::{
     query_to_sql, Database, PoolKind, PoolSet, Query, QueryResult, SqlOutput, Statement, Value,
 };
+use hedc_obs::Histogram;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -177,6 +179,11 @@ pub struct DmIo {
     name_root: String,
     slow_query: Duration,
     caches: Option<Arc<DmCaches>>,
+    /// The process-wide `dm.*` latency histograms, resolved once per node
+    /// so that no query or name resolution takes the registry lock.
+    query_hist: Arc<Histogram>,
+    pub(crate) name_map_hist: Arc<Histogram>,
+    pub(crate) name_map_batch_hist: Arc<Histogram>,
 }
 
 impl DmIo {
@@ -213,6 +220,9 @@ impl DmIo {
             name_root: config.name_root.clone(),
             slow_query: config.slow_query,
             caches: config.cache.as_ref().map(DmCaches::new),
+            query_hist: hedc_obs::global().histogram("dm.query"),
+            name_map_hist: hedc_obs::global().histogram("dm.name_map"),
+            name_map_batch_hist: hedc_obs::global().histogram("dm.name_map.batch"),
         }
     }
 
@@ -287,12 +297,7 @@ impl DmIo {
     /// list — new instruments add new domain tables at run time (§3.1:
     /// "new data sources ... some of which require a new database schema").
     fn verify(&self, q: &Query) -> DmResult<()> {
-        let known = self
-            .db_for(&q.table)
-            .table_names()
-            .iter()
-            .any(|t| t.eq_ignore_ascii_case(&q.table));
-        if !known {
+        if !self.db_for(&q.table).has_table(&q.table) {
             return Err(DmError::BadQuery(format!("unknown table `{}`", q.table)));
         }
         if let Some(limit) = q.limit {
@@ -330,37 +335,32 @@ impl DmIo {
         Ok(r)
     }
 
-    /// Execute a query object via the SQL round-trip (§5.4).
+    /// Execute a verified query object on a pooled connection (§5.4).
     /// End-to-end latency feeds the `dm.query` histogram; anything over the
     /// configured slow-query threshold is captured in the event log with its
-    /// generated SQL, under the ambient trace.
+    /// SQL rendering, under the ambient trace.
     fn query_uncached(&self, q: &Query) -> DmResult<QueryResult> {
         let _span = hedc_obs::Span::child("dm.io.query");
         let started = std::time::Instant::now();
         self.verify(q)?;
-        let pool = self.pool_for(&q.table).pool(PoolKind::Query);
-        let mut conn = pool.acquire();
-        let db_schema = conn.database().schema_of(&q.table)?;
-        let sql = query_to_sql(q, &db_schema);
-        let out = conn.execute_sql(&sql);
+        let conn = self.pool_for(&q.table).pool(PoolKind::Query).acquire();
+        let out = conn.query(q);
         let elapsed = started.elapsed();
-        hedc_obs::global().histogram("dm.query").record(elapsed);
+        self.query_hist.record(elapsed);
         if elapsed >= self.slow_query {
+            let db = conn.database();
+            let sql = db.schema_of(&q.table).map(|s| query_to_sql(q, &s));
             hedc_obs::emit(
                 hedc_obs::events::kind::SLOW_QUERY,
                 format!(
-                    "db={} elapsed_us={} sql={sql}",
-                    conn.database().name(),
-                    elapsed.as_micros()
+                    "db={} elapsed_us={} sql={}",
+                    db.name(),
+                    elapsed.as_micros(),
+                    sql.unwrap_or_default()
                 ),
             );
         }
-        match out? {
-            SqlOutput::Rows(r) => Ok(r),
-            other => Err(DmError::BadQuery(format!(
-                "query compiled to non-SELECT: {other:?}"
-            ))),
-        }
+        Ok(out?)
     }
 
     /// Check out an update-pool connection for the database holding

@@ -228,9 +228,7 @@ impl<'a> Names<'a> {
         let _span = hedc_obs::Span::child("dm.name_map");
         let started = std::time::Instant::now();
         let out = self.resolve_cached(item_id, want);
-        hedc_obs::global()
-            .histogram("dm.name_map")
-            .record(started.elapsed());
+        self.io.name_map_hist.record(started.elapsed());
         out
     }
 
@@ -350,9 +348,7 @@ impl<'a> Names<'a> {
         let _span = hedc_obs::Span::child("dm.name_map.batch");
         let started = std::time::Instant::now();
         let out = self.resolve_batch_cached(item_ids, want);
-        hedc_obs::global()
-            .histogram("dm.name_map.batch")
-            .record(started.elapsed());
+        self.io.name_map_batch_hist.record(started.elapsed());
         out
     }
 

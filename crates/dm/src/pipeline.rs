@@ -949,9 +949,17 @@ fn stage_worker<'u>(
     results: Sender<UnitResult>,
     ctrl: &Ctrl,
 ) {
+    // Span names are `&'static str`, so each stage's are spelled out.
+    let (stage_span, wait_span) = match name {
+        "write" => ("ingest.stage.write", "ingest.queue_wait.write"),
+        "meta" => ("ingest.stage.meta", "ingest.queue_wait.meta"),
+        "events" => ("ingest.stage.events", "ingest.queue_wait.events"),
+        "view" => ("ingest.stage.view", "ingest.queue_wait.view"),
+        other => unreachable!("no ingest stage `{other}`"),
+    };
     let obs = hedc_obs::global();
     let queue = obs.gauge(&format!("ingest.queue.{name}"));
-    let lat = obs.histogram(&format!("ingest.stage.{name}"));
+    let lat = obs.histogram(stage_span);
     for mut flight in rx.iter() {
         queue.set(rx.len() as i64);
         if ctrl.aborted() {
@@ -959,13 +967,13 @@ fn stage_worker<'u>(
         }
         // Rejoin the unit's trace; the time spent in this stage's queue
         // becomes an attribution span before the stage span opens.
-        let _g = hedc_obs::adopt(flight.trace.as_ref().map(|t| t.context()));
+        let trace = hedc_obs::adopt(flight.trace.as_ref().map(|t| t.context()));
         if let Some(handed) = flight.handed_off.take() {
-            hedc_obs::record_interval(&format!("ingest.queue_wait.{name}"), handed);
+            hedc_obs::record_interval(wait_span, handed);
         }
         let started = Instant::now();
         let outcome = {
-            let _span = hedc_obs::Span::child(&format!("ingest.stage.{name}"));
+            let _span = hedc_obs::Span::child(stage_span);
             flight.advance(through)
         };
         match outcome {
@@ -973,6 +981,9 @@ fn stage_worker<'u>(
                 lat.record(started.elapsed());
                 match &tx {
                     Some(tx) => {
+                        // Leaving the trace publishes this stage's spans,
+                        // before a later stage can finish the unit's root.
+                        drop(trace);
                         flight.handed_off = Some(Instant::now());
                         if tx.send(flight).is_err() {
                             ctrl.abort.store(true, Ordering::Relaxed);

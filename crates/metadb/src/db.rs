@@ -32,6 +32,7 @@ use crate::wal::{self, LogRecord, Wal, WalOptions};
 use hedc_store::{Store, StoreOptions};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -117,16 +118,27 @@ struct Inner {
     store: Option<Arc<Store>>,
 }
 
+/// The key `name` is filed under in a map keyed by lower-cased table
+/// names: `name` itself when it is already lower-case (every name the DM
+/// generates is), so the usual lookup allocates nothing.
+fn table_key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
 impl Inner {
     fn table(&self, name: &str) -> DbResult<&Table> {
         self.tables
-            .get(&name.to_ascii_lowercase())
+            .get(&*table_key(name))
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
     }
 
     fn table_mut(&mut self, name: &str) -> DbResult<&mut Table> {
         self.tables
-            .get_mut(&name.to_ascii_lowercase())
+            .get_mut(&*table_key(name))
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
     }
 
@@ -152,18 +164,31 @@ pub struct Database {
     /// never wait behind ingest writers. Always empty for the memory
     /// backend. Lock order: `inner` before `published`.
     published: RwLock<HashMap<String, Arc<TableSnapshot>>>,
+    /// The process-wide `metadb.*` latency histograms, resolved once per
+    /// database so that no query takes the registry lock.
+    query_hist: Arc<hedc_obs::Histogram>,
+    compile_hist: Arc<hedc_obs::Histogram>,
+    execute_hist: Arc<hedc_obs::Histogram>,
 }
 
 impl Database {
+    fn assemble(name: String, inner: Inner, wal: Option<Wal>) -> Arc<Self> {
+        let obs = hedc_obs::global();
+        Arc::new(Database {
+            name,
+            inner: RwLock::new(inner),
+            stats: DbStats::default(),
+            wal: Mutex::new(wal),
+            published: RwLock::new(HashMap::new()),
+            query_hist: obs.histogram("metadb.query"),
+            compile_hist: obs.histogram("metadb.compile"),
+            execute_hist: obs.histogram("metadb.execute"),
+        })
+    }
+
     /// Create an in-memory database (no redo log).
     pub fn in_memory(name: impl Into<String>) -> Arc<Self> {
-        Arc::new(Database {
-            name: name.into(),
-            inner: RwLock::new(Inner::default()),
-            stats: DbStats::default(),
-            wal: Mutex::new(None),
-            published: RwLock::new(HashMap::new()),
-        })
+        Self::assemble(name.into(), Inner::default(), None)
     }
 
     /// Open a database backed by a redo log, replaying any committed history
@@ -232,13 +257,7 @@ impl Database {
             }
             None => None,
         };
-        let db = Arc::new(Database {
-            name: name.into(),
-            inner: RwLock::new(inner),
-            stats: DbStats::default(),
-            wal: Mutex::new(wal),
-            published: RwLock::new(HashMap::new()),
-        });
+        let db = Self::assemble(name.into(), inner, wal);
         // Publish initial snapshots for every paged table recovered from
         // the WAL so queries can run lock-free from the start.
         let names: Vec<String> = db.inner.read().tables.keys().cloned().collect();
@@ -276,6 +295,11 @@ impl Database {
     /// Names of all tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
         self.inner.read().tables.keys().cloned().collect()
+    }
+
+    /// Whether `table` exists (names compare case-insensitively).
+    pub fn has_table(&self, table: &str) -> bool {
+        self.inner.read().tables.contains_key(&*table_key(table))
     }
 
     /// A table's schema, cloned.
@@ -319,10 +343,24 @@ impl Database {
     /// to serve reads without the catalog lock; embedders can hold one to
     /// pin a consistent view across several queries.
     pub fn snapshot(&self, table: &str) -> Option<Arc<TableSnapshot>> {
-        self.published
-            .read()
-            .get(&table.to_ascii_lowercase())
-            .cloned()
+        self.published.read().get(&*table_key(table)).cloned()
+    }
+
+    /// Compile then run `q` against `source`, feeding `metadb.compile`
+    /// (bind + access-path choice) and `metadb.execute` (fetch, filter,
+    /// sort, project) once each.
+    fn run_query<S: query::RowSource + ?Sized>(
+        &self,
+        source: &S,
+        q: &Query,
+    ) -> DbResult<QueryResult> {
+        let started = std::time::Instant::now();
+        let plan = query::compile(source, q)?;
+        let compiled = std::time::Instant::now();
+        self.compile_hist.record(compiled - started);
+        let out = query::run(source, q, plan);
+        self.execute_hist.record(compiled.elapsed());
+        out
     }
 }
 
@@ -585,18 +623,14 @@ impl Connection {
     pub fn query(&self, q: &Query) -> DbResult<QueryResult> {
         let span = hedc_obs::Span::child("metadb.query");
         let started = std::time::Instant::now();
-        let snap = self.db.snapshot(&q.table);
-        let result = match &snap {
-            Some(s) => query::execute(&**s, q)?,
+        let result = match self.db.snapshot(&q.table) {
+            Some(s) => self.db.run_query(&*s, q)?,
             None => {
                 let inner = self.db.inner.read();
-                let t = inner.table(&q.table)?;
-                query::execute(t, q)?
+                self.db.run_query(inner.table(&q.table)?, q)?
             }
         };
-        hedc_obs::global()
-            .histogram("metadb.query")
-            .record(started.elapsed());
+        self.db.query_hist.record(started.elapsed());
         drop(span);
         let s = &self.db.stats;
         DbStats::bump(&s.queries);
@@ -626,7 +660,7 @@ impl Connection {
             let schema = t.schema().clone();
             let set_cols: Vec<(usize, Expr)> = sets
                 .iter()
-                .map(|(c, e)| Ok((schema.require_column(c)?, e.clone().bind(&schema)?)))
+                .map(|(c, e)| Ok((schema.require_column(c)?, e.bind(&schema)?)))
                 .collect::<DbResult<_>>()?;
             let ids = matching_ids(t, filter.as_ref())?;
             // Evaluate every row's new values before touching the table:
@@ -703,20 +737,11 @@ impl Connection {
         Ok(n)
     }
 
-    /// Parse and execute one SQL statement. Compile (parse) and execute time
-    /// are tracked separately — the split the paper's §5.4 query pipeline
-    /// reasons about.
+    /// Parse and execute one SQL statement — the front end for ad-hoc text
+    /// and DDL. A `SELECT` lowers to the same [`Query`] object the DM builds
+    /// and runs through [`Connection::query`].
     pub fn execute_sql(&mut self, sql_text: &str) -> DbResult<SqlOutput> {
-        let obs = hedc_obs::global();
-        let compile_started = std::time::Instant::now();
-        let stmt = sql::parse(sql_text)?;
-        obs.histogram("metadb.compile")
-            .record(compile_started.elapsed());
-        let exec_started = std::time::Instant::now();
-        let out = self.execute_statement(stmt);
-        obs.histogram("metadb.execute")
-            .record(exec_started.elapsed());
-        out
+        self.execute_statement(sql::parse(sql_text)?)
     }
 
     /// Execute an already-parsed statement.
@@ -810,7 +835,7 @@ fn matching_ids(t: &Table, filter: Option<&Expr>) -> DbResult<Vec<RowId>> {
     match filter {
         None => Ok(t.scan_ids()),
         Some(f) => {
-            let bound = f.clone().bind(t.schema())?;
+            let bound = f.bind(t.schema())?;
             let (candidates, _) = query::plan_candidates(t, &bound);
             let mut out = Vec::new();
             for id in candidates {

@@ -132,41 +132,39 @@ impl Expr {
         Expr::Or(Box::new(self), Box::new(other))
     }
 
-    /// Resolve all `Name` nodes to `Col` positions against a schema.
-    pub fn bind(self, schema: &Schema) -> DbResult<Expr> {
+    /// A copy with every `Name` node resolved to its `Col` position in
+    /// `schema`. Built from a borrow, so binding a caller's filter costs one
+    /// allocation per interior node and none for the column names.
+    pub fn bind(&self, schema: &Schema) -> DbResult<Expr> {
+        let sub = |e: &Expr| e.bind(schema).map(Box::new);
         Ok(match self {
-            Expr::Name(n) => Expr::Col(schema.require_column(&n)?),
-            Expr::Literal(v) => Expr::Literal(v),
-            Expr::Col(i) => Expr::Col(i),
-            Expr::Cmp(op, a, b) => {
-                Expr::Cmp(op, Box::new(a.bind(schema)?), Box::new(b.bind(schema)?))
-            }
-            Expr::And(a, b) => Expr::And(Box::new(a.bind(schema)?), Box::new(b.bind(schema)?)),
-            Expr::Or(a, b) => Expr::Or(Box::new(a.bind(schema)?), Box::new(b.bind(schema)?)),
-            Expr::Not(a) => Expr::Not(Box::new(a.bind(schema)?)),
+            Expr::Name(n) => Expr::Col(schema.require_column(n)?),
+            Expr::Literal(_) | Expr::Col(_) => self.clone(),
+            Expr::Cmp(op, a, b) => Expr::Cmp(*op, sub(a)?, sub(b)?),
+            Expr::And(a, b) => Expr::And(sub(a)?, sub(b)?),
+            Expr::Or(a, b) => Expr::Or(sub(a)?, sub(b)?),
+            Expr::Not(a) => Expr::Not(sub(a)?),
             Expr::IsNull { expr, negated } => Expr::IsNull {
-                expr: Box::new(expr.bind(schema)?),
-                negated,
+                expr: sub(expr)?,
+                negated: *negated,
             },
             Expr::Between { expr, lo, hi } => Expr::Between {
-                expr: Box::new(expr.bind(schema)?),
-                lo: Box::new(lo.bind(schema)?),
-                hi: Box::new(hi.bind(schema)?),
+                expr: sub(expr)?,
+                lo: sub(lo)?,
+                hi: sub(hi)?,
             },
             Expr::InList { expr, list } => Expr::InList {
-                expr: Box::new(expr.bind(schema)?),
+                expr: sub(expr)?,
                 list: list
-                    .into_iter()
+                    .iter()
                     .map(|e| e.bind(schema))
                     .collect::<DbResult<_>>()?,
             },
             Expr::Like { expr, pattern } => Expr::Like {
-                expr: Box::new(expr.bind(schema)?),
-                pattern,
+                expr: sub(expr)?,
+                pattern: pattern.clone(),
             },
-            Expr::Arith(op, a, b) => {
-                Expr::Arith(op, Box::new(a.bind(schema)?), Box::new(b.bind(schema)?))
-            }
+            Expr::Arith(op, a, b) => Expr::Arith(*op, sub(a)?, sub(b)?),
         })
     }
 

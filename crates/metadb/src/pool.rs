@@ -58,6 +58,7 @@ pub struct ConnectionPool {
     /// Saturation gauge: checked-out connections across all pools in the
     /// process (`db.pool.in_use`), sampled by the saturation ring.
     in_use_gauge: Arc<hedc_obs::Gauge>,
+    acquire_hist: Arc<hedc_obs::Histogram>,
 }
 
 impl ConnectionPool {
@@ -79,6 +80,7 @@ impl ConnectionPool {
             created: AtomicU64::new(0),
             waited: AtomicU64::new(0),
             in_use_gauge: hedc_obs::global().gauge("db.pool.in_use"),
+            acquire_hist: hedc_obs::global().histogram("db.pool.acquire"),
         })
     }
 
@@ -122,7 +124,7 @@ impl ConnectionPool {
             self.waited.fetch_add(1, Ordering::Relaxed);
         }
         let wait = started.elapsed();
-        hedc_obs::global().histogram("db.pool.acquire").record(wait);
+        self.acquire_hist.record(wait);
         // Inside a traced request the wait also becomes a span, so the
         // critical-path analyzer can attribute it (no-op outside traces).
         hedc_obs::record_interval("db.pool.acquire", started);

@@ -18,6 +18,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Bound;
+use std::sync::OnceLock;
 
 /// What the executor needs from a row container. Implemented by live
 /// [`Table`]s (both backings, under the catalog lock) and by frozen
@@ -315,24 +316,47 @@ impl QueryResult {
     }
 }
 
-/// Execute a query against a row source. This is the single scan/filter/
-/// sort/aggregate pipeline used by SQL `SELECT`, DM query objects, internal
-/// maintenance scans, and lock-free snapshot reads.
-pub fn execute<S: RowSource + ?Sized>(source: &S, q: &Query) -> DbResult<QueryResult> {
-    let schema = source.schema();
-    let filter = match &q.filter {
-        Some(f) => Some(f.clone().bind(schema)?),
-        None => None,
-    };
+#[cfg(test)]
+fn execute<S: RowSource + ?Sized>(source: &S, q: &Query) -> DbResult<QueryResult> {
+    run(source, q, compile(source, q)?)
+}
 
-    // --- plan: choose an access path --------------------------------------
-    let (candidates, access): (Vec<RowId>, AccessPath) = match &filter {
+/// A compiled query: the filter bound to the table's columns and the
+/// candidate rows of the access path chosen for it.
+pub(crate) struct Plan {
+    filter: Option<Expr>,
+    candidates: Vec<RowId>,
+    access: AccessPath,
+}
+
+/// Bind `q`'s filter and choose its access path. [`compile`] then [`run`]
+/// is the single pipeline behind SQL `SELECT`, DM query objects, internal
+/// maintenance scans, and lock-free snapshot reads.
+pub(crate) fn compile<S: RowSource + ?Sized>(source: &S, q: &Query) -> DbResult<Plan> {
+    let filter = q.filter.as_ref().map(|f| f.bind(source.schema()));
+    let filter = filter.transpose()?;
+    let (candidates, access) = match &filter {
         Some(f) => plan_candidates(source, f),
         None => (source.all_ids(), AccessPath::FullScan),
     };
+    Ok(Plan {
+        filter,
+        candidates,
+        access,
+    })
+}
+
+/// Fetch, filter, sort/aggregate and project the rows of a compiled query.
+pub(crate) fn run<S: RowSource + ?Sized>(
+    source: &S,
+    q: &Query,
+    plan: Plan,
+) -> DbResult<QueryResult> {
+    let schema = source.schema();
+    let access = plan.access;
 
     // --- scan + filter ------------------------------------------------------
-    let (rows_scanned, mut matched) = scan_filter(source, &filter, candidates)?;
+    let (rows_scanned, mut matched) = scan_filter(source, &plan.filter, plan.candidates)?;
 
     // --- aggregate mode -----------------------------------------------------
     if !q.aggregates.is_empty() {
@@ -429,11 +453,10 @@ fn scan_filter<'t, S: RowSource + ?Sized>(
     candidates: Vec<RowId>,
 ) -> DbResult<(usize, Vec<(RowId, Cow<'t, [Value]>)>)> {
     let threshold = crate::tuning::parallel_scan_threshold();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
-    if filter.is_some() && threshold > 0 && candidates.len() >= threshold && workers > 1 {
+    let parallel = filter.is_some() && threshold > 0 && candidates.len() >= threshold;
+    // Asked only past the threshold: an index probe must not pay for it.
+    let workers = if parallel { scan_workers() } else { 1 };
+    if workers > 1 {
         let chunk = candidates.len().div_ceil(workers);
         let results: Vec<DbResult<(usize, Vec<(RowId, Cow<'t, [Value]>)>)>> =
             std::thread::scope(|scope| {
@@ -454,6 +477,18 @@ fn scan_filter<'t, S: RowSource + ?Sized>(
     } else {
         scan_filter_chunk(source, filter, &candidates)
     }
+}
+
+/// Worker threads for a partitioned scan, resolved once per process:
+/// `available_parallelism` re-reads affinity and cgroup files on every call
+/// (~10 µs), which is more than a whole index probe costs.
+fn scan_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        #[allow(clippy::disallowed_methods)]
+        let cores = std::thread::available_parallelism();
+        cores.map(|n| n.get()).unwrap_or(1).min(8)
+    })
 }
 
 fn scan_filter_chunk<'t, S: RowSource + ?Sized>(

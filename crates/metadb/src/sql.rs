@@ -1,10 +1,10 @@
 //! A small SQL dialect: tokenizer, parser, and statement representation.
 //!
-//! The DM normally speaks structured [`Query`] objects, but the paper also
-//! lets advanced users submit "their own SQL queries" (§1) and the DM itself
-//! compiles query objects *to* SQL (§5.4). Supporting a real textual dialect
-//! keeps that path honest: generated SQL is parsed back by this module, so a
-//! malformed generator is caught by tests instead of silently diverging.
+//! The DM speaks structured [`Query`] objects and hands them to the executor
+//! as they are, but the paper also lets advanced users submit "their own SQL
+//! queries" (§1), and a slow query is logged as SQL. This module is that
+//! front end and that rendering ([`query_to_sql`]); a seeded suite keeps the
+//! two honest by running query objects directly and through their text.
 //!
 //! Supported statements: `CREATE TABLE`, `CREATE [UNIQUE] INDEX`, `INSERT`,
 //! `SELECT` (with WHERE/GROUP BY/ORDER BY/LIMIT/OFFSET and aggregates),
@@ -486,7 +486,11 @@ impl Parser {
         if self.eat_kw("ORDER") {
             self.expect_kw("BY")?;
             loop {
-                let col = self.ident()?;
+                // An aggregate's output column is ordered by its label.
+                let col = match self.try_aggregate()? {
+                    Some(agg) => agg.label(),
+                    None => self.ident()?,
+                };
                 let dir = if self.eat_kw("DESC") {
                     OrderDir::Desc
                 } else {

@@ -105,10 +105,10 @@ impl AdmissionConfig {
         if self.workers > 0 {
             return self.workers;
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .clamp(2, 16)
+        // Start-up only: one call per server, not per request.
+        #[allow(clippy::disallowed_methods)]
+        let cores = std::thread::available_parallelism();
+        cores.map(|n| n.get()).unwrap_or(4).clamp(2, 16)
     }
 
     fn effective_shards(&self) -> usize {
@@ -965,7 +965,7 @@ fn worker_loop(
             trace_id: frame.trace_id,
             span_id: frame.span_id,
         });
-        let _g = hedc_obs::adopt(caller);
+        let trace = hedc_obs::adopt(caller);
         hedc_obs::record_interval("net.server.queue_wait", item.enqueued);
         let span = hedc_obs::Span::child("net.rpc.server");
         let start = Instant::now();
@@ -1007,6 +1007,9 @@ fn worker_loop(
             );
         }
         drop(span);
+        // Leaving the trace publishes this request's spans, so the caller
+        // finds them in the span store by the time it has the response.
+        drop(trace);
 
         item.answer(reply, &bytes_out);
         item.finish(&inflight);

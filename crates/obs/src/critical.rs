@@ -291,12 +291,12 @@ pub fn analyze(spans: &[FinishedSpan]) -> Option<Breakdown> {
         let self_us = ivls_len(&alloc) - ivls_len(&granted);
         waterfall.push(WaterfallRow {
             span_id: span.span_id,
-            name: span.name.clone(),
+            name: span.name.to_string(),
             depth,
             offset_us: span.start_us.saturating_sub(root.start_us),
             duration_us: span.duration_us,
             self_us,
-            category: category_of(&span.name),
+            category: category_of(span.name),
         });
         // Reverse push so DFS visits children in start order.
         for (k, kiv) in kid_allocs.into_iter().rev() {
@@ -327,7 +327,7 @@ pub fn analyze(spans: &[FinishedSpan]) -> Option<Breakdown> {
 
     Some(Breakdown {
         trace_id: root.trace_id,
-        root_name: root.name.clone(),
+        root_name: root.name.to_string(),
         root_us: root.duration_us,
         by_category,
         by_tier,
@@ -355,7 +355,7 @@ mod tests {
         trace_id: u64,
         span_id: u64,
         parent_id: u64,
-        name: &str,
+        name: &'static str,
         start_us: u64,
         duration_us: u64,
     ) -> FinishedSpan {
@@ -363,7 +363,7 @@ mod tests {
             trace_id,
             span_id,
             parent_id,
-            name: name.into(),
+            name,
             start_us,
             duration_us,
         }

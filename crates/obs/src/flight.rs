@@ -22,7 +22,7 @@ pub struct TraceRecord {
     /// Trace ID (links exemplars, events, and `/hedc/trace/<id>`).
     pub trace_id: u64,
     /// Name of the root span.
-    pub root_name: String,
+    pub root_name: &'static str,
     /// Root start, microseconds since the process epoch.
     pub start_us: u64,
     /// Root duration in microseconds.
@@ -83,11 +83,11 @@ impl FlightRecorder {
         let spans = if pinned && span_store().trace_span_count(root.trace_id) > 1 {
             span_store().spans_for(root.trace_id)
         } else {
-            vec![root.clone()]
+            vec![*root]
         };
         let record = TraceRecord {
             trace_id: root.trace_id,
-            root_name: root.name.clone(),
+            root_name: root.name,
             start_us: root.start_us,
             duration_us: root.duration_us,
             spans,
@@ -250,7 +250,7 @@ mod tests {
             trace_id,
             span_id: trace_id * 10,
             parent_id: 0,
-            name: "f.root".into(),
+            name: "f.root",
             start_us: 0,
             duration_us,
         }

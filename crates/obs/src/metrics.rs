@@ -279,6 +279,7 @@ pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
+    lookups: AtomicU64,
 }
 
 impl MetricsRegistry {
@@ -286,7 +287,15 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// Get-or-create lookups by name so far, each one a lock acquisition.
+    /// For budget tests: a warmed-up request path should make none.
+    #[doc(hidden)]
+    pub fn lookups(&self) -> u64 {
+        self.lookups.load(Ordering::Relaxed)
+    }
+
     pub fn counter(&self, name: &str) -> Arc<Counter> {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
         let mut map = self.counters.lock().unwrap();
         if let Some(c) = map.get(name) {
             return Arc::clone(c);
@@ -297,6 +306,7 @@ impl MetricsRegistry {
     }
 
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
         let mut map = self.gauges.lock().unwrap();
         if let Some(g) = map.get(name) {
             return Arc::clone(g);
@@ -307,6 +317,7 @@ impl MetricsRegistry {
     }
 
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
         let mut map = self.histograms.lock().unwrap();
         if let Some(h) = map.get(name) {
             return Arc::clone(h);

@@ -7,9 +7,12 @@
 //! automatically, and cross-thread handoff (the PL dispatcher pattern) is an
 //! explicit capture-then-[`adopt`]. Finished spans land in a bounded global
 //! ring buffer ([`SpanStore`]) from which a request can be reconstructed as
-//! a tree keyed by its trace ID.
+//! a tree keyed by its trace ID. A thread buffers the spans it finishes and
+//! publishes them as one block, in one lock acquisition, when its ambient
+//! context returns to `None` — a request costs the store's mutex once per
+//! participating thread, not once per span.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -24,7 +27,13 @@ pub struct SpanContext {
 
 thread_local! {
     static CURRENT: Cell<Option<SpanContext>> = const { Cell::new(None) };
+    /// Spans this thread finished and has not yet published.
+    static PENDING: RefCell<Vec<FinishedSpan>> = const { RefCell::new(Vec::new()) };
 }
+
+/// A thread publishes early once it holds this many unpublished spans, so a
+/// long-lived context cannot grow the buffer without bound.
+const PUBLISH_AT: usize = 256;
 
 fn next_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
@@ -52,7 +61,15 @@ pub struct ContextGuard {
 impl Drop for ContextGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| c.set(self.prev));
+        if self.prev.is_none() {
+            publish_pending();
+        }
     }
+}
+
+/// Hand this thread's finished spans to the global store.
+fn publish_pending() {
+    PENDING.with(|p| span_store().record_many(&mut p.borrow_mut()));
 }
 
 /// An in-flight timed operation. Created at scope entry, finished (recorded
@@ -62,13 +79,13 @@ pub struct Span {
     ctx: SpanContext,
     parent_id: u64,
     prev: Option<SpanContext>,
-    name: String,
+    name: &'static str,
     start: Instant,
     start_us: u64,
 }
 
 impl Span {
-    fn begin(name: &str, trace_id: u64, parent_id: u64) -> Span {
+    fn begin(name: &'static str, trace_id: u64, parent_id: u64) -> Span {
         let ctx = SpanContext {
             trace_id,
             span_id: next_id(),
@@ -78,20 +95,20 @@ impl Span {
             ctx,
             parent_id,
             prev,
-            name: name.to_string(),
+            name,
             start: Instant::now(),
             start_us: crate::now_us(),
         }
     }
 
     /// Start a new trace. Called at the system edge, once per request.
-    pub fn root(name: &str) -> Span {
+    pub fn root(name: &'static str) -> Span {
         Span::begin(name, next_id(), 0)
     }
 
     /// Start a child of the ambient context, or a fresh root if there is
     /// none (so instrumented code also works when called outside a request).
-    pub fn child(name: &str) -> Span {
+    pub fn child(name: &'static str) -> Span {
         match current() {
             Some(parent) => Span::begin(name, parent.trace_id, parent.span_id),
             None => Span::root(name),
@@ -107,27 +124,32 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         CURRENT.with(|c| c.set(self.prev));
-        let finished = FinishedSpan {
+        finish(FinishedSpan {
             trace_id: self.ctx.trace_id,
             span_id: self.ctx.span_id,
             parent_id: self.parent_id,
-            name: std::mem::take(&mut self.name),
+            name: self.name,
             start_us: self.start_us,
             duration_us: (self.start.elapsed().as_micros() as u64).max(1),
-        };
-        finish_into_store(finished);
+        });
     }
 }
 
-/// Record a finished span into the global store; a root additionally lands
-/// the completed trace in the flight recorder.
-fn finish_into_store(finished: FinishedSpan) {
+/// Buffer a finished span on this thread. The buffer is published once the
+/// thread has left its trace, when it is full, and when a root finishes —
+/// before the flight recorder looks the completed trace up.
+fn finish(finished: FinishedSpan) {
     let is_root = finished.parent_id == 0;
+    let held = PENDING.with(|p| {
+        let mut p = p.borrow_mut();
+        p.push(finished);
+        p.len()
+    });
+    if is_root || current().is_none() || held >= PUBLISH_AT {
+        publish_pending();
+    }
     if is_root {
-        span_store().record(finished.clone());
         crate::flight::recorder().on_root_finished(&finished);
-    } else {
-        span_store().record(finished);
     }
 }
 
@@ -135,14 +157,14 @@ fn finish_into_store(finished: FinishedSpan) {
 /// ambient context. No-op outside a trace: retroactive intervals (queue
 /// wait, pool acquire) only matter as part of a request's tree, and minting
 /// roots here would flood the store from untraced call sites.
-pub fn record_interval(name: &str, start: Instant) {
+pub fn record_interval(name: &'static str, start: Instant) {
     let Some(parent) = current() else { return };
     let duration_us = (start.elapsed().as_micros() as u64).max(1);
-    span_store().record(FinishedSpan {
+    finish(FinishedSpan {
         trace_id: parent.trace_id,
         span_id: next_id(),
         parent_id: parent.span_id,
-        name: name.to_string(),
+        name,
         start_us: crate::now_us().saturating_sub(duration_us),
         duration_us,
     });
@@ -156,20 +178,20 @@ pub fn record_interval(name: &str, start: Instant) {
 #[derive(Debug)]
 pub struct PendingRoot {
     ctx: SpanContext,
-    name: String,
+    name: &'static str,
     start: Instant,
     start_us: u64,
 }
 
 impl PendingRoot {
     /// Mint a new trace for a unit of pipelined work.
-    pub fn begin(name: &str) -> PendingRoot {
+    pub fn begin(name: &'static str) -> PendingRoot {
         PendingRoot {
             ctx: SpanContext {
                 trace_id: next_id(),
                 span_id: next_id(),
             },
-            name: name.to_string(),
+            name,
             start: Instant::now(),
             start_us: crate::now_us(),
         }
@@ -183,7 +205,7 @@ impl PendingRoot {
     /// Record the root span (and hand the completed trace to the flight
     /// recorder). Dropping without calling this abandons the trace.
     pub fn finish(self) {
-        finish_into_store(FinishedSpan {
+        finish(FinishedSpan {
             trace_id: self.ctx.trace_id,
             span_id: self.ctx.span_id,
             parent_id: 0,
@@ -196,12 +218,12 @@ impl PendingRoot {
 
 /// A completed span. `parent_id == 0` marks a trace root; `start_us` is
 /// microseconds since the process epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FinishedSpan {
     pub trace_id: u64,
     pub span_id: u64,
     pub parent_id: u64,
-    pub name: String,
+    pub name: &'static str,
     pub start_us: u64,
     pub duration_us: u64,
 }
@@ -212,6 +234,7 @@ pub struct FinishedSpan {
 pub struct SpanStore {
     inner: Mutex<StoreInner>,
     capacity: usize,
+    publishes: AtomicU64,
 }
 
 struct StoreInner {
@@ -227,26 +250,48 @@ impl SpanStore {
                 counts: HashMap::new(),
             }),
             capacity,
+            publishes: AtomicU64::new(0),
         }
     }
 
     pub fn record(&self, span: FinishedSpan) {
+        self.record_many(&mut vec![span]);
+    }
+
+    /// Append `spans` in order under one lock acquisition, leaving the
+    /// vector empty with its capacity intact.
+    pub fn record_many(&self, spans: &mut Vec<FinishedSpan>) {
+        if spans.is_empty() {
+            return;
+        }
+        self.publishes.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().unwrap();
-        if inner.buf.len() == self.capacity {
-            if let Some(old) = inner.buf.pop_front() {
-                if let Some(n) = inner.counts.get_mut(&old.trace_id) {
-                    *n -= 1;
-                    if *n == 0 {
-                        inner.counts.remove(&old.trace_id);
+        for span in spans.drain(..) {
+            if inner.buf.len() == self.capacity {
+                if let Some(old) = inner.buf.pop_front() {
+                    if let Some(n) = inner.counts.get_mut(&old.trace_id) {
+                        *n -= 1;
+                        if *n == 0 {
+                            inner.counts.remove(&old.trace_id);
+                        }
                     }
                 }
             }
+            *inner.counts.entry(span.trace_id).or_insert(0) += 1;
+            inner.buf.push_back(span);
         }
-        *inner.counts.entry(span.trace_id).or_insert(0) += 1;
-        inner.buf.push_back(span);
     }
 
-    /// All retained spans of one trace, in completion order.
+    /// Lock acquisitions that published spans so far. For budget tests: a
+    /// request should cost one per participating thread.
+    #[doc(hidden)]
+    pub fn publishes(&self) -> u64 {
+        self.publishes.load(Ordering::Relaxed)
+    }
+
+    /// All retained spans of one trace, in publication order: each thread's
+    /// spans in completion order, one block per thread, a block landing
+    /// when its thread's context is released.
     pub fn spans_for(&self, trace_id: u64) -> Vec<FinishedSpan> {
         self.inner
             .lock()
@@ -370,7 +415,7 @@ mod tests {
                 trace_id: 1,
                 span_id: i,
                 parent_id: 0,
-                name: "x".into(),
+                name: "x",
                 start_us: i,
                 duration_us: 1,
             });
@@ -388,7 +433,7 @@ mod tests {
             trace_id,
             span_id,
             parent_id: 0,
-            name: "x".into(),
+            name: "x",
             start_us: 0,
             duration_us: 1,
         };

@@ -215,7 +215,8 @@ if [[ -n "$seed" ]]; then
   export HEDC_TEST_SEED="$seed"
   cargo test -q -p hedc-dm --test failover --test cache --test ingest_crash \
     --test ingest_browse --test shard_prop --test shard_fault \
-    --test shard_rebalance --test workflow -- --nocapture
+    --test shard_rebalance --test workflow --test query_equiv \
+    --test query_budget -- --nocapture
   cargo test -q -p hedc-metadb --test paged_model -- --nocapture
   cargo test -q -p hedc-net --test cluster --test churn --test mux_prop \
     --test slow_client --test shard_epoch --test write_timeout \
