@@ -345,7 +345,9 @@ pub fn check_fig5(report: &serde_json::Value, errs: &mut Errors) {
         let ctx = format!("fig5_shards.rows[{i}]");
         if let Some(mode) = text(row, "mode", &ctx, errs) {
             if mode != "shards" {
-                errs.push(format!("{ctx}: unknown mode {mode:?} (expected \"shards\")"));
+                errs.push(format!(
+                    "{ctx}: unknown mode {mode:?} (expected \"shards\")"
+                ));
             }
         }
         let shards = uint(row, "shards", &ctx, errs);

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `hedc-cache`: a sharded, size-bounded, lock-striped LRU result cache
 //! for the HEDC middle tier.
 //!
@@ -19,15 +20,16 @@
 //! as a miss (the entry stays behind, reachable only through
 //! [`ShardedCache::get_stale`]) — write-through invalidation at O(1)
 //! per write, no key scans. Fill-time dependency snapshots must be taken
-//! **before** the underlying read executes ([`GenerationMap::snapshot`]),
-//! so a write racing with the read leaves the entry born-stale rather
-//! than wrongly fresh.
+//! **before** the underlying read executes, so a write racing with the
+//! read leaves the entry born-stale rather than wrongly fresh; every
+//! query-result tier reads through [`QueryCache::read_through`], which is
+//! where that order is kept.
 //!
 //! Tiers that cannot observe writes (a network client caching remote
 //! results) additionally bound staleness with a TTL
-//! ([`CacheConfig::ttl`]), and may serve expired entries *explicitly* via
-//! [`ShardedCache::get_stale`] when the backend is unreachable — the
-//! degraded read-only mode of the DM router.
+//! ([`CacheConfig::ttl`]). The same read-through serves a stale entry
+//! when the backing read fails with an [`Outage`] — the degraded
+//! read-only mode of the DM router — and never otherwise.
 //!
 //! # Metrics
 //!
@@ -287,24 +289,6 @@ impl<V: CacheValue> ShardedCache<V> {
         Some(value)
     }
 
-    /// Fresh multi-lookup: one [`Self::get`] per key, results in key
-    /// order. The batched DM paths (multi-item name resolution) use this
-    /// so a warm batch costs zero database queries and a partly warm
-    /// batch only re-reads its misses.
-    pub fn get_many(&self, keys: &[String]) -> Vec<Option<V>> {
-        keys.iter().map(|k| self.get(k)).collect()
-    }
-
-    /// Multi-fill: store every `(key, value)` pair against one shared
-    /// dependency snapshot (taken before the batched backing read ran).
-    /// A single pre-read snapshot is exactly as safe for N fills as for
-    /// one: any write racing the batch leaves *all* its fills born-stale.
-    pub fn put_many(&self, entries: Vec<(String, V)>, deps: &DepSnapshot) {
-        for (key, value) in entries {
-            self.put(&key, value, deps.clone());
-        }
-    }
-
     /// Degraded-mode lookup: returns whatever is stored under `key`,
     /// ignoring generations and TTL. For read-only operation while the
     /// backend is unreachable; callers must label the result stale.
@@ -404,6 +388,23 @@ impl<V: CacheValue> ShardedCache<V> {
     }
 }
 
+/// What the read-through must know about a failed backing read: whether
+/// the backend answered at all.
+pub trait Outage: std::fmt::Display {
+    /// True when the backend was unreachable or shed the request — the
+    /// only failures a stale entry may paper over. An error the backend
+    /// *answered* with (a rejected query, a lost shard) is final.
+    fn is_outage(&self) -> bool;
+}
+
+/// A lookup that missed: the key (computed once) and the dependency
+/// snapshot taken before the backing read. Settled by
+/// [`QueryCache::finish`].
+pub struct Miss {
+    key: String,
+    deps: DepSnapshot,
+}
+
 /// A [`ShardedCache`] specialized to query results, keyed by canonical
 /// query fingerprint plus access-scope tag, with table-generation
 /// dependencies.
@@ -450,6 +451,91 @@ impl QueryCache {
     /// Store a result under `q`'s key with its pre-read snapshot.
     pub fn fill(&self, scope: &str, q: &Query, result: &QueryResult, deps: DepSnapshot) {
         self.cache.put(&Self::key(scope, q), result.clone(), deps);
+    }
+
+    /// The cache-aside read, first half: a fresh entry, or the [`Miss`] to
+    /// settle once the backing read has run. `deps` runs only on a miss and
+    /// **before** this returns — hence before the backing read — so a write
+    /// racing that read leaves the entry born-stale rather than wrongly
+    /// fresh, and a TTL covers the whole read.
+    pub fn begin(
+        &self,
+        scope: &str,
+        q: &Query,
+        deps: impl FnOnce() -> DepSnapshot,
+    ) -> Result<QueryResult, Miss> {
+        let key = Self::key(scope, q);
+        match self.cache.get(&key).and_then(|hit| reproject(hit, q)) {
+            Some(hit) => Ok(hit),
+            None => Err(Miss { key, deps: deps() }),
+        }
+    }
+
+    /// The cache-aside read, second half: fill on success; when the backend
+    /// was unreachable or shedding ([`Outage::is_outage`]) serve whatever
+    /// entry is left — expired or invalidated — with a `cache_degraded`
+    /// event, because a stale answer beats no answer; pass every other
+    /// error through. Batched callers run [`Self::begin`] per query, one
+    /// backing read for all the misses, then this per miss.
+    pub fn finish<E: Outage>(
+        &self,
+        miss: Miss,
+        q: &Query,
+        fetched: Result<QueryResult, E>,
+    ) -> Result<QueryResult, E> {
+        match fetched {
+            Ok(r) => {
+                self.cache.put(&miss.key, r.clone(), miss.deps);
+                Ok(r)
+            }
+            Err(e) if e.is_outage() => {
+                let stale = self.cache.get_stale(&miss.key);
+                match stale.and_then(|s| reproject(s, q)) {
+                    Some(stale) => {
+                        hedc_obs::emit(
+                            hedc_obs::events::kind::CACHE_DEGRADED,
+                            format!("serving stale `{}` result: {e}", q.table),
+                        );
+                        Ok(stale)
+                    }
+                    None => Err(e),
+                }
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// The whole cache-aside read around one backing read `fetch`:
+    /// [`Self::begin`], then `fetch` and [`Self::finish`] on a miss. Every
+    /// tier's cache is optional, so this takes the option: without a cache
+    /// it is `fetch` alone. The entry depends on `q`'s table
+    /// ([`Self::snapshot`]).
+    pub fn read_through<E: Outage>(
+        cache: Option<&QueryCache>,
+        scope: &str,
+        q: &Query,
+        fetch: impl FnOnce() -> Result<QueryResult, E>,
+    ) -> Result<QueryResult, E> {
+        Self::read_through_deps(cache, scope, q, |c| c.snapshot(q), fetch)
+    }
+
+    /// [`Self::read_through`] for a caller that tracks finer dependencies
+    /// than the table (the sharded router's per-shard counters): `deps`
+    /// supplies the snapshot.
+    pub fn read_through_deps<E: Outage>(
+        cache: Option<&QueryCache>,
+        scope: &str,
+        q: &Query,
+        deps: impl FnOnce(&QueryCache) -> DepSnapshot,
+        fetch: impl FnOnce() -> Result<QueryResult, E>,
+    ) -> Result<QueryResult, E> {
+        let Some(cache) = cache else {
+            return fetch();
+        };
+        match cache.begin(scope, q, || deps(cache)) {
+            Ok(hit) => Ok(hit),
+            Err(miss) => cache.finish(miss, q, fetch()),
+        }
     }
 
     /// Record a write to `table`.
@@ -634,32 +720,6 @@ mod tests {
         // what degraded mode serves during an outage.
         assert!(cache.get_stale("net", &q).is_some());
         assert_eq!(cache.stats().stale_serves, 1);
-    }
-
-    #[test]
-    fn multi_get_and_multi_fill_share_one_snapshot() {
-        let gens = Arc::new(GenerationMap::new());
-        let cache = ShardedCache::<QueryResult>::new(&CacheConfig::default());
-        let keys: Vec<String> = (0..4).map(|i| format!("names:file:{i}")).collect();
-        assert!(cache.get_many(&keys).iter().all(Option::is_none));
-
-        let deps = gens.snapshot(&["loc_entry"]);
-        let entries: Vec<(String, QueryResult)> = keys
-            .iter()
-            .take(3)
-            .enumerate()
-            .map(|(i, k)| (k.clone(), result(vec![vec![Value::Int(i as i64)]], &["id"])))
-            .collect();
-        cache.put_many(entries, &deps);
-
-        let got = cache.get_many(&keys);
-        assert!(got[0].is_some() && got[1].is_some() && got[2].is_some());
-        assert!(got[3].is_none(), "unfilled key stays a miss");
-        assert_eq!(got[1].as_ref().unwrap().rows[0][0], Value::Int(1));
-
-        // One bump invalidates every fill of the batch at once.
-        gens.bump("loc_entry");
-        assert!(cache.get_many(&keys).iter().all(Option::is_none));
     }
 
     #[test]

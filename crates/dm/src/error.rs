@@ -81,6 +81,16 @@ impl std::error::Error for DmError {
     }
 }
 
+/// Degraded-mode policy, stated once for every result cache in front of a
+/// DM read: only an unreachable or shedding backend is an outage. A lost
+/// shard is not — its rows are *missing*, and a cached merge must not stand
+/// in for them.
+impl hedc_cache::Outage for DmError {
+    fn is_outage(&self) -> bool {
+        matches!(self, DmError::RemoteUnavailable(_) | DmError::Overloaded(_))
+    }
+}
+
 impl From<DbError> for DmError {
     fn from(e: DbError) -> Self {
         DmError::Db(e)

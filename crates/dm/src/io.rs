@@ -314,25 +314,15 @@ impl DmIo {
         self.query_scoped(INTERNAL_SCOPE, q)
     }
 
-    /// Execute a query under an access-scope tag. When the result cache
-    /// is enabled, a fresh entry under `(scope, fingerprint)` is served
-    /// without touching the database; a miss snapshots the table's
-    /// generation *before* executing (so a racing write leaves the new
-    /// entry born-stale, never wrongly fresh) and fills on success. The
-    /// semantic layer passes the session's scope tag; two scopes never
-    /// share an entry, preserving §5.5 ownership isolation.
+    /// Execute a query under an access-scope tag, through the result cache
+    /// when one is enabled (`hedc_cache::QueryCache::read_through`: a fresh
+    /// entry under `(scope, fingerprint)` is served without touching the
+    /// database; a miss fills on success). The semantic layer passes the
+    /// session's scope tag; two scopes never share an entry, preserving
+    /// §5.5 ownership isolation.
     pub fn query_scoped(&self, scope: &str, q: &Query) -> DmResult<QueryResult> {
-        let caches = match &self.caches {
-            Some(c) => c,
-            None => return self.query_uncached(q),
-        };
-        if let Some(hit) = caches.queries.get(scope, q) {
-            return Ok(hit);
-        }
-        let deps = caches.queries.snapshot(q);
-        let r = self.query_uncached(q)?;
-        caches.queries.fill(scope, q, &r, deps);
-        Ok(r)
+        let cache = self.caches.as_ref().map(|c| &c.queries);
+        QueryCache::read_through(cache, scope, q, || self.query_uncached(q))
     }
 
     /// Execute a verified query object on a pooled connection (§5.4).

@@ -103,6 +103,20 @@ impl hedc_cache::CacheValue for ResolvedSet {
     }
 }
 
+/// An entry-relative path under its archive's current prefix.
+fn join_prefix(prefix: &str, entry_path: &str) -> String {
+    if prefix.is_empty() {
+        entry_path.to_string()
+    } else {
+        format!("{prefix}/{entry_path}")
+    }
+}
+
+/// The transformation named by a `loc_transform` row.
+fn transform_name(row: &[Value]) -> String {
+    row[2].as_text().unwrap_or("").to_string()
+}
+
 /// Name-mapping services over the I/O layer.
 pub struct Names<'a> {
     io: &'a DmIo,
@@ -207,12 +221,7 @@ impl<'a> Names<'a> {
 
     /// Join an entry-relative path with the archive's current prefix.
     pub fn physical_path(&self, archive_id: u32, entry_path: &str) -> DmResult<String> {
-        let prefix = self.archive_prefix(archive_id)?;
-        Ok(if prefix.is_empty() {
-            entry_path.to_string()
-        } else {
-            format!("{prefix}/{entry_path}")
-        })
+        Ok(join_prefix(&self.archive_prefix(archive_id)?, entry_path))
     }
 
     /// Construct all names of one type for an item: the two indexed queries
@@ -227,29 +236,57 @@ impl<'a> Names<'a> {
     pub fn resolve(&self, item_id: i64, want: NameType) -> DmResult<Vec<ResolvedName>> {
         let _span = hedc_obs::Span::child("dm.name_map");
         let started = std::time::Instant::now();
-        let out = self.resolve_cached(item_id, want);
+        let out = self
+            .resolve_cached(&[item_id], want, |ids| {
+                vec![self.resolve_inner(ids[0], want)]
+            })
+            .pop()
+            .expect("one result per item");
         self.io.name_map_hist.record(started.elapsed());
         out
     }
 
-    fn resolve_cached(&self, item_id: i64, want: NameType) -> DmResult<Vec<ResolvedName>> {
+    /// Cache-aside over the name cache for any number of items: warm items
+    /// are served without touching the database, the misses go to `read`
+    /// in one call, and every successful read is filled against one
+    /// generation snapshot of the three location tables taken **before**
+    /// `read` ran — a racing relocation leaves the whole batch born-stale,
+    /// never live.
+    fn resolve_cached(
+        &self,
+        item_ids: &[i64],
+        want: NameType,
+        read: impl FnOnce(&[i64]) -> Vec<DmResult<Vec<ResolvedName>>>,
+    ) -> Vec<DmResult<Vec<ResolvedName>>> {
         let Some(caches) = self.io.caches() else {
-            return self.resolve_inner(item_id, want);
+            return read(item_ids);
         };
-        let key = format!("names:{}:{item_id}", want.as_str());
-        if let Some(hit) = caches.names.get(&key) {
-            return Ok(hit.0);
+        let keys: Vec<String> = item_ids
+            .iter()
+            .map(|id| format!("names:{}:{id}", want.as_str()))
+            .collect();
+        let mut out: Vec<Option<DmResult<Vec<ResolvedName>>>> = keys
+            .iter()
+            .map(|key| caches.names.get(key).map(|set| Ok(set.0)))
+            .collect();
+        let miss_idx: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
+        if !miss_idx.is_empty() {
+            let miss_ids: Vec<i64> = miss_idx.iter().map(|&i| item_ids[i]).collect();
+            let deps = caches
+                .gens
+                .snapshot(&["loc_entry", "loc_archive", "loc_transform"]);
+            for (&i, r) in miss_idx.iter().zip(read(&miss_ids)) {
+                if let Ok(names) = &r {
+                    caches
+                        .names
+                        .put(&keys[i], ResolvedSet(names.clone()), deps.clone());
+                }
+                out[i] = Some(r);
+            }
         }
-        // Snapshot before the read so a racing relocation leaves the
-        // entry born-stale rather than silently live.
-        let deps = caches
-            .gens
-            .snapshot(&["loc_entry", "loc_archive", "loc_transform"]);
-        let out = self.resolve_inner(item_id, want);
-        if let Ok(names) = &out {
-            caches.names.put(&key, ResolvedSet(names.clone()), deps);
-        }
-        out
+        out.into_iter()
+            .map(|slot| slot.expect("every item hit or was read"))
+            .collect()
     }
 
     fn resolve_inner(&self, item_id: i64, want: NameType) -> DmResult<Vec<ResolvedName>> {
@@ -257,39 +294,68 @@ impl<'a> Names<'a> {
         let entries = self
             .io
             .query(&Query::table("loc_entry").filter(Expr::eq("item_id", item_id)))?;
+        self.build_names(
+            item_id,
+            want,
+            &entries.rows,
+            // Query 2: archive type + current path prefix (indexed pk).
+            |archive_id| {
+                let arch = self.io.query(
+                    &Query::table("loc_archive").filter(Expr::eq("archive_id", archive_id)),
+                )?;
+                Ok(arch.rows.into_iter().next())
+            },
+            |entry_id| {
+                let t = self
+                    .io
+                    .query(&Query::table("loc_transform").filter(Expr::eq("entry_id", entry_id)))?;
+                Ok(t.rows.iter().map(|r| transform_name(r)).collect())
+            },
+        )
+    }
+
+    /// The name construction of §4.3, shared by the single-item and batched
+    /// paths: one [`ResolvedName`] per `loc_entry` row of `item_id` whose
+    /// type is `want`. `archive` yields the `loc_archive` row of an archive
+    /// id and `transforms` the access transformations of an entry id —
+    /// indexed queries on the single path, map lookups on the batched one —
+    /// and each is asked only once everything before it has checked out, so
+    /// an entry of another type or on an offline archive costs no lookup
+    /// beyond the one that rules it out.
+    fn build_names<'r, A: AsRef<[Value]>>(
+        &self,
+        item_id: i64,
+        want: NameType,
+        entries: impl IntoIterator<Item = &'r Vec<Value>>,
+        archive: impl Fn(i64) -> DmResult<Option<A>>,
+        transforms: impl Fn(i64) -> DmResult<Vec<String>>,
+    ) -> DmResult<Vec<ResolvedName>> {
         let mut out = Vec::new();
-        for row in &entries.rows {
+        for row in entries {
             let entry_id = row[0].as_int().expect("entry id");
             let name_type = NameType::parse(row[2].as_text().unwrap_or(""))
                 .ok_or_else(|| DmError::Integrity(format!("bad name_type in entry {entry_id}")))?;
             if name_type != want {
                 continue;
             }
-            let archive_id = row[3].as_int().expect("archive id") as u32;
+            let archive_id = row[3].as_int().expect("archive id");
             let path = row[4].as_text().unwrap_or("").to_string();
             let size = row[5].as_int().unwrap_or(0) as u64;
             let role = row[7].as_text().unwrap_or("data").to_string();
 
-            // Query 2: archive type + current path prefix (indexed pk).
-            let arch = self.io.query(
-                &Query::table("loc_archive").filter(Expr::eq("archive_id", i64::from(archive_id))),
-            )?;
-            let arch_row = arch.rows.first().ok_or(DmError::NotFound {
+            let arch_row = archive(archive_id)?.ok_or(DmError::NotFound {
                 entity: "archive",
-                id: i64::from(archive_id),
+                id: archive_id,
             })?;
-            let prefix = arch_row[2].as_text().unwrap_or("").to_string();
-            let url_base = arch_row[3].as_text().map(str::to_string);
+            let arch_row = arch_row.as_ref();
+            let archive_id = archive_id as u32;
+            let prefix = arch_row[2].as_text().unwrap_or("");
             let online = arch_row[4].as_bool().unwrap_or(false);
             if !online {
                 return Err(DmError::Fs(hedc_filestore::FsError::Offline(archive_id)));
             }
 
-            let archive_path = if prefix.is_empty() {
-                path.clone()
-            } else {
-                format!("{prefix}/{path}")
-            };
+            let archive_path = join_prefix(prefix, &path);
             let full_name = format!(
                 "{}:{}/{}#{}",
                 want.as_str(),
@@ -297,17 +363,9 @@ impl<'a> Names<'a> {
                 archive_path,
                 item_id
             );
-            let url = url_base.map(|b| format!("{b}/{archive_path}"));
-
-            let transforms = {
-                let t = self
-                    .io
-                    .query(&Query::table("loc_transform").filter(Expr::eq("entry_id", entry_id)))?;
-                t.rows
-                    .iter()
-                    .map(|r| r[2].as_text().unwrap_or("").to_string())
-                    .collect()
-            };
+            let url = arch_row[3]
+                .as_text()
+                .map(|base| format!("{base}/{archive_path}"));
 
             out.push(ResolvedName {
                 entry_id,
@@ -319,7 +377,7 @@ impl<'a> Names<'a> {
                 url,
                 size,
                 role,
-                transforms,
+                transforms: transforms(entry_id)?,
             });
         }
         Ok(out)
@@ -335,11 +393,7 @@ impl<'a> Names<'a> {
     /// an item whose entries reference a missing or offline archive
     /// fails alone; its neighbours still resolve.
     ///
-    /// Cache interaction is multi-get/multi-fill: warm items are served
-    /// without touching the database, only the misses go into the batched
-    /// queries, and all fills validate against one generation snapshot
-    /// taken before the batched read (per-batch generation check — a
-    /// racing relocation leaves the whole batch born-stale).
+    /// Only the items the name cache misses go into the batched queries.
     pub fn resolve_batch(
         &self,
         item_ids: &[i64],
@@ -347,73 +401,28 @@ impl<'a> Names<'a> {
     ) -> Vec<DmResult<Vec<ResolvedName>>> {
         let _span = hedc_obs::Span::child("dm.name_map.batch");
         let started = std::time::Instant::now();
-        let out = self.resolve_batch_cached(item_ids, want);
+        let out = self.resolve_cached(item_ids, want, |ids| {
+            // A failed batched query fails every item it was read for.
+            self.resolve_batch_inner(ids, want)
+                .unwrap_or_else(|e| vec![Err(e); ids.len()])
+        });
         self.io.name_map_batch_hist.record(started.elapsed());
         out
-    }
-
-    fn resolve_batch_cached(
-        &self,
-        item_ids: &[i64],
-        want: NameType,
-    ) -> Vec<DmResult<Vec<ResolvedName>>> {
-        let Some(caches) = self.io.caches() else {
-            return self.resolve_batch_inner(item_ids, want);
-        };
-        let keys: Vec<String> = item_ids
-            .iter()
-            .map(|id| format!("names:{}:{id}", want.as_str()))
-            .collect();
-        let mut out: Vec<Option<DmResult<Vec<ResolvedName>>>> = caches
-            .names
-            .get_many(&keys)
-            .into_iter()
-            .map(|hit| hit.map(|set| Ok(set.0)))
-            .collect();
-        let miss_idx: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
-        if !miss_idx.is_empty() {
-            let miss_ids: Vec<i64> = miss_idx.iter().map(|&i| item_ids[i]).collect();
-            // Snapshot before the batched read so a racing relocation
-            // leaves every fill of this batch born-stale, never live.
-            let deps = caches
-                .gens
-                .snapshot(&["loc_entry", "loc_archive", "loc_transform"]);
-            let resolved = self.resolve_batch_inner(&miss_ids, want);
-            let fills: Vec<(String, ResolvedSet)> = miss_idx
-                .iter()
-                .zip(&resolved)
-                .filter_map(|(&i, r)| {
-                    r.as_ref()
-                        .ok()
-                        .map(|names| (keys[i].clone(), ResolvedSet(names.clone())))
-                })
-                .collect();
-            caches.names.put_many(fills, &deps);
-            for (&i, r) in miss_idx.iter().zip(resolved) {
-                out[i] = Some(r);
-            }
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every batch slot resolved"))
-            .collect()
     }
 
     fn resolve_batch_inner(
         &self,
         item_ids: &[i64],
         want: NameType,
-    ) -> Vec<DmResult<Vec<ResolvedName>>> {
+    ) -> DmResult<Vec<DmResult<Vec<ResolvedName>>>> {
         if item_ids.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         // Batched query 1: every location entry for the whole item set —
         // one multi-point probe over the loc_entry item_id index.
-        let entries = match self.io.query(
+        let entries = self.io.query(
             &Query::table("loc_entry").filter(Expr::in_list("item_id", item_ids.iter().copied())),
-        ) {
-            Ok(r) => r,
-            Err(e) => return item_ids.iter().map(|_| Err(e.clone())).collect(),
-        };
+        )?;
         let mut rows_by_item: HashMap<i64, Vec<&Vec<Value>>> = HashMap::new();
         let mut archive_ids: Vec<i64> = Vec::new();
         let mut entry_ids: Vec<i64> = Vec::new();
@@ -433,12 +442,11 @@ impl<'a> Names<'a> {
         let archive_rows = if archive_ids.is_empty() {
             Vec::new()
         } else {
-            match self.io.query(
-                &Query::table("loc_archive").filter(Expr::in_list("archive_id", archive_ids)),
-            ) {
-                Ok(r) => r.rows,
-                Err(e) => return item_ids.iter().map(|_| Err(e.clone())).collect(),
-            }
+            self.io
+                .query(
+                    &Query::table("loc_archive").filter(Expr::in_list("archive_id", archive_ids)),
+                )?
+                .rows
         };
         let archive_by_id: HashMap<i64, &Vec<Value>> = archive_rows
             .iter()
@@ -449,89 +457,36 @@ impl<'a> Names<'a> {
         // path, collapsed): all transforms for the wanted entries.
         let mut transforms_by_entry: HashMap<i64, Vec<String>> = HashMap::new();
         if !entry_ids.is_empty() {
-            let t = match self
-                .io
-                .query(&Query::table("loc_transform").filter(Expr::in_list("entry_id", entry_ids)))
-            {
-                Ok(r) => r,
-                Err(e) => return item_ids.iter().map(|_| Err(e.clone())).collect(),
-            };
+            let t = self.io.query(
+                &Query::table("loc_transform").filter(Expr::in_list("entry_id", entry_ids)),
+            )?;
             for row in &t.rows {
                 transforms_by_entry
                     .entry(row[1].as_int().expect("entry id"))
                     .or_default()
-                    .push(row[2].as_text().unwrap_or("").to_string());
+                    .push(transform_name(row));
             }
         }
 
         // Stitch: per item, the same construction (and the same error
-        // semantics) as the single-item `resolve_inner`, from the maps.
-        let build = |item_id: i64| -> DmResult<Vec<ResolvedName>> {
-            let Some(rows) = rows_by_item.get(&item_id) else {
-                return Ok(Vec::new());
-            };
-            let mut names = Vec::new();
-            for row in rows {
-                let entry_id = row[0].as_int().expect("entry id");
-                let name_type =
-                    NameType::parse(row[2].as_text().unwrap_or("")).ok_or_else(|| {
-                        DmError::Integrity(format!("bad name_type in entry {entry_id}"))
-                    })?;
-                if name_type != want {
-                    continue;
-                }
-                let archive_id = row[3].as_int().expect("archive id") as u32;
-                let path = row[4].as_text().unwrap_or("").to_string();
-                let size = row[5].as_int().unwrap_or(0) as u64;
-                let role = row[7].as_text().unwrap_or("data").to_string();
-
-                let arch_row =
-                    archive_by_id
-                        .get(&i64::from(archive_id))
-                        .ok_or(DmError::NotFound {
-                            entity: "archive",
-                            id: i64::from(archive_id),
-                        })?;
-                let prefix = arch_row[2].as_text().unwrap_or("").to_string();
-                let url_base = arch_row[3].as_text().map(str::to_string);
-                let online = arch_row[4].as_bool().unwrap_or(false);
-                if !online {
-                    return Err(DmError::Fs(hedc_filestore::FsError::Offline(archive_id)));
-                }
-
-                let archive_path = if prefix.is_empty() {
-                    path.clone()
-                } else {
-                    format!("{prefix}/{path}")
-                };
-                let full_name = format!(
-                    "{}:{}/{}#{}",
-                    want.as_str(),
-                    self.io.name_root(),
-                    archive_path,
-                    item_id
-                );
-                let url = url_base.map(|b| format!("{b}/{archive_path}"));
-
-                names.push(ResolvedName {
-                    entry_id,
-                    name_type,
-                    archive_id,
-                    entry_path: path,
-                    archive_path,
-                    full_name,
-                    url,
-                    size,
-                    role,
-                    transforms: transforms_by_entry
-                        .get(&entry_id)
-                        .cloned()
-                        .unwrap_or_default(),
-                });
-            }
-            Ok(names)
-        };
-        item_ids.iter().map(|&id| build(id)).collect()
+        // semantics) as the single-item path, from the maps.
+        Ok(item_ids
+            .iter()
+            .map(|&item_id| {
+                self.build_names(
+                    item_id,
+                    want,
+                    rows_by_item.get(&item_id).into_iter().flatten().copied(),
+                    |archive_id| Ok(archive_by_id.get(&archive_id).copied()),
+                    |entry_id| {
+                        Ok(transforms_by_entry
+                            .get(&entry_id)
+                            .cloned()
+                            .unwrap_or_default())
+                    },
+                )
+            })
+            .collect())
     }
 
     /// Fetch an item's primary data file through the name mapping — the only

@@ -10,7 +10,7 @@
 
 use crate::error::{DmError, DmResult};
 use crate::names::{NameType, ResolvedName};
-use hedc_cache::{CacheConfig, DepSnapshot, QueryCache};
+use hedc_cache::{CacheConfig, QueryCache};
 use hedc_metadb::{Query, QueryResult};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -59,6 +59,37 @@ pub trait DmNode: Send + Sync {
     fn is_available(&self) -> bool {
         true
     }
+}
+
+/// Run `call` once per target and return the answers in target order. The
+/// first target runs on the calling thread — which would otherwise only
+/// wait — and each of the others on a scoped thread that joins the caller's
+/// trace; a scatter with a single target spawns nothing.
+pub(crate) fn scatter<T: Sync, R: Send>(targets: &[T], call: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let Some((first, rest)) = targets.split_first() else {
+        return Vec::new();
+    };
+    let ctx = hedc_obs::current();
+    let call = &call;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = rest
+            .iter()
+            .map(|t| {
+                scope.spawn(move || {
+                    let _trace = hedc_obs::adopt(ctx);
+                    call(t)
+                })
+            })
+            .collect();
+        let mut out = Vec::with_capacity(targets.len());
+        out.push(call(first));
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("scatter target panicked")),
+        );
+        out
+    })
 }
 
 /// Round-robin router over DM nodes with failover: a request landing on an
@@ -121,49 +152,25 @@ impl DmRouter {
 
     /// Execute on the next node in rotation, failing over past down nodes.
     /// With a cache, fresh entries are served without touching any node,
-    /// and when every node is unavailable the request is answered from
-    /// stale cache (degraded read-only mode) before erroring.
+    /// and when every node is unavailable or shedding the request is
+    /// answered from stale cache (degraded read-only mode) before erroring.
     pub fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.get(ROUTER_SCOPE, q) {
-                return Ok(hit);
-            }
-        }
-        // Snapshot before the remote read so a TTL clock started now covers
-        // the whole round trip.
-        let deps: Option<DepSnapshot> = self.cache.as_ref().map(|c| c.snapshot(q));
-        match self.execute_uncached(q) {
-            Ok(r) => {
-                if let (Some(cache), Some(deps)) = (&self.cache, deps) {
-                    cache.fill(ROUTER_SCOPE, q, &r, deps);
-                }
-                Ok(r)
-            }
-            Err(e @ (DmError::RemoteUnavailable(_) | DmError::Overloaded(_))) => {
-                // A cluster-wide outage *or* cluster-wide overload degrades
-                // the same way: a stale answer beats no answer.
-                if let Some(cache) = &self.cache {
-                    if let Some(stale) = cache.get_stale(ROUTER_SCOPE, q) {
-                        hedc_obs::emit(
-                            hedc_obs::events::kind::CACHE_DEGRADED,
-                            format!("all nodes unavailable, serving stale result ({e})"),
-                        );
-                        return Ok(stale);
-                    }
-                }
-                Err(e)
-            }
-            Err(other) => Err(other),
-        }
+        let fetch = || {
+            let start = self.next.fetch_add(1, Ordering::Relaxed);
+            self.walk(start, 1, |node, _| vec![node.execute_query(q)])
+                .pop()
+                .expect("walk answers every entry")
+        };
+        QueryCache::read_through(self.cache.as_ref(), ROUTER_SCOPE, q, fetch)
     }
 
     /// Resolve a batch of item names across the cluster: the items are
-    /// split into contiguous chunks, one per *healthy* node, the chunks
-    /// fan out in parallel, and the per-item results are stitched back in
-    /// input order. A chunk whose node dies mid-batch fails over
-    /// wholesale to the next node in rotation — no item is lost and none
-    /// is resolved twice in the output (exactly one result per input,
-    /// positionally).
+    /// split into contiguous chunks, one per node, the chunks fan out in
+    /// parallel from consecutive rotation positions, and the per-item
+    /// results are stitched back in input order. A chunk whose node is down
+    /// or dies mid-batch fails over wholesale to the next node in rotation
+    /// — no item is lost and none is resolved twice in the output (exactly
+    /// one result per input, positionally).
     pub fn resolve_batch(
         &self,
         item_ids: &[i64],
@@ -172,151 +179,98 @@ impl DmRouter {
         if item_ids.is_empty() {
             return Vec::new();
         }
-        let n = self.nodes.len();
         let start = self.next.fetch_add(1, Ordering::Relaxed);
-        let healthy: Vec<usize> = (0..n)
-            .map(|k| start.wrapping_add(k) % n)
-            .filter(|&i| self.nodes[i].is_available())
+        let fan = self.nodes.len().min(item_ids.len());
+        let chunks: Vec<(usize, &[i64])> = item_ids
+            .chunks(item_ids.len().div_ceil(fan))
+            .enumerate()
             .collect();
-        let fan = healthy.len().min(item_ids.len()).max(1);
-        if fan <= 1 {
-            let at = healthy.first().copied().unwrap_or(start % n);
-            return self.resolve_chunk(at, item_ids, want);
-        }
-        let per_chunk = item_ids.len().div_ceil(fan);
-        let mut out = Vec::with_capacity(item_ids.len());
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = item_ids
-                .chunks(per_chunk)
-                .enumerate()
-                .map(|(ci, ids)| {
-                    let at = healthy[ci % healthy.len()];
-                    scope.spawn(move || self.resolve_chunk(at, ids, want))
-                })
-                .collect();
-            for w in workers {
-                out.extend(w.join().expect("batch resolve worker panicked"));
-            }
-        });
-        out
+        scatter(&chunks, |&(ci, ids)| {
+            self.walk(start.wrapping_add(ci), ids.len(), |node, pending| {
+                let picked: Vec<i64> = pending.iter().map(|&p| ids[p]).collect();
+                node.resolve_batch(&picked, want)
+            })
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
-    /// Resolve one contiguous chunk, starting at node `at` and failing
-    /// over past unavailable nodes. Entries that come back
-    /// [`DmError::RemoteUnavailable`] or [`DmError::Overloaded`] are
-    /// retried on the next node; every other outcome (success or a real
-    /// per-item error) is final.
-    fn resolve_chunk(
+    /// The replica walk: offer `entries` positional entries to the nodes in
+    /// rotation order from `start` (a free-running cursor, expected to
+    /// overflow on a long-lived router, hence the wrapping arithmetic).
+    /// `call` runs the still-pending entries (by index) on one node and
+    /// answers them positionally. An entry that comes back
+    /// [`DmError::RemoteUnavailable`] or [`DmError::Overloaded`] is retried
+    /// on the next node; every other outcome — success or a real per-entry
+    /// error — is final. An entry no node settled keeps the last reason.
+    fn walk<T>(
         &self,
-        at: usize,
-        items: &[i64],
-        want: NameType,
-    ) -> Vec<DmResult<Vec<ResolvedName>>> {
+        start: usize,
+        entries: usize,
+        call: impl Fn(&dyn DmNode, &[usize]) -> Vec<DmResult<T>>,
+    ) -> Vec<DmResult<T>> {
         let n = self.nodes.len();
-        let mut out: Vec<Option<DmResult<Vec<ResolvedName>>>> = vec![None; items.len()];
-        let mut pending: Vec<usize> = (0..items.len()).collect();
+        let mut out: Vec<Option<DmResult<T>>> = (0..entries).map(|_| None).collect();
+        let mut pending: Vec<usize> = (0..entries).collect();
         for k in 0..n {
             if pending.is_empty() {
                 break;
             }
-            let i = at.wrapping_add(k) % n;
+            let i = start.wrapping_add(k) % n;
             let node = &self.nodes[i];
             if !node.is_available() {
                 self.note_down(i, format!("skipped unavailable node {}", node.node_id()));
+                for &p in &pending {
+                    out[p] = Some(Err(DmError::RemoteUnavailable(node.node_id())));
+                }
                 continue;
             }
-            let ids: Vec<i64> = pending.iter().map(|&p| items[p]).collect();
-            let results = node.resolve_batch(&ids, want);
-            let mut still = Vec::new();
-            let mut settled = 0usize;
+            let mut answers = call(node.as_ref(), &pending).into_iter();
+            let mut retry = Vec::new();
             let mut shed = 0usize;
-            for (&p, r) in pending.iter().zip(results) {
-                match r {
-                    Err(DmError::RemoteUnavailable(_)) => still.push(p),
+            for &p in &pending {
+                let answer = answers.next().unwrap_or_else(|| {
+                    Err(DmError::RemoteFailed(format!(
+                        "{}: answered fewer entries than it was sent",
+                        node.node_id()
+                    )))
+                });
+                match &answer {
+                    Err(DmError::RemoteUnavailable(_)) => retry.push(p),
                     Err(DmError::Overloaded(_)) => {
-                        // The node is up but shedding: retry the entry on
-                        // the next replica without marking this one down.
+                        // The node answered — it is *up*, just shedding — so
+                        // the entry redirects to the next replica without
+                        // this one being marked down.
                         shed += 1;
-                        still.push(p);
+                        retry.push(p);
                     }
-                    other => {
-                        settled += 1;
-                        out[p] = Some(other);
-                    }
+                    _ => {}
                 }
+                out[p] = Some(answer);
             }
             if shed > 0 {
                 hedc_obs::global()
                     .counter("dm.router.overload_redirects")
                     .add(shed as u64);
             }
-            if settled > 0 && self.seen_down[i].swap(false, Ordering::Relaxed) {
-                hedc_obs::emit(
-                    hedc_obs::events::kind::DM_REDIRECT,
-                    format!("node {} recovered, back in rotation", node.node_id()),
-                );
-            }
-            if settled == 0 && !still.is_empty() && shed < still.len() {
-                // Nothing got through: a node-level outage, not per-item
-                // faults. Redirect the remainder of the chunk.
+            if retry.len() < pending.len() {
+                if self.seen_down[i].swap(false, Ordering::Relaxed) {
+                    hedc_obs::emit(
+                        hedc_obs::events::kind::DM_REDIRECT,
+                        format!("node {} recovered, back in rotation", node.node_id()),
+                    );
+                }
+            } else if shed < retry.len() {
+                // Nothing got through and not because of shedding: a
+                // node-level outage, not per-entry faults.
                 self.note_down(i, format!("redirected past failed node {}", node.node_id()));
             }
-            pending = still;
-        }
-        for p in pending {
-            out[p] = Some(Err(DmError::RemoteUnavailable(format!(
-                "no node could resolve item {}",
-                items[p]
-            ))));
+            pending = retry;
         }
         out.into_iter()
-            .map(|slot| slot.expect("every chunk slot settled"))
+            .map(|slot| slot.unwrap_or_else(|| Err(DmError::RemoteUnavailable("no nodes".into()))))
             .collect()
-    }
-
-    fn execute_uncached(&self, q: &Query) -> DmResult<QueryResult> {
-        // The counter is a free-running rotation cursor: it is *expected* to
-        // overflow on a long-lived router, so wrap explicitly everywhere.
-        let start = self.next.fetch_add(1, Ordering::Relaxed);
-        let n = self.nodes.len();
-        let mut last_err = None;
-        for k in 0..n {
-            let i = start.wrapping_add(k) % n;
-            let node = &self.nodes[i];
-            if !node.is_available() {
-                self.note_down(i, format!("skipped unavailable node {}", node.node_id()));
-                last_err = Some(DmError::RemoteUnavailable(node.node_id()));
-                continue;
-            }
-            match node.execute_query(q) {
-                Ok(r) => {
-                    if self.seen_down[i].swap(false, Ordering::Relaxed) {
-                        hedc_obs::emit(
-                            hedc_obs::events::kind::DM_REDIRECT,
-                            format!("node {} recovered, back in rotation", node.node_id()),
-                        );
-                    }
-                    return Ok(r);
-                }
-                Err(DmError::RemoteUnavailable(id)) => {
-                    self.note_down(i, format!("redirected past failed node {id}"));
-                    last_err = Some(DmError::RemoteUnavailable(id));
-                    continue;
-                }
-                Err(DmError::Overloaded(m)) => {
-                    // The node answered — it is *up*, just shedding — so
-                    // its health stays green and no down edge is logged;
-                    // the request simply redirects to the next replica.
-                    hedc_obs::global()
-                        .counter("dm.router.overload_redirects")
-                        .inc();
-                    last_err = Some(DmError::Overloaded(m));
-                    continue;
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Err(last_err.unwrap_or(DmError::RemoteUnavailable("no nodes".into())))
     }
 }
 

@@ -16,8 +16,9 @@
 //!   (replica set) per shard. Point lookups and `resolve_batch` chunks go
 //!   to exactly one shard's replicas; range/catalog queries fan out
 //!   scatter-gather with partial-result merge. The PR 4 top-k pushdown
-//!   composes: `LIMIT offset+limit` is pushed to every shard and a merge
-//!   heap at the router recombines; the PR 8 `Overloaded` policy composes
+//!   composes: `LIMIT offset+limit` is pushed to every shard and a stable
+//!   sort of the sorted partials at the router recombines; the PR 8
+//!   `Overloaded` policy composes
 //!   untouched because each shard *is* a `DmRouter`.
 //! * [`ShardMover`] — rebalancing on node add/remove as §5.2 archive
 //!   relocation at cluster scale: a staged, crash-resumable step table
@@ -44,10 +45,10 @@
 use crate::error::{DmError, DmResult};
 use crate::fault::splitmix64;
 use crate::io::DmIo;
-use crate::redirect::{DmNode, DmRouter};
+use crate::redirect::{scatter, DmNode, DmRouter};
 use crate::workflow::{self, CrashSite, Probe, Step, Workflow};
 use crate::{NameType, ResolvedName};
-use hedc_cache::{CacheConfig, DepSnapshot, GenerationMap, QueryCache};
+use hedc_cache::{CacheConfig, GenerationMap, QueryCache};
 use hedc_metadb::{
     AccessPath, AggFunc, CmpOp, ExecStats, Expr, OrderDir, Projection, Query, QueryResult,
     Statement, Value,
@@ -55,7 +56,7 @@ use hedc_metadb::{
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, RwLock};
 
@@ -100,6 +101,29 @@ pub struct TableSharding {
     pub column: String,
     /// Hash or range placement.
     pub scheme: ShardScheme,
+}
+
+impl TableSharding {
+    /// Partition → shard assignment: hash slots or range intervals.
+    fn assigned(&self) -> &[u32] {
+        match &self.scheme {
+            ShardScheme::Hash { slots } => slots,
+            ShardScheme::Range { assign, .. } => assign,
+        }
+    }
+
+    /// The partition (hash slot or range interval) owning `key`.
+    fn part_of(&self, key: i64) -> usize {
+        match &self.scheme {
+            ShardScheme::Hash { slots } => (hash_key(key) % slots.len() as u64) as usize,
+            ShardScheme::Range { cuts, .. } => cuts.partition_point(|&c| c <= key),
+        }
+    }
+
+    /// The shard owning `key`.
+    fn shard_of(&self, key: i64) -> u32 {
+        self.assigned()[self.part_of(key)]
+    }
 }
 
 /// The versioned cluster partitioning description. Tables not listed are
@@ -169,7 +193,13 @@ impl ShardMap {
 
     /// Range-shard `table` by `column` with explicit interval boundaries
     /// and per-interval shard assignment (`assign.len() == cuts.len()+1`).
-    pub fn with_range(mut self, table: &str, column: &str, cuts: Vec<i64>, assign: Vec<u32>) -> Self {
+    pub fn with_range(
+        mut self,
+        table: &str,
+        column: &str,
+        cuts: Vec<i64>,
+        assign: Vec<u32>,
+    ) -> Self {
         assert_eq!(assign.len(), cuts.len() + 1);
         assert!(cuts.windows(2).all(|w| w[0] < w[1]));
         assert!(assign.iter().all(|&s| s < self.shards));
@@ -201,31 +231,18 @@ impl ShardMap {
 
     /// The partition index (hash slot or range interval) owning `key`.
     pub fn part_for(&self, table: &str, key: i64) -> Option<u32> {
-        let spec = self.sharding(table)?;
-        Some(match &spec.scheme {
-            ShardScheme::Hash { slots } => (hash_key(key) % slots.len() as u64) as u32,
-            ShardScheme::Range { cuts, .. } => cuts.partition_point(|&c| c <= key) as u32,
-        })
+        Some(self.sharding(table)?.part_of(key) as u32)
     }
 
     /// The shard owning `key` in `table`; `None` when the table is
     /// replicated.
     pub fn shard_for(&self, table: &str, key: i64) -> Option<u32> {
-        let spec = self.sharding(table)?;
-        let part = self.part_for(table, key)?;
-        Some(match &spec.scheme {
-            ShardScheme::Hash { slots } => slots[part as usize],
-            ShardScheme::Range { assign, .. } => assign[part as usize],
-        })
+        Some(self.sharding(table)?.shard_of(key))
     }
 
     /// The shard currently assigned to partition `part` of `table`.
     pub fn assignment(&self, table: &str, part: u32) -> Option<u32> {
-        let spec = self.sharding(table)?;
-        match &spec.scheme {
-            ShardScheme::Hash { slots } => slots.get(part as usize).copied(),
-            ShardScheme::Range { assign, .. } => assign.get(part as usize).copied(),
-        }
+        self.sharding(table)?.assigned().get(part as usize).copied()
     }
 
     /// A successor map with partition `part` of `table` reassigned to
@@ -265,11 +282,6 @@ impl ShardMap {
         }
     }
 
-    /// All shards a partitioned table's rows may live on.
-    fn all_shards(&self, spec: &TableSharding) -> Vec<u32> {
-        self.shards_for_range(spec, None, None)
-    }
-
     /// Decide where `q` must run under this map. The filter's conjuncts
     /// (AND-connected top-level terms) are inspected for sargable
     /// constraints on the shard-key column — equality and `IN` pin shards
@@ -282,7 +294,7 @@ impl ShardMap {
         let Some(spec) = self.sharding(&q.table) else {
             return Route::Replicated;
         };
-        let mut targets = self.all_shards(spec);
+        let mut targets = self.shards_for_range(spec, None, None);
         if let Some(filter) = &q.filter {
             for conj in filter.conjuncts() {
                 if let Some(set) = self.conjunct_shards(spec, conj) {
@@ -305,7 +317,8 @@ impl ShardMap {
     /// The shard set one conjunct constrains the key column to, or `None`
     /// when the conjunct says nothing about shard placement.
     fn conjunct_shards(&self, spec: &TableSharding, conj: &Expr) -> Option<Vec<u32>> {
-        let col_matches = |e: &Expr| matches!(e, Expr::Name(n) if n.eq_ignore_ascii_case(&spec.column));
+        let col_matches =
+            |e: &Expr| matches!(e, Expr::Name(n) if n.eq_ignore_ascii_case(&spec.column));
         match conj {
             Expr::Cmp(op, a, b) => {
                 let (op, lit) = match (&**a, &**b) {
@@ -315,7 +328,7 @@ impl ShardMap {
                 };
                 let key = key_of(lit)?;
                 match op {
-                    CmpOp::Eq => Some(vec![self.shard_for_spec(spec, key)]),
+                    CmpOp::Eq => Some(vec![spec.shard_of(key)]),
                     CmpOp::Lt | CmpOp::Le => Some(self.shards_for_range(spec, None, Some(key))),
                     CmpOp::Gt | CmpOp::Ge => Some(self.shards_for_range(spec, Some(key), None)),
                     CmpOp::Ne => None,
@@ -341,20 +354,13 @@ impl ShardMap {
                     if v.is_null() {
                         continue;
                     }
-                    out.push(self.shard_for_spec(spec, key_of(v)?));
+                    out.push(spec.shard_of(key_of(v)?));
                 }
                 out.sort_unstable();
                 out.dedup();
                 Some(out)
             }
             _ => None,
-        }
-    }
-
-    fn shard_for_spec(&self, spec: &TableSharding, key: i64) -> u32 {
-        match &spec.scheme {
-            ShardScheme::Hash { slots } => slots[(hash_key(key) % slots.len() as u64) as usize],
-            ShardScheme::Range { cuts, assign } => assign[cuts.partition_point(|&c| c <= key)],
         }
     }
 }
@@ -384,7 +390,9 @@ pub struct ShardMapHandle {
 impl ShardMapHandle {
     /// Wrap an initial map.
     pub fn new(map: ShardMap) -> Arc<Self> {
-        hedc_obs::global().gauge("dm.shard.epoch").set(map.epoch as i64);
+        hedc_obs::global()
+            .gauge("dm.shard.epoch")
+            .set(map.epoch as i64);
         hedc_obs::global()
             .gauge("dm.shard.count")
             .set(i64::from(map.shards));
@@ -411,7 +419,9 @@ impl ShardMapHandle {
         if map.epoch <= cur.epoch {
             return false;
         }
-        hedc_obs::global().gauge("dm.shard.epoch").set(map.epoch as i64);
+        hedc_obs::global()
+            .gauge("dm.shard.epoch")
+            .set(map.epoch as i64);
         *cur = Arc::new(map);
         true
     }
@@ -463,7 +473,8 @@ impl SumAcc {
         }
     }
 
-    fn push(&mut self, partial: &Value) {
+    /// Fold one shard's partial in; `false` for a partial no SUM produces.
+    fn push(&mut self, partial: &Value) -> bool {
         match partial {
             Value::Null => {}
             Value::Int(i) => {
@@ -478,8 +489,9 @@ impl SumAcc {
                 self.is_int = false;
                 self.fsum += f;
             }
-            other => panic!("non-numeric SUM partial: {other:?}"),
+            _ => return false,
         }
+        true
     }
 
     fn sum_value(&self) -> Value {
@@ -535,9 +547,7 @@ impl FanoutPlan {
         // global window. Only `offset + limit` rows per shard can survive
         // the window, so that is all each shard returns (top-k pushdown).
         pushed.offset = None;
-        pushed.limit = q
-            .limit
-            .map(|l| q.offset.unwrap_or(0).saturating_add(l));
+        pushed.limit = q.limit.map(|l| q.offset.unwrap_or(0).saturating_add(l));
         let mut widened_by = 0;
         if !q.order_by.is_empty() {
             if let Projection::Columns(cols) = &q.projection {
@@ -576,7 +586,9 @@ impl FanoutPlan {
         let mut agg_merge = Vec::with_capacity(q.aggregates.len());
         for agg in &q.aggregates {
             let m = match agg {
-                AggFunc::CountStar => AggMerge::CountSum(index_of(AggFunc::CountStar, &mut partials)),
+                AggFunc::CountStar => {
+                    AggMerge::CountSum(index_of(AggFunc::CountStar, &mut partials))
+                }
                 AggFunc::Count(c) => {
                     AggMerge::CountSum(index_of(AggFunc::Count(c.clone()), &mut partials))
                 }
@@ -604,7 +616,10 @@ impl FanoutPlan {
     }
 
     /// Recombine per-shard partial results (one entry per scattered shard;
-    /// any positional order) into the original query's answer.
+    /// any positional order) into the original query's answer. The partials
+    /// arrive off the wire: one whose shape is not what [`Self::pushed`]
+    /// produces is a [`DmError::RemoteFailed`] naming its position, never a
+    /// panic.
     pub fn merge(&self, parts: Vec<QueryResult>) -> DmResult<QueryResult> {
         if self.agg_merge.is_empty() {
             self.merge_rows(parts)
@@ -613,46 +628,60 @@ impl FanoutPlan {
         }
     }
 
+    /// Every row of every partial must be `width` values wide — the merge
+    /// indexes rows by column position from here on.
+    fn check_widths(parts: &[QueryResult], width: usize) -> DmResult<()> {
+        for (k, part) in parts.iter().enumerate() {
+            if let Some(row) = part.rows.iter().find(|r| r.len() != width) {
+                return Err(malformed(
+                    k,
+                    format!("a row of {} values where {width} were pushed", row.len()),
+                ));
+            }
+        }
+        Ok(())
+    }
+
     fn merge_rows(&self, parts: Vec<QueryResult>) -> DmResult<QueryResult> {
         let q = &self.original;
         let mut stats = sum_stats(&parts);
         // Column labels of the merged (possibly widened) row set.
-        let columns: Vec<String> = parts
-            .first()
-            .map(|p| p.columns.clone())
-            .unwrap_or_default();
-        let mut rows: Vec<Vec<Value>>;
-        if q.order_by.is_empty() {
-            rows = parts.into_iter().flat_map(|p| p.rows).collect();
-        } else {
-            let keys: Vec<(usize, OrderDir)> = q
-                .order_by
-                .iter()
-                .map(|(c, d)| {
-                    columns
-                        .iter()
-                        .position(|l| l.eq_ignore_ascii_case(c))
-                        .map(|i| (i, *d))
-                        .ok_or_else(|| {
-                            DmError::BadQuery(format!("ORDER BY column `{c}` not in shard results"))
-                        })
-                })
-                .collect::<DmResult<_>>()?;
-            rows = merge_sorted(parts, &keys);
+        let mut columns: Vec<String> = parts.first().map(|p| p.columns.clone()).unwrap_or_default();
+        if let Some(k) = parts.iter().position(|p| p.columns.len() != columns.len()) {
+            return Err(malformed(
+                k,
+                format!(
+                    "{} columns where partial 0 has {}",
+                    parts[k].columns.len(),
+                    columns.len()
+                ),
+            ));
+        }
+        Self::check_widths(&parts, columns.len())?;
+        let keys: Vec<(usize, OrderDir)> = q
+            .order_by
+            .iter()
+            .map(|(c, d)| {
+                columns
+                    .iter()
+                    .position(|l| l.eq_ignore_ascii_case(c))
+                    .map(|i| (i, *d))
+                    .ok_or_else(|| malformed(0, format!("no ORDER BY column `{c}`")))
+            })
+            .collect::<DmResult<_>>()?;
+        let mut rows: Vec<Vec<Value>> = parts.into_iter().flat_map(|p| p.rows).collect();
+        if !keys.is_empty() {
+            // Each partial arrives sorted, so this is a merge of k runs; the
+            // sort is stable, so ties stay in shard-concatenation order.
+            rows.sort_by(|a, b| cmp_by_keys(a, b, &keys));
             stats.rows_sorted += rows.len();
         }
-        // Global window.
-        let offset = q.offset.unwrap_or(0);
-        if offset > 0 {
-            rows.drain(..offset.min(rows.len()));
-        }
-        if let Some(limit) = q.limit {
-            rows.truncate(limit);
-        }
-        // Strip ORDER BY carrier columns the plan widened the projection by.
-        let mut columns = columns;
+        apply_window(&mut rows, q);
+        // Strip the ORDER BY carrier columns the plan widened the projection
+        // by. Each resolved to a distinct column above, so there are at
+        // least that many.
         if self.widened_by > 0 {
-            let keep = columns.len() - self.widened_by;
+            let keep = columns.len().saturating_sub(self.widened_by);
             columns.truncate(keep);
             for r in &mut rows {
                 r.truncate(keep);
@@ -674,40 +703,43 @@ impl FanoutPlan {
 
         // Accumulate per group key. BTreeMap over Vec<Value> sorts groups
         // exactly like the executor's default group-key order.
+        #[derive(Clone)]
         struct GroupAcc {
             counts: Vec<i64>,
             sums: Vec<SumAcc>,
             mins: Vec<Option<Value>>,
             maxs: Vec<Option<Value>>,
         }
+        let empty = GroupAcc {
+            counts: vec![0; n_partials],
+            sums: vec![SumAcc::new(); n_partials],
+            mins: vec![None; n_partials],
+            maxs: vec![None; n_partials],
+        };
+        Self::check_widths(&parts, n_groups + n_partials)?;
         let mut groups: BTreeMap<Vec<Value>, GroupAcc> = BTreeMap::new();
-        for part in &parts {
+        for (k, part) in parts.iter().enumerate() {
             for row in &part.rows {
                 let key = row[..n_groups].to_vec();
-                let acc = groups.entry(key).or_insert_with(|| GroupAcc {
-                    counts: vec![0; n_partials],
-                    sums: vec![SumAcc::new(); n_partials],
-                    mins: vec![None; n_partials],
-                    maxs: vec![None; n_partials],
-                });
+                let acc = groups.entry(key).or_insert_with(|| empty.clone());
                 for (i, partial) in self.pushed.aggregates.iter().enumerate() {
                     let v = &row[n_groups + i];
                     match partial {
                         AggFunc::CountStar | AggFunc::Count(_) => {
                             acc.counts[i] += v.as_int().unwrap_or(0);
                         }
-                        AggFunc::Sum(_) => acc.sums[i].push(v),
+                        AggFunc::Sum(_) => {
+                            if !acc.sums[i].push(v) {
+                                return Err(malformed(k, format!("SUM partial {v:?}")));
+                            }
+                        }
                         AggFunc::Min(_) => {
-                            if !v.is_null()
-                                && acc.mins[i].as_ref().is_none_or(|m| v < m)
-                            {
+                            if !v.is_null() && acc.mins[i].as_ref().is_none_or(|m| v < m) {
                                 acc.mins[i] = Some(v.clone());
                             }
                         }
                         AggFunc::Max(_) => {
-                            if !v.is_null()
-                                && acc.maxs[i].as_ref().is_none_or(|m| v > m)
-                            {
+                            if !v.is_null() && acc.maxs[i].as_ref().is_none_or(|m| v > m) {
                                 acc.maxs[i] = Some(v.clone());
                             }
                         }
@@ -719,15 +751,7 @@ impl FanoutPlan {
         // An empty, ungrouped scatter still yields the executor's one row
         // of zeroes — every shard returned it; the merge keeps one.
         if groups.is_empty() && n_groups == 0 {
-            groups.insert(
-                Vec::new(),
-                GroupAcc {
-                    counts: vec![0; n_partials],
-                    sums: vec![SumAcc::new(); n_partials],
-                    mins: vec![None; n_partials],
-                    maxs: vec![None; n_partials],
-                },
-            );
+            groups.insert(Vec::new(), empty);
         }
 
         let mut labels: Vec<String> = q.group_by.clone();
@@ -780,19 +804,22 @@ impl FanoutPlan {
         } else if n_groups > 0 {
             stats.rows_sorted += rows.len();
         }
-        let offset = q.offset.unwrap_or(0);
-        if offset > 0 {
-            rows.drain(..offset.min(rows.len()));
-        }
-        if let Some(limit) = q.limit {
-            rows.truncate(limit);
-        }
+        apply_window(&mut rows, q);
         stats.rows_returned = rows.len();
         Ok(QueryResult {
             columns: labels,
             rows,
             stats,
         })
+    }
+}
+
+/// The original query's `OFFSET`/`LIMIT`, applied to the merged rows.
+fn apply_window(rows: &mut Vec<Vec<Value>>, q: &Query) {
+    let offset = q.offset.unwrap_or(0);
+    rows.drain(..offset.min(rows.len()));
+    if let Some(limit) = q.limit {
+        rows.truncate(limit);
     }
 }
 
@@ -823,76 +850,9 @@ fn sum_stats(parts: &[QueryResult]) -> ExecStats {
     }
 }
 
-/// K-way merge of per-shard sorted row sets by the resolved ORDER BY keys
-/// — the merge heap the top-k pushdown composes with. Ties break by
-/// (input position, row position), so the output is deterministic for a
-/// given part order and identical to a stable sort of the concatenation.
-fn merge_sorted(parts: Vec<QueryResult>, keys: &[(usize, OrderDir)]) -> Vec<Vec<Value>> {
-    struct HeapItem {
-        row: Vec<Value>,
-        part: usize,
-        pos: usize,
-        keys: *const [(usize, OrderDir)],
-    }
-    // SAFETY-free ordering: we only compare within one merge call, where
-    // `keys` outlives every item; store a raw pointer to avoid a lifetime
-    // parameter on the heap item. Kept simple by comparing through a
-    // helper that re-borrows.
-    impl HeapItem {
-        fn key_cmp(&self, other: &Self) -> Ordering {
-            let keys = unsafe { &*self.keys };
-            cmp_by_keys(&self.row, &other.row, keys)
-                .then(self.part.cmp(&other.part))
-                .then(self.pos.cmp(&other.pos))
-        }
-    }
-    impl PartialEq for HeapItem {
-        fn eq(&self, other: &Self) -> bool {
-            self.key_cmp(other) == Ordering::Equal
-        }
-    }
-    impl Eq for HeapItem {}
-    impl PartialOrd for HeapItem {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for HeapItem {
-        // BinaryHeap is a max-heap; reverse for ascending pop order.
-        fn cmp(&self, other: &Self) -> Ordering {
-            self.key_cmp(other).reverse()
-        }
-    }
-
-    let total: usize = parts.iter().map(|p| p.rows.len()).sum();
-    let mut iters: Vec<std::vec::IntoIter<Vec<Value>>> =
-        parts.into_iter().map(|p| p.rows.into_iter()).collect();
-    let mut heap = BinaryHeap::with_capacity(iters.len());
-    let keys_ptr: *const [(usize, OrderDir)] = keys;
-    for (part, it) in iters.iter_mut().enumerate() {
-        if let Some(row) = it.next() {
-            heap.push(HeapItem {
-                row,
-                part,
-                pos: 0,
-                keys: keys_ptr,
-            });
-        }
-    }
-    let mut out = Vec::with_capacity(total);
-    while let Some(item) = heap.pop() {
-        let HeapItem { row, part, pos, .. } = item;
-        out.push(row);
-        if let Some(next) = iters[part].next() {
-            heap.push(HeapItem {
-                row: next,
-                part,
-                pos: pos + 1,
-                keys: keys_ptr,
-            });
-        }
-    }
-    out
+/// A shard's partial result that the pushed query cannot have produced.
+fn malformed(part: usize, what: String) -> DmError {
+    DmError::RemoteFailed(format!("shard partial {part} is malformed: {what}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -918,37 +878,6 @@ struct RouteMetrics {
     fanout_batches: Arc<hedc_obs::Counter>,
     fanout_targets: Arc<hedc_obs::Counter>,
     shard_loss: Arc<hedc_obs::Counter>,
-}
-
-/// Run `call` once per target and return the answers in target order. The
-/// first target runs on the calling thread — which would otherwise only
-/// wait — and each of the others on a scoped thread that joins the caller's
-/// trace; a scatter with a single target spawns nothing.
-fn scatter<T: Sync, R: Send>(targets: &[T], call: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let Some((first, rest)) = targets.split_first() else {
-        return Vec::new();
-    };
-    let ctx = hedc_obs::current();
-    let call = &call;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = rest
-            .iter()
-            .map(|t| {
-                scope.spawn(move || {
-                    let _trace = hedc_obs::adopt(ctx);
-                    call(t)
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(targets.len());
-        out.push(call(first));
-        out.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scatter target panicked")),
-        );
-        out
-    })
 }
 
 impl ShardedDm {
@@ -1055,66 +984,59 @@ impl ShardedDm {
     }
 
     /// Route and execute `q`: one shard for pinned keys and replicated
-    /// tables, scatter-gather with partial-result merge otherwise.
+    /// tables, scatter-gather with partial-result merge otherwise. A cached
+    /// answer depends on the shard-scoped generations of every shard it was
+    /// assembled from.
     pub fn query(&self, q: &Query) -> DmResult<QueryResult> {
-        let map = self.map.current();
-        let route = map.route(q);
+        let route = self.map.current().route(q);
         let targets: Vec<u32> = match &route {
             Route::Single(s) => vec![*s],
             Route::Fanout(set) => set.clone(),
             Route::Replicated => vec![self.rotate_shard()],
         };
-        // Cache lookup + pre-read dependency snapshot over the shard-scoped
-        // generations of every shard this answer will be assembled from.
-        let deps: Option<DepSnapshot> = self
-            .cache
-            .as_ref()
-            .map(|c| c.generations().snapshot_shards(&targets, &q.table));
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.get(SHARD_SCOPE, q) {
-                return Ok(hit);
+        let fetch = || {
+            match route {
+                Route::Single(_) => self.metrics.point.inc(),
+                Route::Replicated => self.metrics.replicated.inc(),
+                Route::Fanout(_) => return self.gather(q, &targets),
             }
-        }
-        let metrics = &self.metrics;
-        let result = match route {
-            Route::Single(s) => {
-                metrics.point.inc();
-                self.shards[s as usize]
-                    .execute_query(q)
-                    .map_err(|e| Self::shard_err(s, e))?
-            }
-            Route::Replicated => {
-                metrics.replicated.inc();
-                let s = targets[0];
-                self.shards[s as usize]
-                    .execute_query(q)
-                    .map_err(|e| Self::shard_err(s, e))?
-            }
-            Route::Fanout(set) => {
-                metrics.fanout_queries.inc();
-                metrics.fanout_targets.add(set.len() as u64);
-                let plan = FanoutPlan::new(q);
-                let pushed = plan.pushed();
-                let replies = scatter(&set, |&s| self.shards[s as usize].execute_query(pushed));
-                let mut parts = Vec::with_capacity(replies.len());
-                for (&s, r) in set.iter().zip(replies) {
-                    match r {
-                        Ok(part) => parts.push(part),
-                        Err(e) => {
-                            if matches!(e, DmError::RemoteUnavailable(_)) {
-                                metrics.shard_loss.inc();
-                            }
-                            return Err(Self::shard_err(s, e));
-                        }
-                    }
-                }
-                plan.merge(parts)?
-            }
+            let s = targets[0];
+            self.shards[s as usize]
+                .execute_query(q)
+                .map_err(|e| Self::shard_err(s, e))
         };
-        if let (Some(cache), Some(deps)) = (&self.cache, deps) {
-            cache.fill(SHARD_SCOPE, q, &result, deps);
+        let deps = |_: &QueryCache| self.gens.snapshot_shards(&targets, &q.table);
+        QueryCache::read_through_deps(self.cache.as_ref(), SHARD_SCOPE, q, deps, fetch)
+    }
+
+    /// Scatter the pushed-down form of `q` over `set` and merge the
+    /// partials. A lost shard fails the whole read: its rows must not
+    /// silently go missing.
+    fn gather(&self, q: &Query, set: &[u32]) -> DmResult<QueryResult> {
+        let metrics = &self.metrics;
+        metrics.fanout_queries.inc();
+        metrics.fanout_targets.add(set.len() as u64);
+        let plan = FanoutPlan::new(q);
+        let pushed = plan.pushed();
+        let replies = scatter(set, |&s| self.shards[s as usize].execute_query(pushed));
+        let mut parts = Vec::with_capacity(replies.len());
+        for (&s, r) in set.iter().zip(replies) {
+            match r {
+                Ok(part) => parts.push(part),
+                Err(e) => {
+                    if matches!(e, DmError::RemoteUnavailable(_)) {
+                        metrics.shard_loss.inc();
+                    }
+                    return Err(Self::shard_err(s, e));
+                }
+            }
         }
-        Ok(result)
+        plan.merge(parts).map_err(|e| match e {
+            DmError::RemoteFailed(m) => {
+                DmError::RemoteFailed(format!("{m} (partials in shard order {set:?})"))
+            }
+            other => other,
+        })
     }
 
     /// The shard owning `item_id` for name resolution, per the
@@ -1135,14 +1057,9 @@ impl DmNode for ShardedDm {
     }
 
     fn resolve_names(&self, item_id: i64, want: NameType) -> DmResult<Vec<ResolvedName>> {
-        let map = self.map.current();
-        let s = self.item_shard(&map, item_id);
-        self.metrics.point.inc();
-        self.shards[s as usize]
-            .resolve_batch(&[item_id], want)
+        self.resolve_batch(&[item_id], want)
             .pop()
             .unwrap_or_else(|| Err(DmError::RemoteFailed("empty resolve batch".into())))
-            .map_err(|e| Self::shard_err(s, e))
     }
 
     fn resolve_batch(&self, item_ids: &[i64], want: NameType) -> Vec<DmResult<Vec<ResolvedName>>> {
@@ -1178,10 +1095,6 @@ impl DmNode for ShardedDm {
         out.into_iter()
             .map(|r| r.unwrap_or_else(|| Err(DmError::RemoteFailed("unrouted batch entry".into()))))
             .collect()
-    }
-
-    fn is_available(&self) -> bool {
-        true
     }
 }
 
@@ -1232,7 +1145,12 @@ pub struct MoveSpec {
 impl MoveSpec {
     /// Journal key: stable across retries of the same move.
     pub fn key(&self) -> String {
-        format!("{}:part{}->s{}", self.table.to_ascii_lowercase(), self.part, self.to)
+        format!(
+            "{}:part{}->s{}",
+            self.table.to_ascii_lowercase(),
+            self.part,
+            self.to
+        )
     }
 }
 
@@ -1297,9 +1215,9 @@ impl<'a> ShardMover<'a> {
     /// Rows of `spec.table` on shard `shard` that belong to the moved
     /// partition under `map`.
     fn owned_rows(&self, spec: &MoveSpec, map: &ShardMap, shard: u32) -> DmResult<Vec<Vec<Value>>> {
-        let sharding = map.sharding(&spec.table).ok_or_else(|| {
-            DmError::BadQuery(format!("table `{}` is not sharded", spec.table))
-        })?;
+        let sharding = map
+            .sharding(&spec.table)
+            .ok_or_else(|| DmError::BadQuery(format!("table `{}` is not sharded", spec.table)))?;
         let all = self.stores[shard as usize].query(&Query::table(&spec.table))?;
         let key_col = all
             .columns
@@ -1533,15 +1451,20 @@ mod tests {
         // Hash equality pins.
         let id = 77;
         let q = Query::table("loc_item").filter(Expr::eq("item_id", id));
-        assert_eq!(m.route(&q), Route::Single(m.shard_for("loc_item", id).unwrap()));
+        assert_eq!(
+            m.route(&q),
+            Route::Single(m.shard_for("loc_item", id).unwrap())
+        );
     }
 
     #[test]
     fn contradictory_pins_degenerate_to_one_shard() {
         let m = map2();
-        let q = Query::table("hle").filter(
-            Expr::cmp("time_end", CmpOp::Le, 10).and(Expr::cmp("time_end", CmpOp::Ge, 5000)),
-        );
+        let q = Query::table("hle").filter(Expr::cmp("time_end", CmpOp::Le, 10).and(Expr::cmp(
+            "time_end",
+            CmpOp::Ge,
+            5000,
+        )));
         assert!(matches!(m.route(&q), Route::Single(_)));
     }
 
@@ -1634,7 +1557,9 @@ mod tests {
                 access: AccessPath::FullScan,
             },
         };
-        let merged = plan.merge(vec![mk(&[1, 4, 9]), mk(&[2, 3, 10]), mk(&[5])]).unwrap();
+        let merged = plan
+            .merge(vec![mk(&[1, 4, 9]), mk(&[2, 3, 10]), mk(&[5])])
+            .unwrap();
         let got: Vec<i64> = merged.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(got, vec![1, 2, 3, 4, 5, 9, 10]);
         assert_eq!(merged.stats.rows_scanned, 7);

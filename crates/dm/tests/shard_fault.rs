@@ -88,23 +88,23 @@ impl DmNode for ShedFirst {
 fn hle_row(id: i64, time_end: i64, n_photons: i64) -> Vec<Value> {
     vec![
         Value::Int(id),
-        Value::Int(1),                      // owner
-        Value::Int(id % 16),                // item_id
-        Value::Timestamp(time_end - 10),    // time_start
-        Value::Timestamp(time_end),         // time_end
+        Value::Int(1),                   // owner
+        Value::Int(id % 16),             // item_id
+        Value::Timestamp(time_end - 10), // time_start
+        Value::Timestamp(time_end),      // time_end
         Value::Float(3.0),
         Value::Float(20_000.0),
-        Value::Text("flare".into()),        // event_type
+        Value::Text("flare".into()), // event_type
         Value::Null,
-        Value::Float((id % 7) as f64),      // peak_rate
+        Value::Float((id % 7) as f64), // peak_rate
         Value::Null,
         Value::Int(n_photons),
         Value::Int(1),
         Value::Int(1),
-        Value::Bool(true),                  // public
+        Value::Bool(true), // public
         Value::Null,
         Value::Null,
-        Value::Timestamp(time_end - 10),    // created_ms
+        Value::Timestamp(time_end - 10), // created_ms
         Value::Text("user".into()),
         Value::Null,
         Value::Null,

@@ -12,7 +12,7 @@
 //! replaces single-node scan order).
 
 use hedc_dm::{
-    schema, splitmix64, Clock, DmIo, DmNode, DmResult, FanoutPlan, IoConfig, NameType,
+    schema, splitmix64, Clock, DmError, DmIo, DmNode, DmResult, FanoutPlan, IoConfig, NameType,
     Partitioning, ShardMap, ShardedDm,
 };
 use hedc_filestore::FileStore;
@@ -93,30 +93,30 @@ fn hle_row(id: i64, rng: &mut Rng) -> Vec<Value> {
     };
     vec![
         Value::Int(id),
-        Value::Int(1 + rng.below(5) as i64),       // owner
-        Value::Int(rng.below(64) as i64),          // item_id
-        Value::Timestamp(t0),                      // time_start
-        Value::Timestamp(t0 + dur),                // time_end
-        Value::Float(3.0),                         // energy_lo
-        Value::Float(20_000.0),                    // energy_hi
-        Value::Text(kind.into()),                  // event_type
-        Value::Null,                               // flare_class
-        Value::Float(rng.below(1_000) as f64),     // peak_rate
-        Value::Null,                               // hardness
-        n_photons,                                 // n_photons
-        Value::Int(1),                             // calib_version
-        Value::Int(1),                             // version
-        Value::Bool(rng.below(2) == 0),            // public
-        Value::Null,                               // title
-        Value::Null,                               // notes
-        Value::Timestamp(t0),                      // created_ms
-        Value::Text("user".into()),                // source
-        Value::Null,                               // position_x
-        Value::Null,                               // position_y
-        Value::Null,                               // goes_flux
-        Value::Null,                               // active_region
-        Value::Int(rng.below(5) as i64),           // quality
-        Value::Bool(false),                        // obsolete
+        Value::Int(1 + rng.below(5) as i64),   // owner
+        Value::Int(rng.below(64) as i64),      // item_id
+        Value::Timestamp(t0),                  // time_start
+        Value::Timestamp(t0 + dur),            // time_end
+        Value::Float(3.0),                     // energy_lo
+        Value::Float(20_000.0),                // energy_hi
+        Value::Text(kind.into()),              // event_type
+        Value::Null,                           // flare_class
+        Value::Float(rng.below(1_000) as f64), // peak_rate
+        Value::Null,                           // hardness
+        n_photons,                             // n_photons
+        Value::Int(1),                         // calib_version
+        Value::Int(1),                         // version
+        Value::Bool(rng.below(2) == 0),        // public
+        Value::Null,                           // title
+        Value::Null,                           // notes
+        Value::Timestamp(t0),                  // created_ms
+        Value::Text("user".into()),            // source
+        Value::Null,                           // position_x
+        Value::Null,                           // position_y
+        Value::Null,                           // goes_flux
+        Value::Null,                           // active_region
+        Value::Int(rng.below(5) as i64),       // quality
+        Value::Bool(false),                    // obsolete
     ]
 }
 
@@ -288,6 +288,9 @@ fn sharded_answers_are_byte_identical_to_the_unsharded_oracle() {
     }
 }
 
+/// Partials arrive off the wire, so the merge is also fed each query's real
+/// partials damaged three ways — a short row, a text SUM partial, a missing
+/// ORDER BY column — and must answer `RemoteFailed`, never panic.
 #[test]
 fn merge_is_invariant_under_shuffled_reply_order() {
     let seed = effective_seed() ^ 0x00FF_F00D;
@@ -296,8 +299,21 @@ fn merge_is_invariant_under_shuffled_reply_order() {
     let shards = 5;
     let map = ShardMap::new(shards).with_hash("hle", "id", 16);
     let c = cluster(rng.next(), shards, map.clone(), 200);
-    for _ in 0..20u64 {
-        let q = ordered_query(&mut rng);
+    let mut queries: Vec<Query> = (0..20).map(|_| ordered_query(&mut rng)).collect();
+    // `time_end` is not projected: the plan widens the pushed projection by
+    // it, as a carrier the merge sorts on and then strips.
+    queries.push(
+        Query::table("hle")
+            .select(&["id"])
+            .order_by("time_end", OrderDir::Desc)
+            .order_by("id", OrderDir::Asc),
+    );
+    queries.push(
+        Query::table("hle")
+            .group_by("event_type")
+            .aggregate(AggFunc::Sum("n_photons".into())),
+    );
+    for q in queries {
         let plan = FanoutPlan::new(&q);
         // Collect each shard's partial directly, then merge under several
         // seeded permutations of the reply order.
@@ -322,6 +338,39 @@ fn merge_is_invariant_under_shuffled_reply_order() {
                 shuffled.rows, reference.rows,
                 "totally-ordered merge must not depend on reply order: {q:?}"
             );
+        }
+
+        let rejects = |bad: Vec<QueryResult>, what: &str| {
+            let got = plan.merge(bad);
+            assert!(
+                matches!(got, Err(DmError::RemoteFailed(_))),
+                "{what} must be RemoteFailed for {q:?}, got {got:?}"
+            );
+        };
+        let Some(k) = parts.iter().position(|p| !p.rows.is_empty()) else {
+            continue;
+        };
+        let mut short = parts.clone();
+        short[k].rows[0].pop();
+        rejects(short, "a short row");
+        if q.aggregates.is_empty() {
+            // Every shard drops the first ORDER BY column — for the widened
+            // query that is the carrier.
+            let mut narrow = parts.clone();
+            for p in &mut narrow {
+                let at = p
+                    .columns
+                    .iter()
+                    .position(|c| c.eq_ignore_ascii_case(&q.order_by[0].0))
+                    .expect("pushed projection carries the ORDER BY column");
+                p.columns.remove(at);
+                p.rows.iter_mut().for_each(|r| drop(r.remove(at)));
+            }
+            rejects(narrow, "a missing ORDER BY column");
+        } else {
+            let mut text = parts.clone();
+            *text[k].rows[0].last_mut().unwrap() = Value::Text("NaN".into());
+            rejects(text, "a text SUM partial");
         }
     }
 }
@@ -418,7 +467,11 @@ fn point_and_batch_resolution_route_like_the_oracle() {
     // scatter reached a real shard (a routing hole would error).
     for (i, r) in results.iter().enumerate() {
         let names = r.as_ref().unwrap_or_else(|e| {
-            panic!("id {} (shard {:?}): {e}", ids[i], map.shard_for("loc_item", ids[i]))
+            panic!(
+                "id {} (shard {:?}): {e}",
+                ids[i],
+                map.shard_for("loc_item", ids[i])
+            )
         });
         assert!(names.is_empty());
     }

@@ -269,18 +269,103 @@ impl NetDm {
         self.set_health(up);
         up
     }
-}
 
-/// Response variant label for "unexpected answer" diagnostics.
-fn variant_name(r: &Response) -> &'static str {
-    match r {
-        Response::Pong { .. } => "pong",
-        Response::Result(_) => "query result",
-        Response::Names(_) => "name list",
-        Response::Batch(_) => "batch",
-        Response::Redirect { .. } => "shard redirect",
-        Response::ShardMap(_) => "shard map",
-        Response::Error(_) => "error",
+    /// The one remote call: `request` under a `net.rpc.client` span, with
+    /// retries, the latency histogram and the health verdict. A peer that
+    /// answered is up — also when it answered with an error, unless that
+    /// error says it is going away; a dead transport is
+    /// [`DmError::RemoteUnavailable`]. Callers only pick the variant they
+    /// asked for out of the `Ok`.
+    fn call(&self, request: Request) -> DmResult<Response> {
+        let span = hedc_obs::Span::child("net.rpc.client");
+        let start = Instant::now();
+        let outcome = self.exchange(&request);
+        self.metrics
+            .rpc
+            .record_us(start.elapsed().as_micros() as u64);
+        drop(span);
+        match outcome {
+            Some(Response::Error(e)) => {
+                self.set_health(e.kind != WireErrorKind::Unavailable);
+                Err(e.into_dm(&self.label))
+            }
+            Some(response) => {
+                self.set_health(true);
+                Ok(response)
+            }
+            None => {
+                self.set_health(false);
+                self.metrics.unavailable.inc();
+                Err(DmError::RemoteUnavailable(format!(
+                    "{} ({})",
+                    self.label, self.addr
+                )))
+            }
+        }
+    }
+
+    /// `entries` in **one frame**, answered positionally: `pick` takes the
+    /// expected variant out of each entry's response, an entry the server
+    /// failed carries its own error, and a failure of the frame as a whole
+    /// is every entry's error. An empty batch sends nothing.
+    fn call_batch<T: Clone>(
+        &self,
+        entries: Vec<Request>,
+        pick: impl Fn(Response) -> DmResult<T>,
+    ) -> Vec<DmResult<T>> {
+        let n = entries.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let whole = match self.call(Request::Batch(entries)) {
+            Ok(Response::Batch(responses)) => {
+                let mut responses = responses.into_iter();
+                return (0..n)
+                    .map(|_| match responses.next() {
+                        Some(Response::Error(e)) => Err(e.into_dm(&self.label)),
+                        Some(response) => pick(response),
+                        None => Err(DmError::RemoteFailed(format!(
+                            "{}: batch response truncated",
+                            self.label
+                        ))),
+                    })
+                    .collect();
+            }
+            Ok(other) => self.unexpected(&other, "a batch"),
+            Err(e) => e,
+        };
+        vec![Err(whole); n]
+    }
+
+    /// The error for a well-formed response of the wrong variant.
+    fn unexpected(&self, got: &Response, asked: &str) -> DmError {
+        let got = match got {
+            Response::Pong { .. } => "pong",
+            Response::Result(_) => "query result",
+            Response::Names(_) => "name list",
+            Response::Batch(_) => "batch",
+            Response::Redirect { .. } => "shard redirect",
+            Response::ShardMap(_) => "shard map",
+            Response::Error(_) => "error",
+        };
+        DmError::RemoteFailed(format!(
+            "{}: unexpected {got} in answer to {asked}",
+            self.label
+        ))
+    }
+
+    fn pick_result(&self, response: Response) -> DmResult<QueryResult> {
+        match response {
+            Response::Result(r) => Ok(r),
+            other => Err(self.unexpected(&other, "a query")),
+        }
+    }
+
+    fn pick_names(&self, response: Response) -> DmResult<Vec<ResolvedName>> {
+        match response {
+            Response::Names(names) => Ok(names),
+            other => Err(self.unexpected(&other, "a resolve")),
+        }
     }
 }
 
@@ -317,57 +402,8 @@ impl DmNode for NetDm {
     }
 
     fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.get(CLIENT_SCOPE, q) {
-                return Ok(hit);
-            }
-        }
-        // Snapshot before the exchange so the entry's TTL covers the whole
-        // round trip rather than starting after it.
-        let deps = self.cache.as_ref().map(|c| c.snapshot(q));
-        let span = hedc_obs::Span::child("net.rpc.client");
-        let start = Instant::now();
-        let outcome = self.exchange(&Request::Query(q.clone()));
-        self.metrics
-            .rpc
-            .record_us(start.elapsed().as_micros() as u64);
-        drop(span);
-        match outcome {
-            Some(Response::Result(r)) => {
-                self.set_health(true);
-                if let (Some(cache), Some(deps)) = (&self.cache, deps) {
-                    cache.fill(CLIENT_SCOPE, q, &r, deps);
-                }
-                Ok(r)
-            }
-            Some(Response::Error(e)) => {
-                // The node answered: it is up, even if this request failed.
-                self.set_health(!matches!(e.kind, crate::proto::WireErrorKind::Unavailable));
-                Err(e.into_dm(&self.label))
-            }
-            Some(other) => Err(DmError::RemoteFailed(format!(
-                "{}: unexpected {} in answer to a query",
-                self.label,
-                variant_name(&other)
-            ))),
-            None => {
-                self.set_health(false);
-                self.metrics.unavailable.inc();
-                if let Some(cache) = &self.cache {
-                    if let Some(stale) = cache.get_stale(CLIENT_SCOPE, q) {
-                        hedc_obs::emit(
-                            hedc_obs::events::kind::CACHE_DEGRADED,
-                            format!("{} unreachable, serving stale cached result", self.label),
-                        );
-                        return Ok(stale);
-                    }
-                }
-                Err(DmError::RemoteUnavailable(format!(
-                    "{} ({})",
-                    self.label, self.addr
-                )))
-            }
-        }
+        let fetch = || self.pick_result(self.call(Request::Query(q.clone()))?);
+        QueryCache::read_through(self.cache.as_ref(), CLIENT_SCOPE, q, fetch)
     }
 
     /// All queries in **one frame**: cached entries are answered locally,
@@ -376,154 +412,38 @@ impl DmNode for NetDm {
     /// per entry — stale cache where available, `RemoteUnavailable`
     /// otherwise — exactly like the single-query path.
     fn execute_batch(&self, qs: &[Query]) -> Vec<DmResult<QueryResult>> {
-        if qs.is_empty() {
-            return Vec::new();
-        }
         let mut out: Vec<Option<DmResult<QueryResult>>> = (0..qs.len()).map(|_| None).collect();
-        let mut miss: Vec<usize> = Vec::new();
+        let mut misses = Vec::new();
         for (i, q) in qs.iter().enumerate() {
-            if let Some(cache) = &self.cache {
-                if let Some(hit) = cache.get(CLIENT_SCOPE, q) {
-                    out[i] = Some(Ok(hit));
-                    continue;
-                }
+            match &self.cache {
+                Some(cache) => match cache.begin(CLIENT_SCOPE, q, || cache.snapshot(q)) {
+                    Ok(hit) => out[i] = Some(Ok(hit)),
+                    Err(miss) => misses.push((i, Some(miss))),
+                },
+                None => misses.push((i, None)),
             }
-            miss.push(i);
         }
-        if miss.is_empty() {
-            return out.into_iter().map(|r| r.unwrap()).collect();
-        }
-        // Snapshot dependencies for every miss before the exchange, per the
-        // pre-read snapshot rule.
-        let mut deps: Vec<_> = miss
+        let entries = misses
             .iter()
-            .map(|&i| self.cache.as_ref().map(|c| c.snapshot(&qs[i])))
+            .map(|&(i, _)| Request::Query(qs[i].clone()))
             .collect();
-        let entries: Vec<Request> = miss
-            .iter()
-            .map(|&i| Request::Query(qs[i].clone()))
-            .collect();
-        let span = hedc_obs::Span::child("net.rpc.client");
-        let start = Instant::now();
-        let outcome = self.exchange(&Request::Batch(entries));
-        self.metrics
-            .rpc
-            .record_us(start.elapsed().as_micros() as u64);
-        drop(span);
-        match outcome {
-            Some(Response::Batch(responses)) => {
-                self.set_health(true);
-                let mut responses = responses.into_iter();
-                for (k, &i) in miss.iter().enumerate() {
-                    out[i] = Some(match responses.next() {
-                        Some(Response::Result(r)) => {
-                            if let (Some(cache), Some(Some(dep))) =
-                                (&self.cache, deps.get_mut(k).map(Option::take))
-                            {
-                                cache.fill(CLIENT_SCOPE, &qs[i], &r, dep);
-                            }
-                            Ok(r)
-                        }
-                        Some(Response::Error(e)) => Err(e.into_dm(&self.label)),
-                        Some(other) => Err(DmError::RemoteFailed(format!(
-                            "{}: unexpected {} in batch answer",
-                            self.label,
-                            variant_name(&other)
-                        ))),
-                        None => Err(DmError::RemoteFailed(format!(
-                            "{}: batch response truncated",
-                            self.label
-                        ))),
-                    });
-                }
-            }
-            Some(Response::Error(e)) => {
-                self.set_health(!matches!(e.kind, crate::proto::WireErrorKind::Unavailable));
-                let shared = e.into_dm(&self.label);
-                for &i in &miss {
-                    out[i] = Some(Err(shared.clone()));
-                }
-            }
-            Some(other) => {
-                let err = DmError::RemoteFailed(format!(
-                    "{}: unexpected {} in answer to a batch",
-                    self.label,
-                    variant_name(&other)
-                ));
-                for &i in &miss {
-                    out[i] = Some(Err(err.clone()));
-                }
-            }
-            None => {
-                self.set_health(false);
-                self.metrics.unavailable.inc();
-                let mut served_stale = false;
-                for &i in &miss {
-                    out[i] = Some(
-                        match self
-                            .cache
-                            .as_ref()
-                            .and_then(|c| c.get_stale(CLIENT_SCOPE, &qs[i]))
-                        {
-                            Some(stale) => {
-                                served_stale = true;
-                                Ok(stale)
-                            }
-                            None => Err(DmError::RemoteUnavailable(format!(
-                                "{} ({})",
-                                self.label, self.addr
-                            ))),
-                        },
-                    );
-                }
-                if served_stale {
-                    hedc_obs::emit(
-                        hedc_obs::events::kind::CACHE_DEGRADED,
-                        format!(
-                            "{} unreachable, serving stale cached batch entries",
-                            self.label
-                        ),
-                    );
-                }
-            }
+        let answers = self.call_batch(entries, |r| self.pick_result(r));
+        for ((i, miss), answer) in misses.into_iter().zip(answers) {
+            out[i] = Some(match (&self.cache, miss) {
+                (Some(cache), Some(miss)) => cache.finish(miss, &qs[i], answer),
+                _ => answer,
+            });
         }
-        out.into_iter().map(|r| r.unwrap()).collect()
+        out.into_iter()
+            .map(|slot| slot.expect("every batch entry hit or was answered"))
+            .collect()
     }
 
     fn resolve_names(&self, item_id: i64, want: NameType) -> DmResult<Vec<ResolvedName>> {
-        let span = hedc_obs::Span::child("net.rpc.client");
-        let start = Instant::now();
-        let outcome = self.exchange(&Request::Resolve {
+        self.pick_names(self.call(Request::Resolve {
             item_id,
             name_type: want,
-        });
-        self.metrics
-            .rpc
-            .record_us(start.elapsed().as_micros() as u64);
-        drop(span);
-        match outcome {
-            Some(Response::Names(names)) => {
-                self.set_health(true);
-                Ok(names)
-            }
-            Some(Response::Error(e)) => {
-                self.set_health(!matches!(e.kind, crate::proto::WireErrorKind::Unavailable));
-                Err(e.into_dm(&self.label))
-            }
-            Some(other) => Err(DmError::RemoteFailed(format!(
-                "{}: unexpected {} in answer to a resolve",
-                self.label,
-                variant_name(&other)
-            ))),
-            None => {
-                self.set_health(false);
-                self.metrics.unavailable.inc();
-                Err(DmError::RemoteUnavailable(format!(
-                    "{} ({})",
-                    self.label, self.addr
-                )))
-            }
-        }
+        })?)
     }
 
     /// The whole name-mapping batch in one round trip: N `Resolve` entries
@@ -532,74 +452,14 @@ impl DmNode for NetDm {
     /// A transport failure marks **every** entry `RemoteUnavailable` so the
     /// router fails the chunk over wholesale.
     fn resolve_batch(&self, item_ids: &[i64], want: NameType) -> Vec<DmResult<Vec<ResolvedName>>> {
-        if item_ids.is_empty() {
-            return Vec::new();
-        }
-        let entries: Vec<Request> = item_ids
+        let entries = item_ids
             .iter()
             .map(|&item_id| Request::Resolve {
                 item_id,
                 name_type: want,
             })
             .collect();
-        let span = hedc_obs::Span::child("net.rpc.client");
-        let start = Instant::now();
-        let outcome = self.exchange(&Request::Batch(entries));
-        self.metrics
-            .rpc
-            .record_us(start.elapsed().as_micros() as u64);
-        drop(span);
-        match outcome {
-            Some(Response::Batch(responses)) => {
-                self.set_health(true);
-                let mut out: Vec<DmResult<Vec<ResolvedName>>> = responses
-                    .into_iter()
-                    .take(item_ids.len())
-                    .map(|r| match r {
-                        Response::Names(names) => Ok(names),
-                        Response::Error(e) => Err(e.into_dm(&self.label)),
-                        other => Err(DmError::RemoteFailed(format!(
-                            "{}: unexpected {} in batch answer",
-                            self.label,
-                            variant_name(&other)
-                        ))),
-                    })
-                    .collect();
-                while out.len() < item_ids.len() {
-                    out.push(Err(DmError::RemoteFailed(format!(
-                        "{}: batch response truncated",
-                        self.label
-                    ))));
-                }
-                out
-            }
-            Some(Response::Error(e)) => {
-                self.set_health(!matches!(e.kind, crate::proto::WireErrorKind::Unavailable));
-                let shared = e.into_dm(&self.label);
-                item_ids.iter().map(|_| Err(shared.clone())).collect()
-            }
-            Some(other) => {
-                let err = DmError::RemoteFailed(format!(
-                    "{}: unexpected {} in answer to a batch",
-                    self.label,
-                    variant_name(&other)
-                ));
-                item_ids.iter().map(|_| Err(err.clone())).collect()
-            }
-            None => {
-                self.set_health(false);
-                self.metrics.unavailable.inc();
-                item_ids
-                    .iter()
-                    .map(|_| {
-                        Err(DmError::RemoteUnavailable(format!(
-                            "{} ({})",
-                            self.label, self.addr
-                        )))
-                    })
-                    .collect()
-            }
-        }
+        self.call_batch(entries, |r| self.pick_names(r))
     }
 
     fn is_available(&self) -> bool {

@@ -41,10 +41,11 @@
 //!
 //! Everything here is std + serde: no async runtime, no networking crates.
 //! Readiness comes from `poll(2)`, declared in one small private module
-//! (the crate's only `unsafe`); nothing sleeps on a timer, and an idle
-//! server wakes no thread. The serving thread count stays fixed as client
-//! count grows (the §5 lesson: bound concurrency and reject work you
-//! cannot finish).
+//! (the only `unsafe` in the workspace's library crates; `hedc-dm`,
+//! `hedc-cache` and `hedc-metadb` forbid it); nothing sleeps on a timer,
+//! and an idle server wakes no thread. The serving thread count stays
+//! fixed as client count grows (the §5 lesson: bound concurrency and
+//! reject work you cannot finish).
 
 #![warn(missing_docs)]
 

@@ -3,8 +3,9 @@
 //! The reader shards park here — over their connection sockets plus a wake
 //! channel — instead of sweeping nonblocking sockets on a timer. std links
 //! libc already, so the one foreign function is declared here rather than
-//! pulled in through a crate; this module is the only `unsafe` in
-//! `hedc-net`.
+//! pulled in through a crate; this module is the only `unsafe` in the
+//! workspace's library crates (the `store_bench` binary makes one raw
+//! `setpriority` syscall of its own).
 
 use std::ffi::{c_int, c_short};
 use std::io;

@@ -11,11 +11,18 @@
 //! `HEDC_TEST_SEED`).
 
 use hedc_cache::CacheConfig;
-use hedc_dm::{Dm, DmConfig, DmError, DmNode, DmRouter, FaultPlan, FaultyDmNode, NameType};
+use hedc_dm::{
+    Dm, DmConfig, DmError, DmNode, DmResult, DmRouter, FaultPlan, FaultyDmNode, NameType,
+    ResolvedName, ShardMap,
+};
 use hedc_filestore::{Archive, ArchiveTier, FileStore};
-use hedc_metadb::{Expr, Query};
+use hedc_metadb::{AccessPath, ExecStats, Expr, Query, QueryResult, Value};
+use hedc_net::frame::{self, Frame, FrameKind};
+use hedc_net::proto::{self, Request, Response, WireError, WireErrorKind};
 use hedc_net::{DmServer, NetConfig, NetDm, ServerConfig};
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 fn dm_node() -> Arc<Dm> {
@@ -59,6 +66,17 @@ fn browse_query() -> Query {
     Query::table("catalog").filter(Expr::eq("public", true))
 }
 
+/// `net.client.unavailable` is one process-wide counter and the tests of
+/// this file share a process: every test that drives a client into a dead
+/// transport holds this, so [`one_call_path_maps_every_peer_answer`] can
+/// assert exact deltas.
+fn dead_transport_serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn query_roundtrip_over_loopback() {
     let (_server, client) = boot("rt-node");
@@ -70,16 +88,8 @@ fn query_roundtrip_over_loopback() {
 }
 
 #[test]
-fn remote_query_errors_do_not_look_like_outages() {
-    let (_server, client) = boot("err-node");
-    let err = client.execute_query(&Query::table("nope")).unwrap_err();
-    assert!(matches!(err, DmError::BadQuery(_)), "{err:?}");
-    // The node answered; it must still count as available.
-    assert!(client.is_available());
-}
-
-#[test]
 fn dead_server_is_unavailable_and_probe_recovers() {
+    let _serial = dead_transport_serial();
     let (mut server, client) = boot("probe-node");
     assert!(client.is_available());
     server.shutdown();
@@ -129,6 +139,7 @@ fn client_and_server_spans_share_one_trace() {
 /// seed: a failing run replays with `scripts/check.sh --seed <seed>`.
 #[test]
 fn failover_completes_every_request_when_a_node_dies_mid_run() {
+    let _serial = dead_transport_serial();
     // Node A drops ~15% of requests and drags out another ~5% even before
     // it is killed. Only unavailability is injected — RemoteFailed means
     // "the node is up, the query is bad" and is deliberately not failed
@@ -217,6 +228,7 @@ fn failover_completes_every_request_when_a_node_dies_mid_run() {
 /// the event log.
 #[test]
 fn warm_client_cache_survives_backend_outage_read_only() {
+    let _serial = dead_transport_serial();
     let (mut server, _) = boot("warm-node");
     let client =
         NetDm::connect(server.local_addr(), "warm-node", fast_config()).with_cache(&CacheConfig {
@@ -404,4 +416,305 @@ fn rpc_metrics_are_recorded() {
             .unwrap_or(0);
         assert!(value > 0, "counter {counter} should be non-zero");
     }
+}
+
+// ---------------------------------------------------------------------------
+// The one call path, against a scripted peer
+// ---------------------------------------------------------------------------
+
+/// What the scripted peer does with every request that is not a ping.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Script {
+    /// The variant the request asks for.
+    Expected,
+    /// A typed wire error.
+    Error(WireErrorKind),
+    /// A well-formed response no `DmNode` method asks for.
+    WrongVariant,
+    /// A batch answer one entry short (a bare empty batch to a single call).
+    TruncatedBatch,
+    /// Hang up without answering.
+    CloseSocket,
+}
+
+fn canned_result() -> QueryResult {
+    QueryResult {
+        columns: vec!["id".into()],
+        rows: vec![vec![Value::Int(7)]],
+        stats: ExecStats {
+            rows_scanned: 1,
+            rows_returned: 1,
+            rows_sorted: 0,
+            access: AccessPath::FullScan,
+        },
+    }
+}
+
+fn canned_name(item_id: i64, name_type: NameType) -> ResolvedName {
+    ResolvedName {
+        entry_id: item_id,
+        name_type,
+        archive_id: 1,
+        archive_path: format!("raw/{item_id}"),
+        entry_path: format!("{item_id}"),
+        full_name: format!("file:hedc/raw/{item_id}#{item_id}"),
+        url: None,
+        size: 1,
+        role: "data".into(),
+        transforms: Vec::new(),
+    }
+}
+
+fn expected_answer(request: &Request) -> Response {
+    match request {
+        Request::Query(_) => Response::Result(canned_result()),
+        Request::Resolve { item_id, name_type } => {
+            Response::Names(vec![canned_name(*item_id, *name_type)])
+        }
+        Request::Batch(entries) => Response::Batch(entries.iter().map(expected_answer).collect()),
+        other => panic!("the four DmNode methods never send {other:?}"),
+    }
+}
+
+/// A loopback listener speaking the frame protocol from a [`Script`] the
+/// test flips between calls. Pings always get a pong, so only the call
+/// under test decides the client's health verdict.
+struct ScriptedPeer {
+    addr: SocketAddr,
+    script: Arc<Mutex<Script>>,
+    stop: Arc<AtomicBool>,
+    acceptor: Option<std::thread::JoinHandle<()>>,
+}
+
+impl ScriptedPeer {
+    fn start() -> ScriptedPeer {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().unwrap();
+        let script = Arc::new(Mutex::new(Script::Expected));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (script2, stop2) = (Arc::clone(&script), Arc::clone(&stop));
+        let acceptor = std::thread::spawn(move || {
+            let mut conns = Vec::new();
+            for stream in listener.incoming() {
+                if stop2.load(Ordering::SeqCst) {
+                    break;
+                }
+                let (stream, script) = (stream.expect("accept"), Arc::clone(&script2));
+                conns.push(std::thread::spawn(move || Self::serve(stream, &script)));
+            }
+            for conn in conns {
+                conn.join().expect("scripted connection panicked");
+            }
+        });
+        ScriptedPeer {
+            addr,
+            script,
+            stop,
+            acceptor: Some(acceptor),
+        }
+    }
+
+    fn set(&self, script: Script) {
+        *self.script.lock().unwrap() = script;
+    }
+
+    /// One connection: answer frames until the client hangs up or the
+    /// script says to.
+    fn serve(mut stream: TcpStream, script: &Mutex<Script>) {
+        stream.set_nodelay(true).unwrap();
+        while let Ok(request) = frame::read_frame(&mut stream) {
+            let message: Request = proto::decode(&request.payload).expect("client sent a request");
+            let script = *script.lock().unwrap();
+            let answer = match (&message, script) {
+                (Request::Ping, _) => Response::Pong {
+                    node_id: "scripted".into(),
+                    epoch: 0,
+                },
+                (_, Script::Expected) => expected_answer(&message),
+                (_, Script::Error(kind)) => Response::Error(WireError {
+                    kind,
+                    message: "scripted".into(),
+                }),
+                (_, Script::WrongVariant) => Response::ShardMap(ShardMap::new(1)),
+                (Request::Batch(entries), Script::TruncatedBatch) => {
+                    Response::Batch(entries.iter().skip(1).map(expected_answer).collect())
+                }
+                (_, Script::TruncatedBatch) => Response::Batch(Vec::new()),
+                (_, Script::CloseSocket) => return,
+            };
+            let reply = Frame {
+                kind: FrameKind::Response,
+                payload: proto::encode(&answer).unwrap(),
+                ..request
+            };
+            if frame::write_frame(&mut stream, &reply).is_err() {
+                return;
+            }
+        }
+    }
+
+    /// Stop accepting and wait for every connection to drain. Call after
+    /// the clients are dropped: a connection ends when its client hangs up.
+    fn shutdown(mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr); // wake the acceptor
+        self.acceptor
+            .take()
+            .unwrap()
+            .join()
+            .expect("acceptor panicked");
+    }
+}
+
+/// The outcome classes the table distinguishes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Outcome {
+    Ok,
+    Unavailable,
+    BadQuery,
+    Failed,
+    Overloaded,
+    ShardLost(u32),
+}
+
+fn outcome<T>(r: &DmResult<T>) -> Outcome {
+    match r {
+        Ok(_) => Outcome::Ok,
+        Err(DmError::RemoteUnavailable(_)) => Outcome::Unavailable,
+        Err(DmError::BadQuery(_)) => Outcome::BadQuery,
+        Err(DmError::RemoteFailed(_)) => Outcome::Failed,
+        Err(DmError::Overloaded(_)) => Outcome::Overloaded,
+        Err(DmError::ShardUnavailable { shard, .. }) => Outcome::ShardLost(*shard),
+        Err(other) => panic!("no wire answer maps to {other:?}"),
+    }
+}
+
+/// Every `DmNode` method of `NetDm` goes through the one `call`: whatever
+/// the peer answers, each method must map it to the same error class, the
+/// same health verdict and the same `net.client.unavailable` count — and,
+/// with a cache attached, degrade to the stale entry for exactly the
+/// outage classes.
+#[test]
+fn one_call_path_maps_every_peer_answer() {
+    let _serial = dead_transport_serial();
+    // (peer script, outcome of each entry, node still up, transport dead,
+    // stale entry served)
+    let table = [
+        (Script::Expected, Outcome::Ok, true, false, false),
+        (
+            Script::Error(WireErrorKind::Unavailable),
+            Outcome::Unavailable,
+            false,
+            false,
+            true,
+        ),
+        (
+            Script::Error(WireErrorKind::Rejected),
+            Outcome::BadQuery,
+            true,
+            false,
+            false,
+        ),
+        (
+            Script::Error(WireErrorKind::Failed),
+            Outcome::Failed,
+            true,
+            false,
+            false,
+        ),
+        (
+            Script::Error(WireErrorKind::Overloaded),
+            Outcome::Overloaded,
+            true,
+            false,
+            true,
+        ),
+        (
+            Script::Error(WireErrorKind::ShardUnavailable(3)),
+            Outcome::ShardLost(3),
+            true,
+            false,
+            false,
+        ),
+        (Script::WrongVariant, Outcome::Failed, true, false, false),
+        (Script::TruncatedBatch, Outcome::Failed, true, false, false),
+        (Script::CloseSocket, Outcome::Unavailable, false, true, true),
+    ];
+
+    let peer = ScriptedPeer::start();
+    // A health verdict outlives the whole table, so `is_available` reports
+    // what the last call concluded instead of pinging the (always
+    // answering) peer again.
+    let config = NetConfig {
+        health_ttl: Duration::from_secs(600),
+        ..fast_config()
+    };
+    let unavailable = hedc_obs::global().counter("net.client.unavailable");
+    let (q1, q2) = (browse_query(), Query::table("hle"));
+
+    for (script, want, up, dead, stale) in table {
+        let client = NetDm::connect(peer.addr, "scripted", config);
+        // TTL zero: every entry is expired the moment it is filled, so a
+        // warmed client still crosses the wire on every call.
+        let cached =
+            NetDm::connect(peer.addr, "scripted-cached", config).with_cache(&CacheConfig {
+                ttl: Some(Duration::ZERO),
+                ..CacheConfig::default()
+            });
+        peer.set(Script::Expected);
+        cached.execute_query(&q1).expect("warm q1");
+        cached.execute_query(&q2).expect("warm q2");
+        peer.set(script);
+
+        // A batch's entries all share the outcome, except that a truncated
+        // batch still answers its leading entries.
+        let batch_want = match script {
+            Script::TruncatedBatch => vec![Outcome::Ok, want],
+            _ => vec![want, want],
+        };
+        let check = |method: &str, want: &[Outcome], call: &dyn Fn() -> Vec<Outcome>| {
+            let before = unavailable.get();
+            assert_eq!(call(), want, "{script:?} {method}");
+            assert_eq!(client.is_available(), up, "{script:?} {method}: health");
+            assert_eq!(
+                unavailable.get() - before,
+                u64::from(dead),
+                "{script:?} {method}: net.client.unavailable"
+            );
+        };
+        check("execute_query", &[want], &|| {
+            vec![outcome(&client.execute_query(&q1))]
+        });
+        check("execute_batch", &batch_want, &|| {
+            let got = client.execute_batch(&[q1.clone(), q2.clone()]);
+            got.iter().map(outcome).collect()
+        });
+        check("resolve_names", &[want], &|| {
+            vec![outcome(&client.resolve_names(5, NameType::File))]
+        });
+        check("resolve_batch", &batch_want, &|| {
+            let got = client.resolve_batch(&[5, 6], NameType::File);
+            got.iter().map(outcome).collect()
+        });
+
+        // The cached client: the outage classes degrade to the warmed
+        // entries, every other answer is the uncached one.
+        let stale_before = cached.cache().unwrap().stats().stale_serves;
+        let single = cached.execute_query(&q1);
+        let batch = cached.execute_batch(&[q1.clone(), q2.clone()]);
+        if stale {
+            assert_eq!(single.expect("stale q1").rows, canned_result().rows);
+            for entry in batch {
+                assert_eq!(entry.expect("stale batch entry").rows, canned_result().rows);
+            }
+            let served = cached.cache().unwrap().stats().stale_serves - stale_before;
+            assert_eq!(served, 3, "{script:?}: one stale serve per missed entry");
+        } else {
+            assert_eq!(outcome(&single), want, "{script:?} cached execute_query");
+            let got: Vec<Outcome> = batch.iter().map(outcome).collect();
+            assert_eq!(got, batch_want, "{script:?} cached execute_batch");
+            assert_eq!(cached.cache().unwrap().stats().stale_serves, stale_before);
+        }
+    }
+    peer.shutdown();
 }

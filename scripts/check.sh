@@ -74,6 +74,10 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
+# The north-star number (ROADMAP: `crates/*/src` should go down), printed by
+# every gate run so a PR's effect on it is never a separate measurement.
+echo "==> crates/*/src: $(find crates -path '*/src/*' -name '*.rs' -print0 | xargs -0 cat | wc -l) lines"
+
 # Smoke-run every bench harness binary on a tiny configuration so the
 # harnesses cannot silently rot. HEDC_BENCH_SMOKE shrinks sweeps inside the
 # binaries; HEDC_NET_SECS bounds the real-socket windows; reports go to a
@@ -220,7 +224,7 @@ if [[ -n "$seed" ]]; then
   cargo test -q -p hedc-metadb --test paged_model -- --nocapture
   cargo test -q -p hedc-net --test cluster --test churn --test mux_prop \
     --test slow_client --test shard_epoch --test write_timeout \
-    --test no_timers -- --nocapture
+    --test no_timers --test wire_mutation -- --nocapture
   cargo test -q -p hedc-pl --test coalesce --test fairness \
     --test staleness -- --nocapture
   echo "OK (seed $seed)"
