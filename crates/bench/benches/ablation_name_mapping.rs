@@ -4,31 +4,12 @@
 //! (run-time relocation) costs these microseconds per access.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hedc_dm::{Clock, DmIo, IoConfig, NameType, Names, Partitioning};
-use hedc_filestore::{Archive, ArchiveTier, FileStore};
-use hedc_metadb::{Database, Expr, Query};
+use hedc_dm::{DmIo, NameType, Names};
+use hedc_metadb::{Expr, Query};
 use std::hint::black_box;
-use std::sync::Arc;
 
 fn setup() -> (DmIo, Vec<i64>) {
-    let db = Database::in_memory("names-bench");
-    let mut conn = db.connect();
-    hedc_dm::schema::create_generic(&mut conn).unwrap();
-    hedc_dm::schema::create_domain(&mut conn).unwrap();
-    let files = FileStore::new();
-    files.register(Archive::in_memory(
-        1,
-        "disk",
-        ArchiveTier::OnlineDisk,
-        1 << 30,
-    ));
-    let io = DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(files),
-        Clock::starting_at(0),
-        &IoConfig::default(),
-    );
+    let io = hedc_dm::testkit::node("names-bench", Default::default());
     let names = Names::new(&io);
     names
         .register_archive(1, "disk", "online/v1", None)

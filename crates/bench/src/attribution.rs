@@ -295,7 +295,7 @@ pub fn run_browse_attribution(config: &AttributionConfig) -> BrowseAttribution {
     recorder.drain_pinned();
     recorder.clear();
 
-    let dm = dm_node(0);
+    let dm = dm_node();
     let node: Arc<dyn DmNode> = dm.clone();
     let mut server = DmServer::bind("127.0.0.1:0", node, ServerConfig::default())
         .expect("bind loopback DM server");

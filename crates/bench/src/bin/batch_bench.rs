@@ -20,8 +20,7 @@
 //! `results/BENCH_batch_bench.json`; `HEDC_BENCH_SMOKE=1` shrinks the
 //! sweep for the CI smoke gate.
 
-use hedc_dm::{Dm, DmConfig, DmNode, NameType};
-use hedc_filestore::{Archive, ArchiveTier, FileStore};
+use hedc_dm::{Dm, DmNode, NameType};
 use hedc_metadb::{tuning, ColumnDef, DataType, Database, OrderDir, Query, Schema, Value};
 use hedc_net::{DmServer, NetConfig, NetDm, ServerConfig};
 use std::sync::Arc;
@@ -40,14 +39,7 @@ fn reps_for(batch_size: usize) -> usize {
 
 /// Bootstrapped DM carrying `n` attached items; returns the item ids.
 fn dm_with_items(n: usize) -> (Arc<Dm>, Vec<i64>) {
-    let fs = FileStore::new();
-    fs.register(Archive::in_memory(
-        1,
-        "raw",
-        ArchiveTier::OnlineDisk,
-        1 << 30,
-    ));
-    let dm = Dm::bootstrap(Arc::new(fs), DmConfig::default()).expect("bootstrap bench DM");
+    let dm = hedc_dm::testkit::dm();
     let names = dm.names();
     let items: Vec<i64> = (0..n)
         .map(|i| {

@@ -132,12 +132,14 @@ fn main() {
 
     // Machine-readable latency/throughput summary from the per-run obs
     // histograms (one row per client count), mode-tagged when the batched
-    // sweep ran too.
+    // sweep ran too. These rows come out of the simulator and say so: they
+    // are a shape check against the paper's figure, not a measurement.
     let summarize = |rs: &[hedc_sim::browse::BrowseResult], mode: &str| -> Vec<serde_json::Value> {
         rs.iter()
             .map(|r| {
                 serde_json::json!({
                     "mode": mode,
+                    "source": "sim",
                     "clients": r.config.clients,
                     "throughput_rps": r.requests_per_second,
                     "latency_s": {

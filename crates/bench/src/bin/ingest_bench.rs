@@ -18,14 +18,12 @@
 //! The report lands in `results/BENCH_ingest.json`; `HEDC_BENCH_SMOKE=1`
 //! shrinks the day to minutes of telemetry for the CI smoke gate.
 
+use hedc_dm::testkit::Loader;
 use hedc_dm::{
-    create_user, pipeline, schema, Clock, CrashPlan, CrashSite, DmIo, IngestConfig, IngestOptions,
-    IoConfig, JournalStep, Names, Partitioning, Rights, Services, Session, SessionKind,
-    SessionManager, UnitStatus,
+    pipeline, CrashPlan, CrashSite, IngestConfig, IngestOptions, JournalStep, UnitStatus,
 };
 use hedc_events::{generate, package, GenConfig, TelemetryUnit};
-use hedc_filestore::{Archive, ArchiveTier, DirBackend, FileStore};
-use hedc_metadb::{Database, Expr, Query, Value, WalOptions};
+use hedc_metadb::WalOptions;
 use hedc_sim::{downlink_day, DownlinkConfig};
 use std::path::Path;
 use std::sync::Arc;
@@ -69,120 +67,16 @@ fn downlink_units(smoke: bool) -> Vec<TelemetryUnit> {
 
 /// Fresh in-memory node for one scale row.
 fn memory_node() -> (Arc<hedc_dm::Dm>, IngestConfig) {
-    let files = FileStore::new();
-    files.register(Archive::in_memory(
-        1,
-        "raw",
-        ArchiveTier::OnlineDisk,
-        1 << 32,
-    ));
-    files.register(Archive::in_memory(
-        2,
-        "derived",
-        ArchiveTier::OnlineDisk,
-        1 << 32,
-    ));
-    let dm = hedc_dm::Dm::bootstrap(Arc::new(files), hedc_dm::DmConfig::default())
-        .expect("bootstrap bench node");
+    let dm = hedc_dm::testkit::dm();
     let cfg = IngestConfig::new(1, 2, dm.extended_catalog);
     (dm, cfg)
 }
 
-/// A hand-rolled node over a WAL-backed database and directory archives —
-/// the pieces that survive a process death, so the fixture can be torn down
-/// and reopened from the log.
-struct WalNode {
-    io: DmIo,
-    #[allow(dead_code)]
-    mgr: SessionManager,
-    session: Arc<Session>,
-    cfg: IngestConfig,
-}
-
-fn wal_node(dir: &Path, options: WalOptions) -> WalNode {
-    let db = Database::with_wal_opts("ingest-bench", dir.join("wal.log"), options)
-        .expect("open WAL database");
-    let fresh = {
-        let mut conn = db.connect();
-        match schema::create_generic(&mut conn) {
-            Ok(()) => {
-                schema::create_domain(&mut conn).expect("create domain schema");
-                true
-            }
-            // Tables already replayed from the log: this is a recovery open.
-            Err(_) => false,
-        }
-    };
-    let files = FileStore::new();
-    for (id, name) in [(1u32, "raw"), (2u32, "derived")] {
-        let backend = DirBackend::new(dir.join(name)).expect("archive dir");
-        files.register(Archive::new(
-            id,
-            name,
-            ArchiveTier::OnlineDisk,
-            1 << 32,
-            Box::new(backend),
-        ));
-    }
-    let io = DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(files),
-        Clock::starting_at(0),
-        &IoConfig::default(),
-    );
-    if fresh {
-        let names = Names::new(&io);
-        for status in io.files.statuses() {
-            names
-                .register_archive(status.id, &format!("{:?}", status.tier), "", None)
-                .expect("register archive");
-            io.insert(
-                "op_archives",
-                vec![
-                    Value::Int(i64::from(status.id)),
-                    Value::Text(status.name.clone()),
-                    Value::Text(format!("{:?}", status.tier)),
-                    Value::Text(format!("{:?}", status.state)),
-                    Value::Int(status.capacity as i64),
-                    Value::Int(status.used as i64),
-                ],
-            )
-            .expect("op_archives row");
-        }
-        create_user(&io, "loader", "pw", "system", Rights::SCIENTIST).expect("create loader");
-    } else {
-        // Recovered counters must move past every replayed id/timestamp.
-        io.reseed_after_recovery();
-    }
-    let mgr = SessionManager::new();
-    let cookie = mgr
-        .authenticate(&io, "loader", "pw", "bench")
-        .expect("authenticate loader");
-    let session = mgr
-        .lookup("bench", cookie, SessionKind::Hle)
-        .expect("session");
-    let catalog = if fresh {
-        let svc = Services::new(&io);
-        let c = svc
-            .create_catalog(&session, "extended", "system", None)
-            .expect("create catalog");
-        svc.publish(&session, "catalog", c)
-            .expect("publish catalog");
-        c
-    } else {
-        let r = io
-            .query(&Query::table("catalog").filter(Expr::eq("name", "extended")))
-            .expect("find catalog");
-        r.rows[0][0].as_int().expect("catalog id")
-    };
-    let cfg = IngestConfig::new(1, 2, catalog);
-    WalNode {
-        io,
-        mgr,
-        session,
-        cfg,
-    }
+/// A loader over a WAL-backed database and directory archives — the
+/// pieces that survive a process death, so the node can be torn down and
+/// reopened from the log.
+fn wal_node(dir: &Path, options: WalOptions) -> Loader {
+    Loader::wal(dir, options, Default::default())
 }
 
 struct ScaleRow {

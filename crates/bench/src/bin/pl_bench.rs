@@ -21,9 +21,7 @@
 //! the sweep.
 
 use hedc_analysis::{AlgorithmRegistry, AnalysisParams};
-use hedc_dm::{pipeline, Dm, DmConfig, IngestConfig, IngestOptions};
-use hedc_events::{generate, package, GenConfig};
-use hedc_filestore::{Archive, ArchiveTier, FileStore};
+use hedc_dm::Dm;
 use hedc_pl::{PlConfig, ProcessingLogic, RequestSpec};
 use hedc_sim::{duplication_factor, Zipf, ZipfConfig};
 use std::sync::Arc;
@@ -54,37 +52,6 @@ fn shape() -> Shape {
             window_ms: 20 * 60 * 1000,
         }
     }
-}
-
-fn setup_dm(window_ms: u64) -> Arc<Dm> {
-    let files = Arc::new(FileStore::new());
-    files.register(Archive::in_memory(
-        1,
-        "raw",
-        ArchiveTier::OnlineDisk,
-        1 << 30,
-    ));
-    files.register(Archive::in_memory(
-        2,
-        "derived",
-        ArchiveTier::OnlineRaid,
-        1 << 30,
-    ));
-    let dm = Dm::bootstrap(files, DmConfig::default()).expect("bootstrap");
-    let t = generate(&GenConfig {
-        duration_ms: window_ms,
-        flares_per_hour: 6.0,
-        background_rate: 15.0,
-        seed: 4242,
-        ..GenConfig::default()
-    });
-    let session = dm.import_session();
-    let cfg = IngestConfig::new(1, 2, dm.extended_catalog);
-    let units = package(&t, 200_000, 1);
-    let run = pipeline::ingest(&dm.io, &session, &units, &cfg, &IngestOptions::default())
-        .expect("ingest");
-    assert_eq!(run.failed, 0, "ingest: {:?}", run.units);
-    dm
 }
 
 /// The catalog of distinct analyses the zipf stream draws from: histogram
@@ -124,7 +91,7 @@ struct ModeResult {
 /// wave to drain before the next — the barrier keeps offered concurrency
 /// constant across modes.
 fn run_mode(shape: &Shape, stream: &[usize], coalesce: bool) -> ModeResult {
-    let dm = setup_dm(shape.window_ms);
+    let dm = hedc_dm::testkit::dm_with_telemetry(shape.window_ms / 60_000);
     let specs = catalog(&dm, shape);
     let session = dm.import_session();
     let pl = ProcessingLogic::start(

@@ -9,10 +9,8 @@
 //! the view granularity and this cache buys at the query granularity.
 
 use hedc_cache::CacheConfig;
-use hedc_dm::{Dm, DmConfig, IoConfig};
-use hedc_filestore::{Archive, ArchiveTier, FileStore};
+use hedc_dm::{DmConfig, IoConfig};
 use hedc_metadb::{AggFunc, Expr, Query};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One warm-vs-cold cache run.
@@ -78,30 +76,13 @@ fn browse_set(n: usize) -> Vec<Query> {
 
 /// Boot a cache-enabled DM node, seed it, run cold + warm passes.
 pub fn run_cache_bench(config: &CacheBenchConfig) -> CacheBenchResult {
-    let fs = FileStore::new();
-    fs.register(Archive::in_memory(
-        1,
-        "raw",
-        ArchiveTier::OnlineDisk,
-        1 << 30,
-    ));
-    fs.register(Archive::in_memory(
-        2,
-        "derived",
-        ArchiveTier::OnlineRaid,
-        1 << 30,
-    ));
-    let dm = Dm::bootstrap(
-        Arc::new(fs),
-        DmConfig {
-            io: IoConfig {
-                cache: Some(CacheConfig::default()),
-                ..IoConfig::default()
-            },
-            ..DmConfig::default()
+    let dm = hedc_dm::testkit::dm_with(DmConfig {
+        io: IoConfig {
+            cache: Some(CacheConfig::default()),
+            ..IoConfig::default()
         },
-    )
-    .expect("bootstrap cache-bench node");
+        ..DmConfig::default()
+    });
 
     let session = dm.import_session();
     let svc = dm.services();

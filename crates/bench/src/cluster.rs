@@ -9,8 +9,7 @@
 
 use crate::percentile;
 use hedc_core::HedcConfig;
-use hedc_dm::{Dm, DmConfig, DmNode, DmRouter};
-use hedc_filestore::{Archive, ArchiveTier, FileStore};
+use hedc_dm::{Dm, DmNode, DmRouter};
 use hedc_metadb::{AggFunc, Expr, Query};
 use hedc_net::{AdmissionConfig, DmServer, NetConfig, NetDm, ServerConfig};
 use std::sync::Arc;
@@ -85,22 +84,8 @@ pub struct ClusterRunResult {
     pub bytes_in: u64,
 }
 
-pub(crate) fn dm_node(i: usize) -> Arc<Dm> {
-    let fs = FileStore::new();
-    fs.register(Archive::in_memory(
-        1,
-        "raw",
-        ArchiveTier::OnlineDisk,
-        1 << 30,
-    ));
-    fs.register(Archive::in_memory(
-        2,
-        "derived",
-        ArchiveTier::OnlineRaid,
-        1 << 30,
-    ));
-    let dm = Dm::bootstrap(Arc::new(fs), DmConfig::default())
-        .unwrap_or_else(|e| panic!("bootstrap cluster node {i}: {e}"));
+pub(crate) fn dm_node() -> Arc<Dm> {
+    let dm = hedc_dm::testkit::dm();
     // A few public HLEs so the browse aggregate has rows to chew on.
     let session = dm.import_session();
     let svc = dm.services();
@@ -137,8 +122,8 @@ pub(crate) fn browse_queries(n: usize) -> Vec<Query> {
 pub fn run_cluster(config: &ClusterConfig) -> ClusterRunResult {
     assert!(config.nodes > 0 && config.clients > 0);
     let servers: Vec<DmServer> = (0..config.nodes)
-        .map(|i| {
-            DmServer::bind("127.0.0.1:0", dm_node(i), ServerConfig::default())
+        .map(|_| {
+            DmServer::bind("127.0.0.1:0", dm_node(), ServerConfig::default())
                 .expect("bind loopback DM server")
         })
         .collect();
@@ -258,7 +243,7 @@ fn shed_total() -> u64 {
 /// One point per call; the harness sweeps the client counts.
 pub fn run_fig4_net(clients: usize, measure: Duration, hedc: &HedcConfig) -> NetClientsResult {
     assert!(clients > 0);
-    let mut server = DmServer::bind("127.0.0.1:0", dm_node(0), server_config_from(hedc))
+    let mut server = DmServer::bind("127.0.0.1:0", dm_node(), server_config_from(hedc))
         .expect("bind loopback DM server");
     // Scale the connection pool with the client count so the sweep
     // exercises multiplexing (many threads per socket) at every point.

@@ -2,69 +2,35 @@
 //!
 //! Every bench that commits machine-readable results writes one
 //! `BENCH_<name>.json` file: a top-level object whose `"bench"` tag equals
-//! `<name>` and whose sections are arrays of flat rows. The schema per
-//! bench:
+//! `<name>` and whose sections are non-empty arrays of flat rows or single
+//! objects. The shapes are data: [`SECTIONS`] lists each report's sections,
+//! [`FIELDS`] each `(report, section, field, kind, bound)` — a dotted field
+//! reaches into a nested object, and a mode list restricts a field to rows
+//! whose `mode` is in it — and one walker checks any report against both.
 //!
-//! * **fig4_browse_clients / fig5_browse_nodes** — `rows`: non-empty; each
-//!   row has `mode` (fig4: `standard`/`batched`/`attribution`/`net`; fig5:
-//!   `sim`/`net`/`cache`), and — except fig5 `cache` rows, which carry
-//!   `phase`/`avg_us_per_query` instead — `clients` ≥ 1, a finite
-//!   `throughput_rps` ≥ 0, and a `latency_s` object with finite
-//!   `avg`/`p50`/`p95`/`p99` where p50 ≤ p95 ≤ p99. `attribution` rows
-//!   additionally carry `sampled_traces`, `measured_root_us`,
-//!   `attributed_us`, a `coverage` within 10% of exact (0.9 ..= 1.1), and a
-//!   `breakdown_us` object whose `queue`/`pool`/`wire`/`execute` sum to
-//!   `attributed_us` — the partition property, enforced at the report
-//!   boundary. fig4 `net` rows (the measured clients sweep against the
-//!   admission-controlled server) carry `requests`, `sheds`, and a
-//!   `shed_rate` in `0..=1`, and the sweep as a whole must satisfy
-//!   [`check_fig4`]: at least two rows on strictly increasing client
-//!   counts, throughput never collapsing below 65% of the best preceding
-//!   point, p99 ≤ 3 s, and shed rate ≤ 0.5 — the anti-Figure-4 claim that
-//!   overload sheds instead of queueing into collapse.
-//! * **batch_bench** — `resolve`: non-empty rows with `mode`
-//!   (`local`/`net`), `batch_size` ≥ 1, `reps` ≥ 1, finite
-//!   `sequential_avg_us`/`batched_avg_us`/`speedup`; `topk`: object with
-//!   finite `full_sort_us`/`topk_us`/`speedup`.
-//! * **ingest** — `workload` (`units`/`photons` counts), `scale`: non-empty
-//!   rows with `workers` ≥ 1 and finite `secs`/`units_per_s`/`speedup`;
-//!   `wal`: rows with `group_commit` ≥ 1; `crash_cycle`: object whose
-//!   `skipped + resumed + ingested == units` (every unit accounted).
-//! * **table1_processing** — `rows`: non-empty with `workload`, `config`,
-//!   finite `throughput_rps`, and an ordered `latency_s`.
-//! * **store** — `contention`: non-empty rows with `backend`
-//!   (`memory`/`paged`), `phase` (`idle`/`under_ingest`), `queries` ≥ 1,
-//!   finite `throughput_rps`, and an ordered `latency_s`;
-//!   `contention_summary`: finite positive `memory_p99_ratio` and
-//!   `paged_p99_ratio`, with the paged ratio ≤ 2 — the tentpole claim that
-//!   MVCC snapshot reads keep browse p99 under ingest within 2× of idle;
-//!   `larger_than_cache`: object whose `scan_rows == rows`, `evictions` >
-//!   `cache_pages` (the table really exceeded the cache), and
-//!   `scan_verified` is `true`.
-//! * **fig5_shards** — `rows`: non-empty; each row has `mode` `"shards"`,
-//!   `shards` ≥ 1, `replicas` ≥ 1, `clients` ≥ 1, `queries` ≥ 1,
-//!   `rows_returned`, a finite `fanout_avg` ≥ 1, a finite
-//!   `throughput_rps` ≥ 0, and an ordered `latency_s`. The sweep as a whole
-//!   must satisfy [`check_fig5`]: at least two rows on strictly increasing
-//!   shard counts starting at 1, every row returning the same
-//!   `rows_returned` as the baseline (a sharded answer that lost rows is
-//!   not a faster answer), and the largest shard count delivering ≥ 1.6x
-//!   the single-shard throughput — the measured scale-out claim behind the
-//!   §7.3 "partition the DM" remedy. Reports whose `summary.smoke` is true
-//!   (tiny sweeps, timing-noise dominated) get a softer ≥ 1.2x bar.
-//! * **pl** — `rows`: non-empty rows with `mode` (`coalesce_on`/
-//!   `coalesce_off`), `threads` ≥ 1, `rounds` ≥ 1, `requests` ≥ 1,
-//!   `computes` ≥ 1, finite `wall_ms` and `effective_rps` ≥ 0; both modes
-//!   present. `summary`: `computes_on` < `computes_off` (coalescing really
-//!   eliminated executions) and `throughput_ratio` ≥ 5 — the redundant-work
-//!   claim enforced by [`check_pl`]: under a zipf-skewed duplicate-heavy
-//!   load, single-flight coalescing plus the versioned result store must
-//!   deliver at least 5x the effective throughput of the
-//!   execute-every-submit configuration.
+//! What a table row cannot say — a claim across rows or across fields —
+//! stays a function, run after the walk:
+//!
+//! * [`check_fig4`] — the measured clients sweep (`mode == "net"`) holds
+//!   its throughput, its p99 and its shed rate: the anti-Figure-4 claim
+//!   that overload sheds instead of queueing into collapse. The
+//!   `standard`/`batched` rows of the same report are simulator output and
+//!   say so (`source: "sim"`); they are shape checks, not measurements.
+//! * [`check_fig5`] — the shard sweep starts at 1 shard, returns identical
+//!   answers at every point and buys ≥ 1.6x (smoke reports: ≥ 1.2x).
+//! * [`check_pl`] — both coalescing modes present, executions eliminated,
+//!   effective throughput ≥ 5x.
+//! * attribution rows — `queue + pool + wire + execute == attributed_us`,
+//!   the partition property at the report boundary.
+//! * ingest — `skipped + resumed + ingested == units`: every unit of the
+//!   crash cycle accounted.
+//! * store — paged p99 under ingest within 2x of idle; the
+//!   larger-than-cache scan lost no row and really exceeded the cache.
 //!
 //! Unknown `BENCH_*` names are an error: a bench that invents a report must
-//! register its schema here, which is the point.
+//! register its shape here, which is the point.
 
+use serde_json::Value;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -82,71 +48,258 @@ pub const KNOWN: [&str; 8] = [
 
 type Errors = Vec<String>;
 
-fn fin(v: &serde_json::Value, key: &str, ctx: &str, errs: &mut Errors) -> Option<f64> {
-    match v.get(key).and_then(|x| x.as_f64()) {
-        Some(n) if n.is_finite() => Some(n),
-        Some(_) => {
-            errs.push(format!("{ctx}: `{key}` is not finite"));
-            None
-        }
-        None => {
-            errs.push(format!("{ctx}: missing numeric `{key}`"));
-            None
-        }
-    }
+/// How a section appears in its report.
+#[derive(Clone, Copy, PartialEq)]
+enum Shape {
+    /// A non-empty array of row objects.
+    Rows,
+    /// One object.
+    Object,
+    /// One object, or absent.
+    Optional,
 }
 
-fn uint(v: &serde_json::Value, key: &str, ctx: &str, errs: &mut Errors) -> Option<u64> {
-    match v.get(key).and_then(|x| x.as_u64()) {
-        Some(n) => Some(n),
-        None => {
-            errs.push(format!("{ctx}: missing unsigned `{key}`"));
-            None
-        }
-    }
+/// What a field holds.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// An unsigned integer.
+    Uint,
+    /// A finite number.
+    Fin,
+    /// A string.
+    Text,
+    /// A string, or absent.
+    MaybeText,
+    /// The literal `true`.
+    True,
+    /// A `latency_s`-style object: finite `avg`, and finite
+    /// `p50 ≤ p95 ≤ p99`.
+    Latency,
 }
 
-fn text<'a>(v: &'a serde_json::Value, key: &str, ctx: &str, errs: &mut Errors) -> Option<&'a str> {
-    match v.get(key).and_then(|x| x.as_str()) {
-        Some(s) => Some(s),
-        None => {
-            errs.push(format!("{ctx}: missing string `{key}`"));
-            None
-        }
-    }
+/// What a present value must satisfy.
+#[derive(Clone, Copy)]
+enum Bound {
+    Any,
+    /// Numeric, at least this.
+    Min(f64),
+    /// Numeric, within this closed range.
+    Within(f64, f64),
+    /// Text, one of these.
+    OneOf(&'static [&'static str]),
 }
 
-fn section<'a>(
-    v: &'a serde_json::Value,
-    key: &str,
-    ctx: &str,
-    errs: &mut Errors,
-) -> Option<&'a Vec<serde_json::Value>> {
-    match v.get(key).and_then(|x| x.as_array()) {
-        Some(rows) if !rows.is_empty() => Some(rows),
-        Some(_) => {
-            errs.push(format!("{ctx}: `{key}` must be non-empty"));
-            None
-        }
-        None => {
-            errs.push(format!("{ctx}: missing array `{key}`"));
-            None
-        }
-    }
+/// One table row: `(modes, report, section, field, kind, bound)`. The
+/// field applies to rows whose `mode` is in `modes`; [`ALL`] = every row.
+type Field = (
+    &'static [&'static str],
+    &'static str,
+    &'static str,
+    &'static str,
+    Kind,
+    Bound,
+);
+
+use Bound::{Any, Min, OneOf, Within};
+use Kind::{Fin, Latency, MaybeText, Text, True, Uint};
+
+const SECTIONS: &[(&str, &str, Shape)] = &[
+    ("fig4_browse_clients", "rows", Shape::Rows),
+    ("fig5_browse_nodes", "rows", Shape::Rows),
+    ("fig5_shards", "rows", Shape::Rows),
+    ("batch_bench", "resolve", Shape::Rows),
+    ("batch_bench", "topk", Shape::Object),
+    ("ingest", "workload", Shape::Object),
+    ("ingest", "scale", Shape::Rows),
+    ("ingest", "wal", Shape::Rows),
+    ("ingest", "crash_cycle", Shape::Object),
+    ("ingest", "attribution", Shape::Optional),
+    ("table1_processing", "rows", Shape::Rows),
+    ("store", "contention", Shape::Rows),
+    ("store", "contention_summary", Shape::Object),
+    ("store", "larger_than_cache", Shape::Object),
+    ("pl", "rows", Shape::Rows),
+    ("pl", "summary", Shape::Object),
+];
+
+const FIG4: &str = "fig4_browse_clients";
+const FIG5: &str = "fig5_browse_nodes";
+const SHARDS: &str = "fig5_shards";
+const BATCH: &str = "batch_bench";
+const TABLE1: &str = "table1_processing";
+const ALL: &[&str] = &[];
+const SIM: &[&str] = &["standard", "batched"];
+const ATTR: &[&str] = &["attribution"];
+const NET: &[&str] = &["net"];
+const LOADED: &[&str] = &["sim", "net"];
+const CACHE: &[&str] = &["cache"];
+
+#[rustfmt::skip]
+const FIELDS: &[Field] = &[
+    (ALL, FIG4, "rows", "mode", Text, OneOf(&["standard", "batched", "attribution", "net"])),
+    (ALL, FIG4, "rows", "clients", Uint, Min(1.0)),
+    (ALL, FIG4, "rows", "throughput_rps", Fin, Min(0.0)),
+    (ALL, FIG4, "rows", "latency_s", Latency, Any),
+    (SIM, FIG4, "rows", "source", MaybeText, OneOf(&["sim"])),
+    (ATTR, FIG4, "rows", "sampled_traces", Uint, Any),
+    (ATTR, FIG4, "rows", "measured_root_us", Uint, Any),
+    (ATTR, FIG4, "rows", "attributed_us", Uint, Any),
+    (ATTR, FIG4, "rows", "coverage", Fin, Within(0.9, 1.1)),
+    (ATTR, FIG4, "rows", "breakdown_us.queue", Uint, Any),
+    (ATTR, FIG4, "rows", "breakdown_us.pool", Uint, Any),
+    (ATTR, FIG4, "rows", "breakdown_us.wire", Uint, Any),
+    (ATTR, FIG4, "rows", "breakdown_us.execute", Uint, Any),
+    (NET, FIG4, "rows", "requests", Uint, Any),
+    (NET, FIG4, "rows", "sheds", Uint, Any),
+    (NET, FIG4, "rows", "shed_rate", Fin, Within(0.0, 1.0)),
+
+    (ALL, FIG5, "rows", "mode", Text, OneOf(&["sim", "net", "cache"])),
+    (LOADED, FIG5, "rows", "clients", Uint, Min(1.0)),
+    (LOADED, FIG5, "rows", "throughput_rps", Fin, Min(0.0)),
+    (LOADED, FIG5, "rows", "latency_s", Latency, Any),
+    (CACHE, FIG5, "rows", "phase", Text, Any),
+    (CACHE, FIG5, "rows", "avg_us_per_query", Fin, Any),
+
+    (ALL, SHARDS, "rows", "mode", Text, OneOf(&["shards"])),
+    (ALL, SHARDS, "rows", "shards", Uint, Any),
+    (ALL, SHARDS, "rows", "replicas", Uint, Min(1.0)),
+    (ALL, SHARDS, "rows", "queries", Uint, Min(1.0)),
+    (ALL, SHARDS, "rows", "rows_returned", Uint, Any),
+    (ALL, SHARDS, "rows", "fanout_avg", Fin, Min(1.0)),
+    (ALL, SHARDS, "rows", "throughput_rps", Fin, Min(0.0)),
+    (ALL, SHARDS, "rows", "latency_s", Latency, Any),
+
+    (ALL, BATCH, "resolve", "mode", Text, OneOf(&["local", "net"])),
+    (ALL, BATCH, "resolve", "batch_size", Uint, Min(1.0)),
+    (ALL, BATCH, "resolve", "reps", Uint, Min(1.0)),
+    (ALL, BATCH, "resolve", "sequential_avg_us", Fin, Any),
+    (ALL, BATCH, "resolve", "batched_avg_us", Fin, Any),
+    (ALL, BATCH, "resolve", "speedup", Fin, Any),
+    (ALL, BATCH, "topk", "full_sort_us", Fin, Any),
+    (ALL, BATCH, "topk", "topk_us", Fin, Any),
+    (ALL, BATCH, "topk", "speedup", Fin, Any),
+
+    (ALL, "ingest", "workload", "units", Uint, Any),
+    (ALL, "ingest", "workload", "photons", Uint, Any),
+    (ALL, "ingest", "scale", "workers", Uint, Min(1.0)),
+    (ALL, "ingest", "scale", "secs", Fin, Any),
+    (ALL, "ingest", "scale", "units_per_s", Fin, Any),
+    (ALL, "ingest", "scale", "speedup", Fin, Any),
+    (ALL, "ingest", "wal", "group_commit", Uint, Min(1.0)),
+    (ALL, "ingest", "wal", "units_per_s", Fin, Any),
+    (ALL, "ingest", "crash_cycle", "units", Uint, Any),
+    (ALL, "ingest", "crash_cycle", "recovery_secs", Fin, Any),
+    (ALL, "ingest", "crash_cycle", "resume_secs", Fin, Any),
+    (ALL, "ingest", "crash_cycle", "skipped", Uint, Any),
+    (ALL, "ingest", "crash_cycle", "resumed", Uint, Any),
+    (ALL, "ingest", "crash_cycle", "ingested", Uint, Any),
+    (ALL, "ingest", "attribution", "sampled_traces", Uint, Any),
+    (ALL, "ingest", "attribution", "measured_root_us", Uint, Any),
+    (ALL, "ingest", "attribution", "attributed_us", Uint, Any),
+    (ALL, "ingest", "attribution", "coverage", Fin, Within(0.9, 1.1)),
+    (ALL, "ingest", "attribution", "breakdown_us.queue", Uint, Any),
+    (ALL, "ingest", "attribution", "breakdown_us.pool", Uint, Any),
+    (ALL, "ingest", "attribution", "breakdown_us.wire", Uint, Any),
+    (ALL, "ingest", "attribution", "breakdown_us.execute", Uint, Any),
+
+    (ALL, TABLE1, "rows", "workload", Text, Any),
+    (ALL, TABLE1, "rows", "config", Text, Any),
+    (ALL, TABLE1, "rows", "throughput_rps", Fin, Any),
+    (ALL, TABLE1, "rows", "latency_s", Latency, Any),
+
+    (ALL, "store", "contention", "backend", Text, OneOf(&["memory", "paged"])),
+    (ALL, "store", "contention", "phase", Text, OneOf(&["idle", "under_ingest"])),
+    (ALL, "store", "contention", "queries", Uint, Min(1.0)),
+    (ALL, "store", "contention", "throughput_rps", Fin, Any),
+    (ALL, "store", "contention", "latency_s", Latency, Any),
+    (ALL, "store", "contention_summary", "memory_p99_ratio", Fin, Any),
+    (ALL, "store", "contention_summary", "paged_p99_ratio", Fin, Any),
+    (ALL, "store", "larger_than_cache", "rows", Uint, Any),
+    (ALL, "store", "larger_than_cache", "scan_rows", Uint, Any),
+    (ALL, "store", "larger_than_cache", "cache_pages", Uint, Any),
+    (ALL, "store", "larger_than_cache", "evictions", Uint, Any),
+    (ALL, "store", "larger_than_cache", "scan_secs", Fin, Any),
+    (ALL, "store", "larger_than_cache", "scan_verified", True, Any),
+
+    (ALL, "pl", "rows", "mode", Text, OneOf(&["coalesce_on", "coalesce_off"])),
+    (ALL, "pl", "rows", "threads", Uint, Min(1.0)),
+    (ALL, "pl", "rows", "rounds", Uint, Min(1.0)),
+    (ALL, "pl", "rows", "requests", Uint, Min(1.0)),
+    (ALL, "pl", "rows", "computes", Uint, Min(1.0)),
+    (ALL, "pl", "rows", "wall_ms", Fin, Any),
+    (ALL, "pl", "rows", "effective_rps", Fin, Min(0.0)),
+    (ALL, "pl", "summary", "computes_on", Uint, Any),
+    (ALL, "pl", "summary", "computes_off", Uint, Any),
+    (ALL, "pl", "summary", "throughput_ratio", Fin, Any),
+];
+
+/// The value at a dotted path under `v`.
+fn at<'a>(v: &'a Value, path: &str) -> Option<&'a Value> {
+    path.split('.').try_fold(v, |v, key| v.get(key))
 }
 
-/// `latency_s`: finite avg/p50/p95/p99 with ordered percentiles.
-fn check_latency(row: &serde_json::Value, ctx: &str, errs: &mut Errors) {
-    let Some(lat) = row.get("latency_s").filter(|l| l.is_object()) else {
-        errs.push(format!("{ctx}: missing `latency_s` object"));
+fn num(v: &Value, path: &str) -> Option<f64> {
+    at(v, path).and_then(Value::as_f64)
+}
+
+fn uint(v: &Value, path: &str) -> Option<u64> {
+    at(v, path).and_then(Value::as_u64)
+}
+
+/// The rows of array section `key`; empty when it is missing (the walk has
+/// said so already).
+fn rows<'a>(report: &'a Value, key: &str) -> &'a [Value] {
+    report
+        .get(key)
+        .and_then(Value::as_array)
+        .map_or(&[], Vec::as_slice)
+}
+
+/// Check one table row against one section item.
+fn check_field(item: &Value, ctx: &str, field: &Field, errs: &mut Errors) {
+    let &(modes, _, _, key, kind, bound) = field;
+    let mode = item.get("mode").and_then(Value::as_str);
+    if !modes.is_empty() && !mode.is_some_and(|m| modes.contains(&m)) {
         return;
+    }
+    let value = at(item, key);
+    let number = match (kind, value) {
+        (MaybeText, None) => return,
+        (Uint, Some(v)) if v.as_u64().is_some() => v.as_f64(),
+        (Uint, _) => return errs.push(format!("{ctx}: missing unsigned `{key}`")),
+        (Fin, Some(v)) if v.as_f64().is_some_and(f64::is_finite) => v.as_f64(),
+        (Fin, Some(v)) if v.as_f64().is_some() => {
+            return errs.push(format!("{ctx}: `{key}` is not finite"))
+        }
+        (Fin, _) => return errs.push(format!("{ctx}: missing numeric `{key}`")),
+        (Text | MaybeText, Some(v)) if v.is_string() => None,
+        (Text | MaybeText, _) => return errs.push(format!("{ctx}: missing string `{key}`")),
+        (True, Some(Value::Bool(true))) => return,
+        (True, _) => return errs.push(format!("{ctx}: `{key}` must be true")),
+        (Latency, Some(lat)) if lat.is_object() => return check_latency(lat, ctx, key, errs),
+        (Latency, _) => return errs.push(format!("{ctx}: missing `{key}` object")),
     };
-    let ctx = format!("{ctx}.latency_s");
-    fin(lat, "avg", &ctx, errs);
-    let p50 = fin(lat, "p50", &ctx, errs);
-    let p95 = fin(lat, "p95", &ctx, errs);
-    let p99 = fin(lat, "p99", &ctx, errs);
-    if let (Some(p50), Some(p95), Some(p99)) = (p50, p95, p99) {
+    match (bound, number, value.and_then(Value::as_str)) {
+        (Min(lo), Some(n), _) if n < lo => errs.push(format!("{ctx}: `{key}` {n} below {lo}")),
+        (Within(lo, hi), Some(n), _) if !(lo..=hi).contains(&n) => {
+            errs.push(format!("{ctx}: `{key}` {n} outside {lo}..={hi}"))
+        }
+        (OneOf(allowed), _, Some(s)) if !allowed.contains(&s) => {
+            errs.push(format!("{ctx}: unknown {key} {s:?} (expected {allowed:?})"))
+        }
+        _ => {}
+    }
+}
+
+/// Finite avg/p50/p95/p99 with ordered percentiles.
+fn check_latency(lat: &Value, ctx: &str, key: &str, errs: &mut Errors) {
+    let ctx = format!("{ctx}.{key}");
+    let mut stat = |name: &'static str| {
+        check_field(lat, &ctx, &(ALL, "", "", name, Fin, Any), errs);
+        num(lat, name).filter(|n| n.is_finite())
+    };
+    stat("avg");
+    if let (Some(p50), Some(p95), Some(p99)) = (stat("p50"), stat("p95"), stat("p99")) {
         if !(p50 <= p95 && p95 <= p99) {
             errs.push(format!(
                 "{ctx}: percentiles out of order (p50={p50}, p95={p95}, p99={p99})"
@@ -155,87 +308,52 @@ fn check_latency(row: &serde_json::Value, ctx: &str, errs: &mut Errors) {
     }
 }
 
-/// The attribution-row extras: counts, coverage near 1, and a breakdown
-/// that sums back to the attributed total.
-fn check_attribution_row(row: &serde_json::Value, ctx: &str, errs: &mut Errors) {
-    uint(row, "sampled_traces", ctx, errs);
-    uint(row, "measured_root_us", ctx, errs);
-    let attributed = uint(row, "attributed_us", ctx, errs);
-    if let Some(cov) = fin(row, "coverage", ctx, errs) {
-        if !(0.9..=1.1).contains(&cov) {
-            errs.push(format!(
-                "{ctx}: coverage {cov} outside 0.9..=1.1 — breakdown does not \
-                 sum to the measured root latency"
-            ));
-        }
-    }
-    let Some(bd) = row.get("breakdown_us").filter(|b| b.is_object()) else {
-        errs.push(format!("{ctx}: missing `breakdown_us` object"));
-        return;
-    };
-    let bctx = format!("{ctx}.breakdown_us");
-    let mut sum = 0u64;
-    for cat in ["queue", "pool", "wire", "execute"] {
-        sum += uint(bd, cat, &bctx, errs).unwrap_or(0);
-    }
-    if let Some(attributed) = attributed {
-        if sum != attributed {
-            errs.push(format!(
-                "{bctx}: categories sum to {sum}, `attributed_us` says {attributed}"
-            ));
+/// Walk every section [`SECTIONS`] lists for `name`, checking each item
+/// against the [`FIELDS`] rows of that section.
+fn walk(name: &str, report: &Value, errs: &mut Errors) {
+    for &(_, section, shape) in SECTIONS.iter().filter(|s| s.0 == name) {
+        let items: Vec<(String, &Value)> = match (shape, report.get(section)) {
+            (Shape::Rows, Some(Value::Array(rows))) if !rows.is_empty() => rows
+                .iter()
+                .enumerate()
+                .map(|(i, row)| (format!("{name}.{section}[{i}]"), row))
+                .collect(),
+            (Shape::Rows, Some(Value::Array(_))) => {
+                errs.push(format!("{name}: `{section}` must be non-empty"));
+                continue;
+            }
+            (Shape::Rows, _) => {
+                errs.push(format!("{name}: missing array `{section}`"));
+                continue;
+            }
+            (_, Some(v)) if v.is_object() => vec![(format!("{name}.{section}"), v)],
+            (Shape::Optional, _) => continue,
+            (_, _) => {
+                errs.push(format!("{name}: missing `{section}` object"));
+                continue;
+            }
+        };
+        let fields = || FIELDS.iter().filter(|f| f.1 == name && f.2 == section);
+        for (ctx, item) in &items {
+            fields().for_each(|field| check_field(item, ctx, field, errs));
         }
     }
 }
 
-fn check_browse_rows(report: &serde_json::Value, name: &str, errs: &mut Errors) {
-    let modes: &[&str] = if name == "fig4_browse_clients" {
-        &["standard", "batched", "attribution", "net"]
-    } else {
-        &["sim", "net", "cache"]
-    };
-    let Some(rows) = section(report, "rows", name, errs) else {
-        return;
-    };
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = format!("{name}.rows[{i}]");
-        let Some(mode) = text(row, "mode", &ctx, errs) else {
-            continue;
-        };
-        if !modes.contains(&mode) {
-            errs.push(format!("{ctx}: unknown mode {mode:?} (expected {modes:?})"));
-            continue;
+/// The partition property of an attribution row: the four categories sum
+/// to the attributed total.
+fn check_partition(row: &Value, ctx: &str, errs: &mut Errors) {
+    let parts =
+        ["queue", "pool", "wire", "execute"].map(|c| uint(row, &format!("breakdown_us.{c}")));
+    if let (Some(attributed), [Some(q), Some(p), Some(w), Some(e)]) =
+        (uint(row, "attributed_us"), parts)
+    {
+        let sum = q + p + w + e;
+        if sum != attributed {
+            errs.push(format!(
+                "{ctx}.breakdown_us: categories sum to {sum}, `attributed_us` says {attributed}"
+            ));
         }
-        if mode == "cache" {
-            text(row, "phase", &ctx, errs);
-            fin(row, "avg_us_per_query", &ctx, errs);
-            continue;
-        }
-        if let Some(c) = uint(row, "clients", &ctx, errs) {
-            if c == 0 {
-                errs.push(format!("{ctx}: zero clients"));
-            }
-        }
-        if let Some(t) = fin(row, "throughput_rps", &ctx, errs) {
-            if t < 0.0 {
-                errs.push(format!("{ctx}: negative throughput"));
-            }
-        }
-        check_latency(row, &ctx, errs);
-        if mode == "attribution" {
-            check_attribution_row(row, &ctx, errs);
-        }
-        if name == "fig4_browse_clients" && mode == "net" {
-            uint(row, "requests", &ctx, errs);
-            uint(row, "sheds", &ctx, errs);
-            if let Some(rate) = fin(row, "shed_rate", &ctx, errs) {
-                if !(0.0..=1.0).contains(&rate) {
-                    errs.push(format!("{ctx}: shed_rate {rate} outside 0..=1"));
-                }
-            }
-        }
-    }
-    if name == "fig4_browse_clients" {
-        check_fig4(report, errs);
     }
 }
 
@@ -254,16 +372,17 @@ fn check_browse_rows(report: &serde_json::Value, name: &str, errs: &mut Errors) 
 /// * `latency_s.p99` ≤ 3 s at every point — accepted requests stay fast
 ///   even at 512 clients;
 /// * `shed_rate` ≤ 0.5 — shedding is a safety valve, not the common case.
-pub fn check_fig4(report: &serde_json::Value, errs: &mut Errors) {
-    let net_rows: Vec<&serde_json::Value> = report
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .map(|rows| {
-            rows.iter()
-                .filter(|r| r.get("mode").and_then(|m| m.as_str()) == Some("net"))
-                .collect()
-        })
-        .unwrap_or_default();
+pub fn check_fig4(report: &Value, errs: &mut Errors) {
+    let all = rows(report, "rows");
+    for (i, row) in all.iter().enumerate() {
+        if row.get("mode").and_then(Value::as_str) == Some("attribution") {
+            check_partition(row, &format!("{FIG4}.rows[{i}]"), errs);
+        }
+    }
+    let net_rows: Vec<&Value> = all
+        .iter()
+        .filter(|r| r.get("mode").and_then(Value::as_str) == Some("net"))
+        .collect();
     if net_rows.len() < 2 {
         errs.push(format!(
             "fig4_browse_clients: {} net row(s) — the clients sweep needs at \
@@ -276,7 +395,7 @@ pub fn check_fig4(report: &serde_json::Value, errs: &mut Errors) {
     let mut best_rps = 0.0f64;
     for (i, row) in net_rows.iter().enumerate() {
         let ctx = format!("fig4_browse_clients.net[{i}]");
-        if let Some(clients) = row.get("clients").and_then(|c| c.as_u64()) {
+        if let Some(clients) = uint(row, "clients") {
             if clients <= prev_clients {
                 errs.push(format!(
                     "{ctx}: clients {clients} not strictly increasing (previous {prev_clients})"
@@ -284,7 +403,7 @@ pub fn check_fig4(report: &serde_json::Value, errs: &mut Errors) {
             }
             prev_clients = clients;
         }
-        if let Some(rps) = row.get("throughput_rps").and_then(|t| t.as_f64()) {
+        if let Some(rps) = num(row, "throughput_rps") {
             if rps < 0.65 * best_rps {
                 errs.push(format!(
                     "{ctx}: throughput {rps:.1} req/s collapsed below 65% of the \
@@ -294,11 +413,7 @@ pub fn check_fig4(report: &serde_json::Value, errs: &mut Errors) {
             }
             best_rps = best_rps.max(rps);
         }
-        if let Some(p99) = row
-            .get("latency_s")
-            .and_then(|l| l.get("p99"))
-            .and_then(|p| p.as_f64())
-        {
+        if let Some(p99) = num(row, "latency_s.p99") {
             if p99 > 3.0 {
                 errs.push(format!(
                     "{ctx}: p99 {p99:.2}s exceeds 3s — accepted requests must \
@@ -306,7 +421,7 @@ pub fn check_fig4(report: &serde_json::Value, errs: &mut Errors) {
                 ));
             }
         }
-        if let Some(rate) = row.get("shed_rate").and_then(|r| r.as_f64()) {
+        if let Some(rate) = num(row, "shed_rate") {
             if rate > 0.5 {
                 errs.push(format!(
                     "{ctx}: shed_rate {rate:.2} exceeds 0.5 — refusing most of \
@@ -330,27 +445,16 @@ pub fn check_fig4(report: &serde_json::Value, errs: &mut Errors) {
 ///   being the 1-shard baseline;
 /// * every row's `rows_returned` equal to the baseline's — the speedup is
 ///   only meaningful on identical answers;
-/// * per-row sanity: `mode == "shards"`, `replicas`/`queries` ≥ 1, a
-///   finite `fanout_avg` ≥ 1;
 /// * the largest shard count delivering `throughput_rps` ≥ 1.6x the
 ///   baseline — partition pruning must actually pay, not just not hurt.
-pub fn check_fig5(report: &serde_json::Value, errs: &mut Errors) {
-    let Some(rows) = section(report, "rows", "fig5_shards", errs) else {
-        return;
-    };
+pub fn check_fig5(report: &Value, errs: &mut Errors) {
+    let rows = rows(report, "rows");
     let mut prev_shards = 0u64;
     let mut base: Option<(f64, u64)> = None;
     let mut last_rps: Option<f64> = None;
     for (i, row) in rows.iter().enumerate() {
         let ctx = format!("fig5_shards.rows[{i}]");
-        if let Some(mode) = text(row, "mode", &ctx, errs) {
-            if mode != "shards" {
-                errs.push(format!(
-                    "{ctx}: unknown mode {mode:?} (expected \"shards\")"
-                ));
-            }
-        }
-        let shards = uint(row, "shards", &ctx, errs);
+        let shards = uint(row, "shards");
         if let Some(s) = shards {
             if s <= prev_shards {
                 errs.push(format!(
@@ -359,25 +463,8 @@ pub fn check_fig5(report: &serde_json::Value, errs: &mut Errors) {
             }
             prev_shards = s;
         }
-        for key in ["replicas", "queries"] {
-            if uint(row, key, &ctx, errs) == Some(0) {
-                errs.push(format!("{ctx}: zero `{key}`"));
-            }
-        }
-        if let Some(f) = fin(row, "fanout_avg", &ctx, errs) {
-            if f < 1.0 {
-                errs.push(format!("{ctx}: fanout_avg {f} below 1"));
-            }
-        }
-        let rps = fin(row, "throughput_rps", &ctx, errs);
-        if let Some(t) = rps {
-            if t < 0.0 {
-                errs.push(format!("{ctx}: negative throughput"));
-            }
-        }
-        check_latency(row, &ctx, errs);
-        let returned = uint(row, "rows_returned", &ctx, errs);
-        match (&base, shards, rps, returned) {
+        let rps = num(row, "throughput_rps");
+        match (&base, shards, rps, uint(row, "rows_returned")) {
             (None, Some(1), Some(rps), Some(ret)) => base = Some((rps, ret)),
             (None, Some(s), _, _) if s != 1 => {
                 errs.push(format!(
@@ -407,11 +494,7 @@ pub fn check_fig5(report: &serde_json::Value, errs: &mut Errors) {
     // noise swings the ratio by tenths; they are gated at a softer bar
     // that still rules out "sharding bought nothing". The committed
     // full-size report carries the real >= 1.6x scale-out claim.
-    let smoke = report
-        .get("summary")
-        .and_then(|s| s.get("smoke"))
-        .and_then(|v| v.as_bool())
-        .unwrap_or(false);
+    let smoke = at(report, "summary.smoke").and_then(Value::as_bool) == Some(true);
     let floor = if smoke { 1.2 } else { 1.6 };
     if let (Some((base_rps, _)), Some(last)) = (base, last_rps) {
         let ratio = last / base_rps;
@@ -426,169 +509,57 @@ pub fn check_fig5(report: &serde_json::Value, errs: &mut Errors) {
     }
 }
 
-fn check_batch_bench(report: &serde_json::Value, errs: &mut Errors) {
-    if let Some(rows) = section(report, "resolve", "batch_bench", errs) {
-        for (i, row) in rows.iter().enumerate() {
-            let ctx = format!("batch_bench.resolve[{i}]");
-            if let Some(mode) = text(row, "mode", &ctx, errs) {
-                if !["local", "net"].contains(&mode) {
-                    errs.push(format!("{ctx}: unknown mode {mode:?}"));
-                }
-            }
-            for key in ["batch_size", "reps"] {
-                if uint(row, key, &ctx, errs) == Some(0) {
-                    errs.push(format!("{ctx}: zero `{key}`"));
-                }
-            }
-            for key in ["sequential_avg_us", "batched_avg_us", "speedup"] {
-                fin(row, key, &ctx, errs);
-            }
+/// Every unit of the ingest crash cycle is accounted for, and the optional
+/// attribution section partitions.
+fn check_ingest(report: &Value, errs: &mut Errors) {
+    let ctx = "ingest.crash_cycle";
+    let parts =
+        ["skipped", "resumed", "ingested"].map(|k| uint(report, &format!("crash_cycle.{k}")));
+    if let (Some(units), [Some(s), Some(r), Some(i)]) = (uint(report, "crash_cycle.units"), parts) {
+        let parts = s + r + i;
+        if parts != units {
+            errs.push(format!(
+                "{ctx}: skipped+resumed+ingested = {parts} but units = {units} — \
+                 a unit went unaccounted"
+            ));
         }
     }
-    match report.get("topk").filter(|t| t.is_object()) {
-        Some(topk) => {
-            for key in ["full_sort_us", "topk_us", "speedup"] {
-                fin(topk, key, "batch_bench.topk", errs);
-            }
-        }
-        None => errs.push("batch_bench: missing `topk` object".to_string()),
+    if let Some(attribution) = report.get("attribution") {
+        check_partition(attribution, "ingest.attribution", errs);
     }
 }
 
-fn check_ingest(report: &serde_json::Value, errs: &mut Errors) {
-    match report.get("workload").filter(|w| w.is_object()) {
-        Some(w) => {
-            uint(w, "units", "ingest.workload", errs);
-            uint(w, "photons", "ingest.workload", errs);
-        }
-        None => errs.push("ingest: missing `workload` object".to_string()),
-    }
-    if let Some(rows) = section(report, "scale", "ingest", errs) {
-        for (i, row) in rows.iter().enumerate() {
-            let ctx = format!("ingest.scale[{i}]");
-            if uint(row, "workers", &ctx, errs) == Some(0) {
-                errs.push(format!("{ctx}: zero workers"));
-            }
-            for key in ["secs", "units_per_s", "speedup"] {
-                fin(row, key, &ctx, errs);
-            }
+/// The store claims: MVCC snapshot reads keep browse p99 under ingest
+/// within 2x of idle on the paged backend, and the larger-than-cache scan
+/// returned every row of a table that really exceeded the cache.
+fn check_store(report: &Value, errs: &mut Errors) {
+    let ctx = "store.contention_summary";
+    if let Some(r) = num(report, "contention_summary.paged_p99_ratio") {
+        if r <= 0.0 {
+            errs.push(format!("{ctx}: non-positive paged_p99_ratio {r}"));
+        } else if r > 2.0 {
+            errs.push(format!(
+                "{ctx}: paged_p99_ratio {r:.2} exceeds 2.0 — browse p99 under \
+                 ingest must stay within 2x of idle on the paged backend"
+            ));
         }
     }
-    if let Some(rows) = section(report, "wal", "ingest", errs) {
-        for (i, row) in rows.iter().enumerate() {
-            let ctx = format!("ingest.wal[{i}]");
-            if uint(row, "group_commit", &ctx, errs) == Some(0) {
-                errs.push(format!("{ctx}: zero group_commit"));
-            }
-            fin(row, "units_per_s", &ctx, errs);
+    let ctx = "store.larger_than_cache";
+    let ltc = |key: &str| uint(report, &format!("larger_than_cache.{key}"));
+    if let (Some(rows), Some(scanned)) = (ltc("rows"), ltc("scan_rows")) {
+        if rows != scanned {
+            errs.push(format!(
+                "{ctx}: scan returned {scanned} of {rows} rows — a row went missing"
+            ));
         }
     }
-    match report.get("crash_cycle").filter(|c| c.is_object()) {
-        Some(cycle) => {
-            let ctx = "ingest.crash_cycle";
-            let units = uint(cycle, "units", ctx, errs);
-            fin(cycle, "recovery_secs", ctx, errs);
-            fin(cycle, "resume_secs", ctx, errs);
-            let parts: Option<u64> = ["skipped", "resumed", "ingested"]
-                .iter()
-                .map(|k| uint(cycle, k, ctx, errs))
-                .sum();
-            if let (Some(units), Some(parts)) = (units, parts) {
-                if parts != units {
-                    errs.push(format!(
-                        "{ctx}: skipped+resumed+ingested = {parts} but units = {units} — \
-                         a unit went unaccounted"
-                    ));
-                }
-            }
+    if let (Some(cache), Some(evictions)) = (ltc("cache_pages"), ltc("evictions")) {
+        if evictions <= cache {
+            errs.push(format!(
+                "{ctx}: only {evictions} evictions against a {cache}-page cache — \
+                 the table cannot have exceeded the cache budget"
+            ));
         }
-        None => errs.push("ingest: missing `crash_cycle` object".to_string()),
-    }
-    // Optional attribution section (the `--attribution` run).
-    if let Some(attr) = report.get("attribution").filter(|a| a.is_object()) {
-        check_attribution_row(attr, "ingest.attribution", errs);
-    }
-}
-
-fn check_table1(report: &serde_json::Value, errs: &mut Errors) {
-    let Some(rows) = section(report, "rows", "table1_processing", errs) else {
-        return;
-    };
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = format!("table1_processing.rows[{i}]");
-        text(row, "workload", &ctx, errs);
-        text(row, "config", &ctx, errs);
-        fin(row, "throughput_rps", &ctx, errs);
-        check_latency(row, &ctx, errs);
-    }
-}
-
-fn check_store(report: &serde_json::Value, errs: &mut Errors) {
-    if let Some(rows) = section(report, "contention", "store", errs) {
-        for (i, row) in rows.iter().enumerate() {
-            let ctx = format!("store.contention[{i}]");
-            if let Some(backend) = text(row, "backend", &ctx, errs) {
-                if !["memory", "paged"].contains(&backend) {
-                    errs.push(format!("{ctx}: unknown backend {backend:?}"));
-                }
-            }
-            if let Some(phase) = text(row, "phase", &ctx, errs) {
-                if !["idle", "under_ingest"].contains(&phase) {
-                    errs.push(format!("{ctx}: unknown phase {phase:?}"));
-                }
-            }
-            if uint(row, "queries", &ctx, errs) == Some(0) {
-                errs.push(format!("{ctx}: zero queries"));
-            }
-            fin(row, "throughput_rps", &ctx, errs);
-            check_latency(row, &ctx, errs);
-        }
-    }
-    match report.get("contention_summary").filter(|s| s.is_object()) {
-        Some(summary) => {
-            let ctx = "store.contention_summary";
-            fin(summary, "memory_p99_ratio", ctx, errs);
-            if let Some(r) = fin(summary, "paged_p99_ratio", ctx, errs) {
-                if r <= 0.0 {
-                    errs.push(format!("{ctx}: non-positive paged_p99_ratio {r}"));
-                } else if r > 2.0 {
-                    errs.push(format!(
-                        "{ctx}: paged_p99_ratio {r:.2} exceeds 2.0 — browse p99 under \
-                         ingest must stay within 2x of idle on the paged backend"
-                    ));
-                }
-            }
-        }
-        None => errs.push("store: missing `contention_summary` object".to_string()),
-    }
-    match report.get("larger_than_cache").filter(|l| l.is_object()) {
-        Some(ltc) => {
-            let ctx = "store.larger_than_cache";
-            let rows = uint(ltc, "rows", ctx, errs);
-            let scanned = uint(ltc, "scan_rows", ctx, errs);
-            if let (Some(rows), Some(scanned)) = (rows, scanned) {
-                if rows != scanned {
-                    errs.push(format!(
-                        "{ctx}: scan returned {scanned} of {rows} rows — a row went missing"
-                    ));
-                }
-            }
-            let cache = uint(ltc, "cache_pages", ctx, errs);
-            let evictions = uint(ltc, "evictions", ctx, errs);
-            if let (Some(cache), Some(evictions)) = (cache, evictions) {
-                if evictions <= cache {
-                    errs.push(format!(
-                        "{ctx}: only {evictions} evictions against a {cache}-page cache — \
-                         the table cannot have exceeded the cache budget"
-                    ));
-                }
-            }
-            fin(ltc, "scan_secs", ctx, errs);
-            if ltc.get("scan_verified").and_then(|v| v.as_bool()) != Some(true) {
-                errs.push(format!("{ctx}: `scan_verified` must be true"));
-            }
-        }
-        None => errs.push("store: missing `larger_than_cache` object".to_string()),
     }
 }
 
@@ -607,70 +578,47 @@ fn check_store(report: &serde_json::Value, errs: &mut Errors) {
 ///   actually eliminated, not just moved;
 /// * `summary.throughput_ratio` ≥ 5 — effective requests-per-second with
 ///   elimination on is at least 5x the execute-everything baseline.
-pub fn check_pl(report: &serde_json::Value, errs: &mut Errors) {
-    let mut saw_on = false;
-    let mut saw_off = false;
-    if let Some(rows) = section(report, "rows", "pl", errs) {
-        for (i, row) in rows.iter().enumerate() {
-            let ctx = format!("pl.rows[{i}]");
-            match text(row, "mode", &ctx, errs) {
-                Some("coalesce_on") => saw_on = true,
-                Some("coalesce_off") => saw_off = true,
-                Some(mode) => {
-                    errs.push(format!("{ctx}: unknown mode {mode:?}"));
-                    continue;
-                }
-                None => continue,
-            }
-            for key in ["threads", "rounds", "requests", "computes"] {
-                if uint(row, key, &ctx, errs) == Some(0) {
-                    errs.push(format!("{ctx}: zero `{key}`"));
-                }
-            }
-            fin(row, "wall_ms", &ctx, errs);
-            if let Some(rps) = fin(row, "effective_rps", &ctx, errs) {
-                if rps < 0.0 {
-                    errs.push(format!("{ctx}: negative effective_rps"));
-                }
-            }
-        }
-        if !(saw_on && saw_off) {
-            errs.push(
-                "pl: need rows for both coalesce_on and coalesce_off — the ratio \
-                 is meaningless without its baseline"
-                    .to_string(),
-            );
+pub fn check_pl(report: &Value, errs: &mut Errors) {
+    let rows = rows(report, "rows");
+    let saw = |mode: &str| {
+        rows.iter()
+            .any(|r| r.get("mode").and_then(Value::as_str) == Some(mode))
+    };
+    // (An empty section is the walk's finding, not this one's.)
+    let both = saw("coalesce_on") && saw("coalesce_off");
+    if !rows.is_empty() && !both {
+        errs.push(
+            "pl: need rows for both coalesce_on and coalesce_off — the ratio \
+             is meaningless without its baseline"
+                .to_string(),
+        );
+    }
+    let ctx = "pl.summary";
+    if let (Some(on), Some(off)) = (
+        uint(report, "summary.computes_on"),
+        uint(report, "summary.computes_off"),
+    ) {
+        if on >= off {
+            errs.push(format!(
+                "{ctx}: computes_on {on} not below computes_off {off} — \
+                 no redundant executions were eliminated"
+            ));
         }
     }
-    match report.get("summary").filter(|s| s.is_object()) {
-        Some(summary) => {
-            let ctx = "pl.summary";
-            let on = uint(summary, "computes_on", ctx, errs);
-            let off = uint(summary, "computes_off", ctx, errs);
-            if let (Some(on), Some(off)) = (on, off) {
-                if on >= off {
-                    errs.push(format!(
-                        "{ctx}: computes_on {on} not below computes_off {off} — \
-                         no redundant executions were eliminated"
-                    ));
-                }
-            }
-            if let Some(ratio) = fin(summary, "throughput_ratio", ctx, errs) {
-                if ratio < 5.0 {
-                    errs.push(format!(
-                        "{ctx}: throughput_ratio {ratio:.2} below 5 — single-flight \
-                         plus the versioned store must beat execute-every-submit by \
-                         at least 5x on a duplicate-heavy load"
-                    ));
-                }
-            }
+    if let Some(ratio) = num(report, "summary.throughput_ratio") {
+        if ratio < 5.0 {
+            errs.push(format!(
+                "{ctx}: throughput_ratio {ratio:.2} below 5 — single-flight \
+                 plus the versioned store must beat execute-every-submit by \
+                 at least 5x on a duplicate-heavy load"
+            ));
         }
-        None => errs.push("pl: missing `summary` object".to_string()),
     }
 }
 
-/// Validate one parsed report against its bench name.
-pub fn validate_report(name: &str, report: &serde_json::Value) -> Result<(), Errors> {
+/// Validate one parsed report against its bench name: the tag, the shapes
+/// in the table, then the bench's cross-row claims.
+pub fn validate_report(name: &str, report: &Value) -> Result<(), Errors> {
     let mut errs = Errors::new();
     if !report.is_object() {
         return Err(vec![format!("{name}: report is not a JSON object")]);
@@ -680,14 +628,16 @@ pub fn validate_report(name: &str, report: &serde_json::Value) -> Result<(), Err
         Some(tag) => errs.push(format!("{name}: `bench` tag says {tag:?}")),
         None => errs.push(format!("{name}: missing `bench` tag")),
     }
+    if KNOWN.contains(&name) {
+        walk(name, report, &mut errs);
+    }
     match name {
-        "fig4_browse_clients" | "fig5_browse_nodes" => check_browse_rows(report, name, &mut errs),
+        "fig4_browse_clients" => check_fig4(report, &mut errs),
         "fig5_shards" => check_fig5(report, &mut errs),
-        "batch_bench" => check_batch_bench(report, &mut errs),
         "ingest" => check_ingest(report, &mut errs),
-        "table1_processing" => check_table1(report, &mut errs),
         "store" => check_store(report, &mut errs),
         "pl" => check_pl(report, &mut errs),
+        "fig5_browse_nodes" | "batch_bench" | "table1_processing" => {}
         other => errs.push(format!(
             "unknown bench {other:?} — register its schema in hedc_bench::schema"
         )),
@@ -713,7 +663,7 @@ pub fn validate_file(path: &Path) -> Result<String, Errors> {
     };
     let raw = std::fs::read_to_string(path)
         .map_err(|e| vec![format!("{}: unreadable: {e}", path.display())])?;
-    let report: serde_json::Value = serde_json::from_str(&raw)
+    let report: Value = serde_json::from_str(&raw)
         .map_err(|e| vec![format!("{}: bad JSON: {e}", path.display())])?;
     validate_report(name, &report).map(|()| name.to_string())
 }

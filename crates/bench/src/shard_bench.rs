@@ -14,12 +14,9 @@
 //! [`crate::schema::check_fig5`].
 
 use crate::percentile;
-use hedc_dm::{
-    schema, splitmix64, Clock, DmIo, DmNode, IoConfig, Partitioning, Route, ShardMap, ShardedDm,
-};
-use hedc_filestore::FileStore;
-use hedc_metadb::{Database, Expr, OrderDir, Query, Value};
-use std::sync::Arc;
+use hedc_dm::testkit::{HleRow, ShardedFixture, Stream};
+use hedc_dm::{FaultPlan, Route, ShardMap};
+use hedc_metadb::{Expr, OrderDir, Query};
 use std::time::Instant;
 
 /// The `time_end` domain the rows are spread over, `[0, SPAN)`.
@@ -98,55 +95,9 @@ pub struct ShardPoint {
     pub p99_s: f64,
 }
 
-fn store(label: &str) -> Arc<DmIo> {
-    let db = Database::in_memory(label);
-    {
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-    }
-    Arc::new(DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(FileStore::new()),
-        Clock::starting_at(0),
-        &IoConfig::default(),
-    ))
-}
-
-fn hle_row(id: i64, time_end: i64) -> Vec<Value> {
-    vec![
-        Value::Int(id),
-        Value::Int(1),
-        Value::Int(id % 64),
-        Value::Timestamp(time_end - 5),
-        Value::Timestamp(time_end),
-        Value::Float(3.0),
-        Value::Float(20_000.0),
-        Value::Text("flare".into()),
-        Value::Null,
-        Value::Float((id % 101) as f64),
-        Value::Null,
-        Value::Int((id * 13) % 997),
-        Value::Int(1),
-        Value::Int(1),
-        Value::Bool(true),
-        Value::Null,
-        Value::Null,
-        Value::Timestamp(time_end - 5),
-        Value::Text("user".into()),
-        Value::Null,
-        Value::Null,
-        Value::Null,
-        Value::Null,
-        Value::Int(0),
-        Value::Bool(false),
-    ]
-}
-
 /// The seeded probe stream: index `i` yields the same query at every
 /// shard count, so the points measure identical work.
-fn probe(i: usize, scatter_every: usize, state: &mut u64) -> Query {
+fn probe(i: usize, scatter_every: usize, state: &mut Stream) -> Query {
     if scatter_every != 0 && i % scatter_every == 0 {
         // Global top-k: which events had the most photons, archive-wide.
         Query::table("hle")
@@ -155,7 +106,7 @@ fn probe(i: usize, scatter_every: usize, state: &mut u64) -> Query {
             .order_by("id", OrderDir::Asc)
             .limit(10)
     } else {
-        let lo = (splitmix64(state) % (SPAN - WINDOW) as u64) as i64;
+        let lo = state.below((SPAN - WINDOW) as u64) as i64;
         Query::table("hle")
             .select(&["id", "time_end", "n_photons"])
             .filter(Expr::between("time_end", lo, lo + WINDOW))
@@ -175,33 +126,19 @@ fn route_width(map: &ShardMap, q: &Query, shards: usize) -> usize {
 /// Run one point of the sweep.
 pub fn run_shard_point(config: &ShardBenchConfig, shards: usize) -> ShardPoint {
     let map = ShardMap::new(shards as u32).with_even_range("hle", "time_end", 0, SPAN);
-    let stores: Vec<Arc<DmIo>> = (0..shards).map(|s| store(&format!("shard-{s}"))).collect();
-    let mut state = SEED;
-    for id in 0..config.rows as i64 {
-        let time_end = (splitmix64(&mut state) % SPAN as u64) as i64;
-        let owner = map.shard_for("hle", time_end).expect("hle is sharded");
-        stores[owner as usize]
-            .insert("hle", hle_row(id, time_end))
-            .unwrap();
-    }
-    let replica_sets: Vec<Vec<Arc<dyn DmNode>>> = stores
-        .iter()
-        .map(|io| {
-            (0..config.replicas)
-                .map(|_| Arc::clone(io) as Arc<dyn DmNode>)
-                .collect()
-        })
-        .collect();
-    let sharded = ShardedDm::new(replica_sets, map);
+    let mut times = Stream(SEED);
+    let rows = (0..config.rows as i64).map(|id| HleRow::at(id, times.below(SPAN as u64) as i64));
+    let replicas = vec![FaultPlan::none(); config.replicas];
+    let sharded = ShardedFixture::build(&mut Stream(0), map, &replicas, rows).sharded;
 
     // Warmup: a couple of probes outside the measured window.
-    let mut warm_state = SEED ^ 0x9E37;
+    let mut warm_state = Stream(SEED ^ 0x9E37);
     for i in 0..4 {
         let q = probe(i + 1, 0, &mut warm_state);
         sharded.query(&q).unwrap();
     }
 
-    let mut probe_state = SEED;
+    let mut probe_state = Stream(SEED);
     let mut latencies = Vec::with_capacity(config.queries);
     let mut rows_returned = 0u64;
     let mut fanout_sum = 0usize;

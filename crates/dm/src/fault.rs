@@ -2,10 +2,11 @@
 //!
 //! Concurrency tests that kill nodes mid-run are the tests most likely to
 //! flake — and a flake that cannot be replayed is a flake that never gets
-//! fixed. [`FaultyDmNode`] wraps any [`DmNode`] and injects failures from a
-//! seeded [SplitMix64] stream, so a failing run reproduces exactly from the
-//! seed it printed. Setting `HEDC_TEST_SEED` overrides every plan's seed,
-//! which is how `scripts/check.sh --seed N` replays a reported failure.
+//! fixed. [`FaultyDmNode`] wraps any [`DmNode`] and injects failures from
+//! the seeded [`Stream`] it is handed (`hedc_dm::testkit`: the
+//! `"node-faults"` stream of the run's one seed), so a failing run
+//! reproduces exactly from the seed it printed and
+//! `scripts/check.sh --seed N` replays it.
 //!
 //! Three fault classes are injected, mirroring what the real network tier
 //! can produce (see `hedc-net`):
@@ -17,36 +18,19 @@
 //!   over (the node is up — §5.4's redirection only reroutes outages).
 //! * **slow** — the call sleeps before executing, exercising timeout and
 //!   tail-latency handling without wall-clock-dependent assertions.
-//!
-//! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 
 use crate::error::{DmError, DmResult};
 use crate::redirect::DmNode;
 use hedc_metadb::{Query, QueryResult};
+use hedc_obs::Stream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Advance a SplitMix64 state and return the next draw. Passes BigCrush,
-/// needs one u64 of state, and — unlike hashing a counter — is identical
-/// across platforms and std versions, which is what replayability needs.
-/// Public so seeded concurrency tests outside this crate (the net-tier
-/// churn and multiplexing suites) replay from the same stream family.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A deterministic fault schedule: per-mille rates for each fault class,
-/// drawn from a seeded stream.
+/// A fault schedule: per-mille rates for each fault class. The draws come
+/// from the stream the wrapping [`FaultyDmNode`] is handed.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    /// Base seed. [`FaultPlan::effective_seed`] applies the
-    /// `HEDC_TEST_SEED` override.
-    pub seed: u64,
     /// Calls per 1000 that return [`DmError::RemoteUnavailable`].
     pub unavailable_per_mille: u32,
     /// Calls per 1000 that return [`DmError::RemoteFailed`].
@@ -58,11 +42,10 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan with the given seed and no faults; dial rates in with the
-    /// builder methods.
-    pub fn seeded(seed: u64) -> Self {
+    /// A plan that injects nothing; dial rates in with the builder
+    /// methods.
+    pub fn none() -> Self {
         FaultPlan {
-            seed,
             unavailable_per_mille: 0,
             failed_per_mille: 0,
             slow_per_mille: 0,
@@ -88,17 +71,6 @@ impl FaultPlan {
         self.slow_for = delay;
         self
     }
-
-    /// The seed this plan will actually run with: `HEDC_TEST_SEED` when the
-    /// environment sets it (the `scripts/check.sh --seed` replay path),
-    /// otherwise the plan's own seed. Tests should print this value so any
-    /// failure is reproducible.
-    pub fn effective_seed(&self) -> u64 {
-        std::env::var("HEDC_TEST_SEED")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(self.seed)
-    }
 }
 
 /// Counts of injected faults, for assertions and debugging output.
@@ -116,8 +88,8 @@ pub struct FaultCounts {
 
 /// A [`DmNode`] wrapper that injects faults deterministically.
 ///
-/// The draw sequence depends only on the seed and on the *order* in which
-/// calls acquire the internal RNG lock. Single-threaded tests are exactly
+/// The draw sequence depends only on the stream and on the *order* in which
+/// calls acquire its lock. Single-threaded tests are exactly
 /// reproducible; multi-threaded tests reproduce the same multiset of
 /// injected faults for a given seed and call count, which pins down the
 /// distribution a scheduler-dependent interleaving runs against.
@@ -125,8 +97,7 @@ pub struct FaultyDmNode<N: DmNode> {
     inner: Arc<N>,
     label: String,
     plan: FaultPlan,
-    seed: u64,
-    rng: Mutex<u64>,
+    stream: Mutex<Stream>,
     down: AtomicBool,
     /// Remaining calls before the node goes hard-down (`i64::MAX` = never).
     /// The shard-failover suite uses this to kill one replica *mid-scatter*
@@ -139,16 +110,13 @@ pub struct FaultyDmNode<N: DmNode> {
 }
 
 impl<N: DmNode> FaultyDmNode<N> {
-    /// Wrap `inner`, drawing faults from `plan` (seed subject to the
-    /// `HEDC_TEST_SEED` override).
-    pub fn new(inner: Arc<N>, label: impl Into<String>, plan: FaultPlan) -> Self {
-        let seed = plan.effective_seed();
+    /// Wrap `inner`, injecting `plan`'s faults on draws from `stream`.
+    pub fn new(inner: Arc<N>, label: impl Into<String>, plan: FaultPlan, stream: Stream) -> Self {
         FaultyDmNode {
             inner,
             label: label.into(),
             plan,
-            seed,
-            rng: Mutex::new(seed),
+            stream: Mutex::new(stream),
             down: AtomicBool::new(false),
             down_after: AtomicU64::new(u64::MAX),
             unavailable: AtomicU64::new(0),
@@ -158,10 +126,11 @@ impl<N: DmNode> FaultyDmNode<N> {
         }
     }
 
-    /// The seed the fault stream runs with. Print it in every test that
-    /// uses this wrapper, so a flake reproduces via `HEDC_TEST_SEED`.
-    pub fn seed(&self) -> u64 {
-        self.seed
+    /// A wrapper whose only faults are the ones a test switches on:
+    /// [`FaultyDmNode::set_down`], [`FaultyDmNode::down_after`]. Also the
+    /// call counter and hop meter the scale-out suites read.
+    pub fn steady(inner: Arc<N>, label: impl Into<String>) -> Self {
+        Self::new(inner, label, FaultPlan::none(), Stream(0))
     }
 
     /// Hard-down toggle: while set, every call is refused regardless of
@@ -193,7 +162,7 @@ impl<N: DmNode> FaultyDmNode<N> {
         hedc_obs::global().counter("fault.injected").inc();
         hedc_obs::emit(
             hedc_obs::events::kind::FAULT_INJECT,
-            format!("{} injected {class} (seed {})", self.label, self.seed),
+            format!("{} injected {class}", self.label),
         );
     }
 
@@ -224,10 +193,11 @@ impl<N: DmNode> FaultyDmNode<N> {
         if self.down.load(Ordering::SeqCst) {
             return Err(DmError::RemoteUnavailable(self.label.clone()));
         }
-        let draw = {
-            let mut rng = self.rng.lock().expect("fault rng poisoned");
-            splitmix64(&mut rng) % 1000
-        } as u32;
+        let draw = self
+            .stream
+            .lock()
+            .expect("fault stream poisoned")
+            .below(1000) as u32;
         let p = &self.plan;
         if draw < p.unavailable_per_mille {
             self.inject("unavailable", &self.unavailable);
@@ -282,7 +252,8 @@ impl<N: DmNode> DmNode for FaultyDmNode<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{catalog_node, DmIo};
+    use crate::io::DmIo;
+    use crate::testkit::catalog_node;
 
     fn node() -> Arc<DmIo> {
         Arc::new(catalog_node("fault-test", 1))
@@ -303,7 +274,8 @@ mod tests {
             let n = FaultyDmNode::new(
                 node(),
                 "det",
-                FaultPlan::seeded(seed).unavailable(200).failed(100),
+                FaultPlan::none().unavailable(200).failed(100),
+                Stream(seed),
             );
             (0..200)
                 .map(|_| outcome_tag(&n.execute_query(&Query::table("catalog"))))
@@ -322,7 +294,8 @@ mod tests {
         let n = FaultyDmNode::new(
             node(),
             "rates",
-            FaultPlan::seeded(7).unavailable(300).failed(100),
+            FaultPlan::none().unavailable(300).failed(100),
+            Stream(7),
         );
         let mut ok = 0u64;
         for _ in 0..1000 {
@@ -340,7 +313,7 @@ mod tests {
 
     #[test]
     fn hard_down_overrides_the_plan() {
-        let n = FaultyDmNode::new(node(), "downed", FaultPlan::seeded(1));
+        let n = FaultyDmNode::steady(node(), "downed");
         assert!(n.execute_query(&Query::table("catalog")).is_ok());
         n.set_down(true);
         assert!(!n.is_available());
@@ -354,7 +327,7 @@ mod tests {
 
     #[test]
     fn down_after_kills_at_an_exact_call_count() {
-        let n = FaultyDmNode::new(node(), "countdown", FaultPlan::seeded(5));
+        let n = FaultyDmNode::steady(node(), "countdown");
         n.down_after(3);
         for i in 0..3 {
             assert!(
@@ -376,7 +349,8 @@ mod tests {
         let n = FaultyDmNode::new(
             node(),
             "observed-node",
-            FaultPlan::seeded(3).unavailable(1000),
+            FaultPlan::none().unavailable(1000),
+            Stream(3),
         );
         let _ = n.execute_query(&Query::table("catalog"));
         let events = hedc_obs::event_log().events_of_kind(hedc_obs::events::kind::FAULT_INJECT);

@@ -478,45 +478,11 @@ impl DmIo {
     }
 }
 
-/// Fixture shared by this crate's unit tests: a one-database in-memory
-/// store with both schemas and `rows` rows in `catalog`.
-#[cfg(test)]
-pub(crate) fn catalog_node(label: &str, rows: i64) -> DmIo {
-    let db = Database::in_memory(label);
-    let mut conn = db.connect();
-    crate::schema::create_generic(&mut conn).unwrap();
-    crate::schema::create_domain(&mut conn).unwrap();
-    let io = DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(FileStore::new()),
-        Clock::starting_at(0),
-        &IoConfig::default(),
-    );
-    for i in 0..rows {
-        io.insert("catalog", catalog_row(i + 1, &format!("c{i}")))
-            .unwrap();
-    }
-    io
-}
-
-#[cfg(test)]
-fn catalog_row(id: i64, name: &str) -> Vec<Value> {
-    vec![
-        Value::Int(id),
-        Value::Int(0),
-        Value::Text(name.into()),
-        Value::Null,
-        Value::Text("system".into()),
-        Value::Bool(true),
-        Value::Int(0),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema;
+    use crate::testkit::{cached_node, catalog_node, catalog_row};
     use hedc_metadb::Expr;
 
     fn io_single() -> DmIo {
@@ -537,20 +503,7 @@ mod tests {
     fn query_roundtrips_through_sql() {
         let io = io_single();
         let id = io.next_id();
-        let ts = io.clock.now_ms() as i64;
-        io.insert(
-            "catalog",
-            vec![
-                Value::Int(id),
-                Value::Int(0),
-                Value::Text("extended".into()),
-                Value::Null,
-                Value::Text("system".into()),
-                Value::Bool(true),
-                Value::Int(ts),
-            ],
-        )
-        .unwrap();
+        io.insert("catalog", catalog_row(id, "extended")).unwrap();
         let r = io
             .query(&Query::table("catalog").filter(Expr::eq("name", "extended")))
             .unwrap();
@@ -623,20 +576,7 @@ mod tests {
 
     #[test]
     fn cached_query_skips_database_and_write_invalidates() {
-        let db = Database::in_memory("io-cache");
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-        let io = DmIo::new(
-            vec![db],
-            Partitioning::single(),
-            Arc::new(FileStore::new()),
-            Clock::starting_at(0),
-            &IoConfig {
-                cache: Some(hedc_cache::CacheConfig::default()),
-                ..IoConfig::default()
-            },
-        );
+        let io = cached_node("io-cache", CacheConfig::default());
         io.insert("catalog", catalog_row(1, "standard")).unwrap();
 
         let q = Query::table("catalog").filter(Expr::eq("public", true));

@@ -51,11 +51,14 @@ pub mod schema;
 mod semantic;
 mod session;
 pub mod shard;
+#[doc(hidden)]
+pub mod testkit;
 mod version;
 pub mod workflow;
 
 pub use error::{DmError, DmResult};
-pub use fault::{splitmix64, FaultCounts, FaultPlan, FaultyDmNode};
+pub use fault::{FaultCounts, FaultPlan, FaultyDmNode};
+pub use hedc_obs::splitmix64;
 pub use io::{Clock, DmCaches, DmIo, IoConfig, Partitioning};
 pub use names::{NameType, Names, ResolvedName};
 pub use pipeline::{CrashPlan, IngestOptions, JournalStep, PipelineReport, UnitResult, UnitStatus};
@@ -319,28 +322,11 @@ impl DmNode for Dm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hedc_filestore::{Archive, ArchiveTier};
-
-    fn files() -> Arc<FileStore> {
-        let fs = FileStore::new();
-        fs.register(Archive::in_memory(
-            1,
-            "raw",
-            ArchiveTier::OnlineDisk,
-            1 << 30,
-        ));
-        fs.register(Archive::in_memory(
-            2,
-            "derived",
-            ArchiveTier::OnlineRaid,
-            1 << 30,
-        ));
-        Arc::new(fs)
-    }
+    use crate::testkit::{dm, dm_with};
 
     #[test]
     fn bootstrap_creates_system_state() {
-        let dm = Dm::bootstrap(files(), DmConfig::default()).unwrap();
+        let dm = dm();
         // Catalogs exist and are public.
         let guest = Session::anonymous("ip");
         let r = dm
@@ -357,7 +343,7 @@ mod tests {
 
     #[test]
     fn login_and_rights_flow() {
-        let dm = Dm::bootstrap(files(), DmConfig::default()).unwrap();
+        let dm = dm();
         dm.create_user("sci", "pw", "science", Rights::SCIENTIST)
             .unwrap();
         let cookie = dm.login("sci", "pw", "10.1.1.1").unwrap();
@@ -372,7 +358,7 @@ mod tests {
 
     #[test]
     fn matviews_serve_summaries_and_refresh() {
-        let dm = Dm::bootstrap(files(), DmConfig::default()).unwrap();
+        let dm = dm();
         assert_eq!(
             dm.matviews.names(),
             vec!["analyses_by_kind".to_string(), "events_by_type".to_string()]
@@ -399,7 +385,7 @@ mod tests {
 
     #[test]
     fn archive_status_refresh_tracks_usage() {
-        let dm = Dm::bootstrap(files(), DmConfig::default()).unwrap();
+        let dm = dm();
         dm.io.files.store(1, "some/file", &[0u8; 4096]).unwrap();
         let updated = dm.processes().refresh_archive_status().unwrap();
         assert_eq!(updated, 2);
@@ -417,7 +403,7 @@ mod tests {
             partitioning: Partitioning::single().route("raw_unit", 1),
             ..DmConfig::default()
         };
-        let dm = Dm::bootstrap(files(), config).unwrap();
+        let dm = dm_with(config);
         assert_eq!(dm.io.databases().len(), 2);
         // raw_unit goes to db 1; catalog stayed on db 0.
         assert_eq!(dm.io.databases()[0].row_count("catalog").unwrap(), 2);

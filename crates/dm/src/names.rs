@@ -559,37 +559,11 @@ impl<'a> Names<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{Clock, IoConfig, Partitioning};
-    use crate::schema;
-    use hedc_filestore::{Archive, ArchiveTier, FileStore};
-    use hedc_metadb::Database;
-    use std::sync::Arc;
+    use crate::testkit::{cached_node, node};
+    use hedc_cache::CacheConfig;
 
     fn io() -> DmIo {
-        let db = Database::in_memory("names-test");
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-        let files = FileStore::new();
-        files.register(Archive::in_memory(
-            1,
-            "disk",
-            ArchiveTier::OnlineDisk,
-            1 << 20,
-        ));
-        files.register(Archive::in_memory(
-            2,
-            "tape",
-            ArchiveTier::TapeVault,
-            1 << 20,
-        ));
-        DmIo::new(
-            vec![db],
-            Partitioning::single(),
-            Arc::new(files),
-            Clock::starting_at(0),
-            &IoConfig::default(),
-        )
+        node("names-test", Default::default())
     }
 
     #[test]
@@ -698,27 +672,7 @@ mod tests {
 
     #[test]
     fn cached_resolution_skips_database_until_relocation() {
-        let db = Database::in_memory("names-cache-test");
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-        let files = FileStore::new();
-        files.register(Archive::in_memory(
-            1,
-            "disk",
-            ArchiveTier::OnlineDisk,
-            1 << 20,
-        ));
-        let io = DmIo::new(
-            vec![db],
-            Partitioning::single(),
-            Arc::new(files),
-            Clock::starting_at(0),
-            &IoConfig {
-                cache: Some(hedc_cache::CacheConfig::default()),
-                ..IoConfig::default()
-            },
-        );
+        let io = cached_node("names-cache-test", CacheConfig::default());
         let names = Names::new(&io);
         names.register_archive(1, "disk", "v1", None).unwrap();
         let item = names.new_item().unwrap();
@@ -837,27 +791,7 @@ mod tests {
 
     #[test]
     fn batch_serves_warm_items_from_cache_and_queries_only_misses() {
-        let db = Database::in_memory("names-batch-cache");
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-        let files = FileStore::new();
-        files.register(Archive::in_memory(
-            1,
-            "disk",
-            ArchiveTier::OnlineDisk,
-            1 << 20,
-        ));
-        let io = DmIo::new(
-            vec![db],
-            Partitioning::single(),
-            Arc::new(files),
-            Clock::starting_at(0),
-            &IoConfig {
-                cache: Some(hedc_cache::CacheConfig::default()),
-                ..IoConfig::default()
-            },
-        );
+        let io = cached_node("names-batch-cache", CacheConfig::default());
         let names = Names::new(&io);
         names.register_archive(1, "disk", "v1", None).unwrap();
         let items: Vec<i64> = (0..4)

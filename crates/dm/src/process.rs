@@ -230,85 +230,27 @@ impl<'a> Processes<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{Clock, IoConfig, Partitioning};
     use crate::pipeline::{self, IngestOptions};
-    use crate::schema;
-    use crate::session::{create_user, Rights, SessionKind, SessionManager};
+    use crate::testkit::Loader;
     use hedc_events::{generate, package, GenConfig, TelemetryUnit};
-    use hedc_filestore::{Archive, ArchiveTier, FileStore};
-    use hedc_metadb::Database;
+    use hedc_filestore::{Archive, ArchiveTier};
     use hedc_wavelet::PartitionedView;
-    use std::sync::Arc;
 
-    struct Fx {
-        io: DmIo,
-        import: Arc<Session>,
-        extended: i64,
+    /// A loader node with a third archive, the tape vault relocation
+    /// moves files to.
+    fn fixture() -> Loader {
+        let f = Loader::new("process-test", Default::default());
+        let tape = Archive::in_memory(3, "tape", ArchiveTier::TapeVault, 1 << 30);
+        f.io.files.register(tape);
+        let names = Names::new(&f.io);
+        names.register_archive(3, "tape", "", None).unwrap();
+        f
     }
 
-    fn fixture() -> Fx {
-        let db = Database::in_memory("process-test");
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-        let files = FileStore::new();
-        files.register(Archive::in_memory(
-            1,
-            "raw",
-            ArchiveTier::OnlineDisk,
-            1 << 30,
-        ));
-        files.register(Archive::in_memory(
-            2,
-            "derived",
-            ArchiveTier::OnlineRaid,
-            1 << 30,
-        ));
-        files.register(Archive::in_memory(
-            3,
-            "tape",
-            ArchiveTier::TapeVault,
-            1 << 30,
-        ));
-        let io = DmIo::new(
-            vec![db],
-            Partitioning::single(),
-            Arc::new(files),
-            Clock::starting_at(0),
-            &IoConfig::default(),
-        );
-        let names = Names::new(&io);
-        for (id, ty) in [(1u32, "disk"), (2, "raid"), (3, "tape")] {
-            names.register_archive(id, ty, "", None).unwrap();
-        }
-        create_user(
-            &io,
-            "import",
-            "pw",
-            "system",
-            Rights::SCIENTIST.with(Rights::ADMIN),
-        )
-        .unwrap();
-        let mgr = SessionManager::new();
-        let c = mgr.authenticate(&io, "import", "pw", "local").unwrap();
-        let import = mgr.lookup("local", c, SessionKind::Hle).unwrap();
-        let svc = Services::new(&io);
-        let extended = svc
-            .create_catalog(&import, "extended", "system", None)
-            .unwrap();
-        svc.publish(&import, "catalog", extended).unwrap();
-        Fx {
-            io,
-            import,
-            extended,
-        }
-    }
-
-    fn ingest(f: &Fx, unit: &TelemetryUnit) -> IngestReport {
-        let cfg = IngestConfig::new(1, 2, f.extended);
+    fn ingest(f: &Loader, unit: &TelemetryUnit) -> IngestReport {
         let units = std::slice::from_ref(unit);
-        let mut run =
-            pipeline::ingest(&f.io, &f.import, units, &cfg, &IngestOptions::default()).unwrap();
+        let serial = IngestOptions::default();
+        let mut run = pipeline::ingest(&f.io, &f.session, units, &f.cfg, &serial).unwrap();
         run.units.remove(0).report.expect("the unit ingests")
     }
 
@@ -338,7 +280,9 @@ mod tests {
         assert!(f.io.files.exists(1, &unit.archive_path()));
         // HLEs are in the extended catalog and public.
         let svc = Services::new(&f.io);
-        let members = svc.catalog_members(&f.import, f.extended).unwrap();
+        let members = svc
+            .catalog_members(&f.session, f.cfg.extended_catalog)
+            .unwrap();
         assert_eq!(members, report.hle_ids);
         let guest = Session::anonymous("x");
         let visible = svc.query(&guest, Query::table("hle")).unwrap();
@@ -410,11 +354,11 @@ mod tests {
         let unit = busy_unit();
         let report = ingest(&f, &unit);
         let (cat, n) = procs
-            .generate_catalog(&f.import, "flares-only", Expr::eq("event_type", "flare"))
+            .generate_catalog(&f.session, "flares-only", Expr::eq("event_type", "flare"))
             .unwrap();
         assert!(n > 0 && n <= report.hle_ids.len());
         let svc = Services::new(&f.io);
-        assert_eq!(svc.catalog_members(&f.import, cat).unwrap().len(), n);
+        assert_eq!(svc.catalog_members(&f.session, cat).unwrap().len(), n);
     }
 
     #[test]

@@ -277,8 +277,9 @@ impl DmRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, FaultyDmNode};
-    use crate::io::{catalog_node, DmIo};
+    use crate::fault::FaultyDmNode;
+    use crate::io::DmIo;
+    use crate::testkit::catalog_node;
 
     /// A one-database node behind a fault wrapper that injects nothing
     /// until a test flips it down.
@@ -287,11 +288,7 @@ mod tests {
     }
 
     fn wrap<N: DmNode>(inner: N, label: &str) -> Arc<FaultyDmNode<N>> {
-        Arc::new(FaultyDmNode::new(
-            Arc::new(inner),
-            label,
-            FaultPlan::seeded(0),
-        ))
+        Arc::new(FaultyDmNode::steady(Arc::new(inner), label))
     }
 
     #[test]

@@ -335,27 +335,12 @@ impl<'a> Services<'a> {
         }
     }
 
-    /// §3.5: look for an existing, visible analysis with the same
-    /// parameter fingerprint. Uses the `ana_fingerprint` index.
-    pub fn find_existing_analysis(
-        &self,
-        session: &Session,
-        fingerprint: &str,
-    ) -> DmResult<Option<i64>> {
-        let r = self.query(
-            session,
-            Query::table("ana")
-                .filter(Expr::eq("fingerprint", fingerprint).and(Expr::eq("obsolete", false)))
-                .limit(1),
-        )?;
-        Ok(r.rows.first().map(|row| row[0].as_int().expect("ana id")))
-    }
-
-    /// Like [`find_existing_analysis`](Self::find_existing_analysis), but
-    /// only accepts analyses computed at calibration lineage `min_calib` or
-    /// later, and reports the match's `calib_version`. The PL result store
-    /// uses this so a post-recalibration submit recomputes instead of
-    /// serving a stale product (§3.1 invalidation feeding §3.5 reuse).
+    /// §3.5: look for an existing, visible analysis with the same parameter
+    /// fingerprint (the `ana_fingerprint` index) computed at calibration
+    /// lineage `min_calib` or later, and report its `calib_version`. The PL
+    /// result store uses this so a post-recalibration submit recomputes
+    /// instead of serving a stale product (§3.1 invalidation feeding §3.5
+    /// reuse).
     pub fn find_existing_analysis_versioned(
         &self,
         session: &Session,
@@ -587,53 +572,20 @@ impl<'a> Services<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{Clock, IoConfig, Partitioning};
     use crate::names::Names;
-    use crate::schema;
-    use crate::session::{create_user, SessionKind, SessionManager};
-    use hedc_filestore::{Archive, ArchiveTier, FileStore};
-    use hedc_metadb::Database;
+    use crate::testkit::{login, node};
     use std::sync::Arc;
 
     struct Fixture {
         io: DmIo,
-        mgr: SessionManager,
         alice: Arc<Session>,
         bob: Arc<Session>,
     }
 
     fn fixture() -> Fixture {
-        let db = Database::in_memory("semantic-test");
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-        let files = FileStore::new();
-        files.register(Archive::in_memory(
-            1,
-            "disk",
-            ArchiveTier::OnlineDisk,
-            1 << 24,
-        ));
-        let io = DmIo::new(
-            vec![db],
-            Partitioning::single(),
-            Arc::new(files),
-            Clock::starting_at(0),
-            &IoConfig::default(),
-        );
-        create_user(&io, "alice", "a", "sci", Rights::SCIENTIST).unwrap();
-        create_user(&io, "bob", "b", "sci", Rights::SCIENTIST).unwrap();
-        let mgr = SessionManager::new();
-        let ca = mgr.authenticate(&io, "alice", "a", "ip-a").unwrap();
-        let cb = mgr.authenticate(&io, "bob", "b", "ip-b").unwrap();
-        let alice = mgr.lookup("ip-a", ca, SessionKind::Hle).unwrap();
-        let bob = mgr.lookup("ip-b", cb, SessionKind::Hle).unwrap();
-        Fixture {
-            io,
-            mgr,
-            alice,
-            bob,
-        }
+        let io = node("semantic-test", Default::default());
+        let (alice, bob) = (login(&io, "alice"), login(&io, "bob"));
+        Fixture { io, alice, bob }
     }
 
     fn ana_spec(hle_id: i64, fp: &str) -> AnaSpec {
@@ -696,7 +648,6 @@ mod tests {
             svc.create_hle(&guest, &HleSpec::window(0, 1, "flare")),
             Err(DmError::AccessDenied { .. })
         ));
-        let _ = &f.mgr;
     }
 
     #[test]
@@ -814,18 +765,17 @@ mod tests {
             .import_analysis(&f.alice, &ana_spec(hle, "fp-dup"), &[])
             .unwrap();
         // Alice finds her own.
-        assert_eq!(
-            svc.find_existing_analysis(&f.alice, "fp-dup").unwrap(),
-            Some(ana_id)
-        );
+        let find = |who: &Session| {
+            svc.find_existing_analysis_versioned(who, "fp-dup", 0)
+                .unwrap()
+                .map(|(id, _calib)| id)
+        };
+        assert_eq!(find(&f.alice), Some(ana_id));
         // Bob can't see it while private...
-        assert_eq!(svc.find_existing_analysis(&f.bob, "fp-dup").unwrap(), None);
+        assert_eq!(find(&f.bob), None);
         // ...until it's published (§3.5's sharing step).
         svc.publish(&f.alice, "ana", ana_id).unwrap();
-        assert_eq!(
-            svc.find_existing_analysis(&f.bob, "fp-dup").unwrap(),
-            Some(ana_id)
-        );
+        assert_eq!(find(&f.bob), Some(ana_id));
     }
 
     #[test]

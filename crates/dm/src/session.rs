@@ -278,7 +278,7 @@ mod tests {
     use super::*;
 
     fn io() -> DmIo {
-        crate::io::catalog_node("session-test", 0)
+        crate::testkit::catalog_node("session-test", 0)
     }
 
     #[test]

@@ -43,7 +43,6 @@
 //! `columns` and `rows` carry identity guarantees.
 
 use crate::error::{DmError, DmResult};
-use crate::fault::splitmix64;
 use crate::io::DmIo;
 use crate::redirect::{scatter, DmNode, DmRouter};
 use crate::workflow::{self, CrashSite, Probe, Step, Workflow};
@@ -53,6 +52,7 @@ use hedc_metadb::{
     AccessPath, AggFunc, CmpOp, ExecStats, Expr, OrderDir, Projection, Query, QueryResult,
     Statement, Value,
 };
+use hedc_obs::splitmix64;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::cmp::Ordering;

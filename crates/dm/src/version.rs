@@ -247,74 +247,16 @@ impl<'a> Versioning<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{Clock, IoConfig, Partitioning};
     use crate::pipeline::{self, IngestOptions};
-    use crate::process::IngestConfig;
-    use crate::schema;
     use crate::semantic::{AnaSpec, Services};
-    use crate::session::{create_user, Rights, Session, SessionKind, SessionManager};
+    use crate::testkit::Loader;
     use hedc_events::{generate, package, GenConfig};
-    use hedc_filestore::{Archive, ArchiveTier, FileStore};
-    use hedc_metadb::Database;
-    use std::sync::Arc;
 
-    struct Fx {
-        io: DmIo,
-        import: Arc<Session>,
-        extended: i64,
+    fn fixture() -> Loader {
+        Loader::new("version-test", Default::default())
     }
 
-    fn fixture() -> Fx {
-        let db = Database::in_memory("version-test");
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-        let files = FileStore::new();
-        files.register(Archive::in_memory(
-            1,
-            "raw",
-            ArchiveTier::OnlineDisk,
-            1 << 30,
-        ));
-        files.register(Archive::in_memory(
-            2,
-            "derived",
-            ArchiveTier::OnlineRaid,
-            1 << 30,
-        ));
-        let io = DmIo::new(
-            vec![db],
-            Partitioning::single(),
-            Arc::new(files),
-            Clock::starting_at(0),
-            &IoConfig::default(),
-        );
-        let names = Names::new(&io);
-        names.register_archive(1, "disk", "", None).unwrap();
-        names.register_archive(2, "raid", "", None).unwrap();
-        create_user(
-            &io,
-            "import",
-            "pw",
-            "system",
-            Rights::SCIENTIST.with(Rights::ADMIN),
-        )
-        .unwrap();
-        let mgr = SessionManager::new();
-        let c = mgr.authenticate(&io, "import", "pw", "local").unwrap();
-        let import = mgr.lookup("local", c, SessionKind::Hle).unwrap();
-        let svc = Services::new(&io);
-        let extended = svc
-            .create_catalog(&import, "extended", "system", None)
-            .unwrap();
-        Fx {
-            io,
-            import,
-            extended,
-        }
-    }
-
-    fn ingest_first_unit(f: &Fx) -> (i64, Vec<i64>) {
+    fn ingest_first_unit(f: &Loader) -> (i64, Vec<i64>) {
         let t = generate(&GenConfig {
             duration_ms: 20 * 60 * 1000,
             flares_per_hour: 6.0,
@@ -323,9 +265,8 @@ mod tests {
             ..GenConfig::default()
         });
         let unit = package(&t, usize::MAX, 1).remove(0);
-        let cfg = IngestConfig::new(1, 2, f.extended);
-        let mut run =
-            pipeline::ingest(&f.io, &f.import, &[unit], &cfg, &IngestOptions::default()).unwrap();
+        let serial = IngestOptions::default();
+        let mut run = pipeline::ingest(&f.io, &f.session, &[unit], &f.cfg, &serial).unwrap();
         let rep = run.units.remove(0).report.expect("the unit ingests");
         (rep.raw_id, rep.hle_ids)
     }
@@ -338,7 +279,7 @@ mod tests {
         let svc = Services::new(&f.io);
         let (ana_id, _) = svc
             .import_analysis(
-                &f.import,
+                &f.session,
                 &AnaSpec {
                     hle_id: hle_ids[0],
                     kind: "imaging".into(),
@@ -412,7 +353,7 @@ mod tests {
         vsn.log_version("hle", 42, 3, Some(2), "corrected").unwrap();
         let h = vsn.history(42).unwrap();
         assert_eq!(h.iter().map(|(v, _)| *v).collect::<Vec<_>>(), vec![1, 2, 3]);
-        let _ = (&f.import, f.extended);
+        let _ = (&f.session, f.cfg.extended_catalog);
     }
 
     #[test]

@@ -105,6 +105,12 @@ impl<S: Step> CrashSite<S> {
             .iter()
             .flat_map(|(s, _)| [CrashSite::MidStep(*s), CrashSite::Boundary(*s)])
     }
+
+    /// One cell of the matrix, drawn from the stream the caller hands in
+    /// (a run's `"workflow-crash"` stream).
+    pub fn drawn(stream: &mut hedc_obs::Stream) -> CrashSite<S> {
+        *stream.pick(&Self::all().collect::<Vec<_>>())
+    }
 }
 
 /// A one-shot injected process crash (tests, the bench crash cycle): the

@@ -5,57 +5,21 @@
 //! invalidation.
 
 use hedc_cache::CacheConfig;
-use hedc_dm::{
-    create_user, schema, AnaSpec, Clock, DmIo, FilePayload, HleSpec, IoConfig, Partitioning,
-    Rights, Services, Session, SessionKind, SessionManager,
-};
-use hedc_filestore::{Archive, ArchiveTier, FileStore};
-use hedc_metadb::{AggFunc, Database, Expr, Query};
+use hedc_dm::testkit::{cached_node, login, node};
+use hedc_dm::{AnaSpec, DmIo, FilePayload, HleSpec, Services, Session};
+use hedc_metadb::{AggFunc, Expr, Query};
 use std::sync::Arc;
 
 struct Fixture {
     io: DmIo,
-    #[allow(dead_code)]
-    mgr: SessionManager,
     alice: Arc<Session>,
     bob: Arc<Session>,
 }
 
 fn fixture_with(cache: CacheConfig) -> Fixture {
-    let db = Database::in_memory("cache-int-test");
-    let mut conn = db.connect();
-    schema::create_generic(&mut conn).unwrap();
-    schema::create_domain(&mut conn).unwrap();
-    let files = FileStore::new();
-    files.register(Archive::in_memory(
-        1,
-        "disk",
-        ArchiveTier::OnlineDisk,
-        1 << 24,
-    ));
-    let io = DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(files),
-        Clock::starting_at(0),
-        &IoConfig {
-            cache: Some(cache),
-            ..IoConfig::default()
-        },
-    );
-    create_user(&io, "alice", "a", "sci", Rights::SCIENTIST).unwrap();
-    create_user(&io, "bob", "b", "sci", Rights::SCIENTIST).unwrap();
-    let mgr = SessionManager::new();
-    let ca = mgr.authenticate(&io, "alice", "a", "ip-a").unwrap();
-    let cb = mgr.authenticate(&io, "bob", "b", "ip-b").unwrap();
-    let alice = mgr.lookup("ip-a", ca, SessionKind::Hle).unwrap();
-    let bob = mgr.lookup("ip-b", cb, SessionKind::Hle).unwrap();
-    Fixture {
-        io,
-        mgr,
-        alice,
-        bob,
-    }
+    let io = cached_node("cache-int-test", cache);
+    let (alice, bob) = (login(&io, "alice"), login(&io, "bob"));
+    Fixture { io, alice, bob }
 }
 
 fn fixture() -> Fixture {
@@ -357,22 +321,9 @@ fn concurrent_readers_never_see_a_stale_count() {
 fn disabled_cache_changes_nothing() {
     // The default IoConfig carries no cache; the same flows must work
     // without one (and `caches()` reports None).
-    let db = Database::in_memory("cache-off-test");
-    let mut conn = db.connect();
-    schema::create_generic(&mut conn).unwrap();
-    schema::create_domain(&mut conn).unwrap();
-    let io = DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(FileStore::new()),
-        Clock::starting_at(0),
-        &IoConfig::default(),
-    );
+    let io = node("cache-off-test", Default::default());
     assert!(io.caches().is_none());
-    create_user(&io, "solo", "s", "sci", Rights::SCIENTIST).unwrap();
-    let mgr = SessionManager::new();
-    let c = mgr.authenticate(&io, "solo", "s", "ip").unwrap();
-    let solo = mgr.lookup("ip", c, SessionKind::Hle).unwrap();
+    let solo = login(&io, "solo");
     let svc = Services::new(&io);
     svc.create_hle(&solo, &HleSpec::window(0, 10, "flare"))
         .unwrap();

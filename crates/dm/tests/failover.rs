@@ -10,48 +10,24 @@
 //! pure function of the printed seed, replayable with
 //! `scripts/check.sh --seed <seed>`.
 
+use hedc_dm::testkit::{catalog_node, dm, Seed};
 use hedc_dm::{
-    schema, Clock, Dm, DmConfig, DmError, DmIo, DmNode, DmRouter, FaultCounts, FaultPlan,
-    FaultyDmNode, IoConfig, NameType, Partitioning,
+    Dm, DmError, DmIo, DmNode, DmRouter, FaultCounts, FaultPlan, FaultyDmNode, NameType,
 };
-use hedc_filestore::{Archive, ArchiveTier, FileStore};
-use hedc_metadb::{Database, Query, Value};
+use hedc_metadb::Query;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+/// One catalog row behind the I/O layer.
 fn node(label: &str) -> Arc<DmIo> {
-    let db = Database::in_memory(label);
-    let mut conn = db.connect();
-    schema::create_generic(&mut conn).unwrap();
-    schema::create_domain(&mut conn).unwrap();
-    let io = DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(FileStore::new()),
-        Clock::starting_at(0),
-        &IoConfig::default(),
-    );
-    io.insert(
-        "catalog",
-        vec![
-            Value::Int(1),
-            Value::Int(0),
-            Value::Text("standard".into()),
-            Value::Null,
-            Value::Text("system".into()),
-            Value::Bool(true),
-            Value::Int(0),
-        ],
-    )
-    .unwrap();
-    Arc::new(io)
+    Arc::new(catalog_node(label, 1))
 }
 
-/// A node whose only fault is the hard-down toggle: a zero-rate plan.
+/// A node whose only fault is the hard-down toggle.
 fn toggled<N: DmNode>(inner: Arc<N>, label: &str) -> Arc<FaultyDmNode<N>> {
-    Arc::new(FaultyDmNode::new(inner, label, FaultPlan::seeded(0)))
+    Arc::new(FaultyDmNode::steady(inner, label))
 }
 
 #[test]
@@ -133,35 +109,28 @@ fn concurrent_load_survives_node_flapping_and_rebalances() {
 /// driven serially, each request draws exactly one random number per node
 /// it touches, and only unavailability/slowness are injected (the router
 /// does not fail over `RemoteFailed`, so every request must complete).
-fn run_seeded_scenario(seed: u64) -> Vec<FaultCounts> {
+fn run_seeded_scenario(seed: Seed) -> Vec<FaultCounts> {
     const REQUESTS: usize = 300;
+    let mut faults = seed.stream("node-faults");
+    let mut faulty = |label: &str, plan: FaultPlan| {
+        Arc::new(FaultyDmNode::new(node(label), label, plan, faults.fork()))
+    };
     let nodes: Vec<Arc<FaultyDmNode<DmIo>>> = vec![
         // ~20% unavailable, ~10% slow: the noisy node.
-        Arc::new(FaultyDmNode::new(
-            node("det-a"),
+        faulty(
             "det-a",
-            FaultPlan::seeded(seed)
+            FaultPlan::none()
                 .unavailable(200)
                 .slow(100, Duration::from_micros(200)),
-        )),
+        ),
         // ~15% unavailable.
-        Arc::new(FaultyDmNode::new(
-            node("det-b"),
-            "det-b",
-            FaultPlan::seeded(seed ^ 0x9E37_79B9_7F4A_7C15).unavailable(150),
-        )),
+        faulty("det-b", FaultPlan::none().unavailable(150)),
         // Never unavailable — guarantees the router always has an out.
-        Arc::new(FaultyDmNode::new(
-            node("det-c"),
+        faulty(
             "det-c",
-            FaultPlan::seeded(seed.rotate_left(17)).slow(50, Duration::from_micros(100)),
-        )),
+            FaultPlan::none().slow(50, Duration::from_micros(100)),
+        ),
     ];
-    println!(
-        "fault seed {} (replay: scripts/check.sh --seed {})",
-        nodes[0].seed(),
-        nodes[0].seed()
-    );
     let router = DmRouter::new(
         nodes
             .iter()
@@ -188,17 +157,7 @@ fn run_seeded_scenario(seed: u64) -> Vec<FaultCounts> {
 /// order makes the deterministic id allocators agree, so any node can
 /// resolve any item.
 fn replicated_dms(n_items: usize) -> (Arc<Dm>, Arc<Dm>, Vec<i64>) {
-    let mk = || {
-        let files = FileStore::new();
-        files.register(Archive::in_memory(
-            1,
-            "disk",
-            ArchiveTier::OnlineDisk,
-            1 << 20,
-        ));
-        Dm::bootstrap(Arc::new(files), DmConfig::default()).unwrap()
-    };
-    let (a, b) = (mk(), mk());
+    let (a, b) = (dm(), dm());
     let mut items = Vec::with_capacity(n_items);
     for i in 0..n_items {
         let (na, nb) = (a.names(), b.names());
@@ -232,16 +191,9 @@ fn batched_resolution_survives_mid_batch_node_failures() {
 
     // Node A injects ~30% per-entry outages *inside* the batch; node B is
     // healthy. The router must retry exactly the failed entries.
-    let a = Arc::new(FaultyDmNode::new(
-        dm_a,
-        "batch-a",
-        FaultPlan::seeded(11).unavailable(300),
-    ));
-    println!(
-        "fault seed {} (replay: scripts/check.sh --seed {})",
-        a.seed(),
-        a.seed()
-    );
+    let faults = Seed::from_env(11).stream("node-faults");
+    let plan = FaultPlan::none().unavailable(300);
+    let a = Arc::new(FaultyDmNode::new(dm_a, "batch-a", plan, faults));
     let b = toggled(dm_b, "batch-b");
     let router = DmRouter::new(vec![
         a.clone() as Arc<dyn DmNode>,
@@ -280,10 +232,11 @@ fn batched_resolution_survives_mid_batch_node_failures() {
 fn seeded_fault_injection_is_reproducible() {
     // Two runs from one seed must inject the exact same fault sequence —
     // this is what makes a flake printed as "fault seed N" replayable.
-    // (Distinct seeds diverging is covered by the hedc-dm unit tests; it
-    // is not asserted here because `HEDC_TEST_SEED` pins every plan to one
-    // seed during `scripts/check.sh --seed` replays.)
-    let first = run_seeded_scenario(7);
-    let second = run_seeded_scenario(7);
-    assert_eq!(first, second, "same seed, same faults");
+    // (Distinct seeds diverging is covered by the hedc-dm unit tests.)
+    let seed = Seed::from_env(7);
+    assert_eq!(
+        run_seeded_scenario(seed),
+        run_seeded_scenario(seed),
+        "same seed, same faults"
+    );
 }

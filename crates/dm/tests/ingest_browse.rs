@@ -12,22 +12,11 @@
 //!   `raw_row`), so every batched resolve must succeed.
 
 use hedc_cache::CacheConfig;
-use hedc_dm::{
-    create_user, pipeline, schema, Clock, DmIo, IngestConfig, IngestOptions, IoConfig, NameType,
-    Names, Partitioning, Rights, Services, Session, SessionKind, SessionManager,
-};
+use hedc_dm::testkit::{node_with, Loader, Seed};
+use hedc_dm::{pipeline, DmIo, IngestOptions, IoConfig, NameType, Names, Services};
 use hedc_events::{generate, package, GenConfig, TelemetryUnit};
-use hedc_filestore::{Archive, ArchiveTier, FileStore};
-use hedc_metadb::{Database, DbOptions, Expr, Query, StorageConfig};
+use hedc_metadb::{Expr, Query, StorageConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-fn effective_seed() -> u64 {
-    std::env::var("HEDC_TEST_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0xB40_053)
-}
 
 fn workload(seed: u64) -> Vec<TelemetryUnit> {
     let t = generate(&GenConfig {
@@ -44,81 +33,14 @@ fn workload(seed: u64) -> Vec<TelemetryUnit> {
     units
 }
 
-struct Fix {
-    io: DmIo,
-    #[allow(dead_code)]
-    mgr: SessionManager,
-    session: Arc<Session>,
-    cfg: IngestConfig,
-}
-
-fn fixture() -> Fix {
-    fixture_on(None)
-}
-
-/// `storage: Some(..)` opens the metadata database on the paged B-tree
-/// backend; `None` uses the in-process heap.
-fn fixture_on(storage: Option<StorageConfig>) -> Fix {
-    let db = match storage {
-        Some(storage) => Database::open(
-            "ingest-browse",
-            DbOptions {
-                storage,
-                ..DbOptions::default()
-            },
-        )
-        .unwrap(),
-        None => Database::in_memory("ingest-browse"),
+/// A loader node with the result cache on, on the memory backend or (for
+/// the paged test) the paged B-tree backend.
+fn fixture(storage: StorageConfig) -> Loader {
+    let cached = IoConfig {
+        cache: Some(CacheConfig::default()),
+        ..IoConfig::default()
     };
-    {
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-    }
-    let files = FileStore::new();
-    files.register(Archive::in_memory(
-        1,
-        "raw",
-        ArchiveTier::OnlineDisk,
-        1 << 26,
-    ));
-    files.register(Archive::in_memory(
-        2,
-        "derived",
-        ArchiveTier::OnlineDisk,
-        1 << 26,
-    ));
-    let io = DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(files),
-        Clock::starting_at(0),
-        &IoConfig {
-            cache: Some(CacheConfig::default()),
-            ..IoConfig::default()
-        },
-    );
-    let names = Names::new(&io);
-    for status in io.files.statuses() {
-        names
-            .register_archive(status.id, &format!("{:?}", status.tier), "", None)
-            .unwrap();
-    }
-    create_user(&io, "loader", "pw", "sci", Rights::SCIENTIST).unwrap();
-    let mgr = SessionManager::new();
-    let cookie = mgr.authenticate(&io, "loader", "pw", "t").unwrap();
-    let session = mgr.lookup("t", cookie, SessionKind::Hle).unwrap();
-    let svc = Services::new(&io);
-    let catalog = svc
-        .create_catalog(&session, "extended", "system", None)
-        .unwrap();
-    svc.publish(&session, "catalog", catalog).unwrap();
-    Fix {
-        io,
-        mgr,
-        session,
-        cfg: IngestConfig::new(1, 2, catalog),
-    }
+    Loader::over(node_with("ingest-browse", storage, &cached))
 }
 
 /// One browse snapshot over the cached, batched read path. Returns the
@@ -165,7 +87,7 @@ fn browse_once(io: &DmIo) -> usize {
 
 #[test]
 fn browse_stays_consistent_under_concurrent_ingest() {
-    exercise_browse_under_ingest(fixture());
+    exercise_browse_under_ingest(fixture(StorageConfig::default()));
 }
 
 /// Same invariants on the paged backend, where browse snapshots come from
@@ -174,11 +96,11 @@ fn browse_stays_consistent_under_concurrent_ingest() {
 /// waits behind them.
 #[test]
 fn browse_stays_consistent_under_concurrent_ingest_paged() {
-    let fix = fixture_on(Some(StorageConfig {
+    let fix = fixture(StorageConfig {
         page_size: 2048,
         cache_pages: 256,
         ..StorageConfig::paged()
-    }));
+    });
     // Paged tables publish snapshots from the moment they are created.
     let db = &fix.io.databases()[0];
     let pinned = db.snapshot("raw_unit").expect("paged table publishes");
@@ -190,10 +112,8 @@ fn browse_stays_consistent_under_concurrent_ingest_paged() {
     assert!(pinned.scan_ids().is_empty());
 }
 
-fn exercise_browse_under_ingest(fix: Fix) {
-    let seed = effective_seed();
-    println!("ingest_browse seed={seed}");
-    let units = workload(seed);
+fn exercise_browse_under_ingest(fix: Loader) {
+    let units = workload(Seed::from_env(0xB40_053).0);
 
     // Warm the cache with the empty pre-load answer: if any write-through
     // generation bump is missed, this entry resurfaces as a stale hit below.

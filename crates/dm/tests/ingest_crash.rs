@@ -17,31 +17,28 @@
 //! Deterministic: the workload derives from one printed seed, replayable
 //! with `scripts/check.sh --seed <seed>` (`HEDC_TEST_SEED`).
 
+use hedc_dm::testkit::{Loader, Seed};
 use hedc_dm::{
-    create_user, pipeline, schema, workflow, Clock, CrashPlan, CrashSite, DmError, DmIo,
-    IngestConfig, IngestOptions, IoConfig, JournalStep, Names, Partitioning, Rights, Services,
-    Session, SessionKind, SessionManager, Step, UnitStatus,
+    pipeline, schema, workflow, CrashPlan, CrashSite, DmError, DmIo, IngestOptions, JournalStep,
+    Step, UnitStatus,
 };
 use hedc_events::{generate, package, GenConfig, TelemetryUnit};
-use hedc_filestore::{Archive, ArchiveTier, DirBackend, FileStore};
-use hedc_metadb::{Database, DbOptions, Expr, Query, StorageConfig, Value, WalOptions};
+use hedc_metadb::{Expr, Query, StorageConfig, Value, WalOptions};
 use std::collections::BTreeMap;
-use std::path::Path;
-use std::sync::Arc;
 
 const BASE_SEED: u64 = 0xC4A5_0041;
 
-fn effective_seed() -> u64 {
-    std::env::var("HEDC_TEST_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(BASE_SEED)
+/// The unit a crash matrix kills: drawn from the run's `"workflow-crash"`
+/// stream, so a seed sweep moves the crash through the batch.
+fn drawn_victim(units: &[TelemetryUnit]) -> u32 {
+    let mut crash = Seed::from_env(BASE_SEED).stream("workflow-crash");
+    crash.pick(units).seq
 }
 
 /// A few distribution units with enough activity that most carry events.
-fn workload(seed: u64) -> Vec<TelemetryUnit> {
+fn workload() -> Vec<TelemetryUnit> {
     let t = generate(&GenConfig {
-        seed,
+        seed: Seed::from_env(BASE_SEED).0,
         start_ms: 0,
         duration_ms: 4 * 60 * 1000,
         background_rate: 25.0,
@@ -54,104 +51,10 @@ fn workload(seed: u64) -> Vec<TelemetryUnit> {
     units
 }
 
-struct Fix {
-    io: DmIo,
-    #[allow(dead_code)]
-    mgr: SessionManager,
-    session: Arc<Session>,
-    cfg: IngestConfig,
-}
-
 /// A deterministic in-memory node: twin calls produce twin id/clock states,
 /// which is what the byte-identity assertions lean on.
-fn fixture() -> Fix {
-    fixture_on(None)
-}
-
-fn fixture_on(storage: Option<StorageConfig>) -> Fix {
-    let db = match storage {
-        Some(storage) => Database::open(
-            "ingest-crash",
-            DbOptions {
-                storage,
-                ..DbOptions::default()
-            },
-        )
-        .unwrap(),
-        None => Database::in_memory("ingest-crash"),
-    };
-    {
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-    }
-    let files = FileStore::new();
-    files.register(Archive::in_memory(
-        1,
-        "raw",
-        ArchiveTier::OnlineDisk,
-        1 << 26,
-    ));
-    files.register(Archive::in_memory(
-        2,
-        "derived",
-        ArchiveTier::OnlineDisk,
-        1 << 26,
-    ));
-    let io = DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(files),
-        Clock::starting_at(0),
-        &IoConfig::default(),
-    );
-    setup_node(&io);
-    let (mgr, session) = login(&io);
-    let catalog = make_catalog(&io, &session);
-    Fix {
-        io,
-        mgr,
-        session,
-        cfg: IngestConfig::new(1, 2, catalog),
-    }
-}
-
-fn setup_node(io: &DmIo) {
-    let names = Names::new(io);
-    for status in io.files.statuses() {
-        names
-            .register_archive(status.id, &format!("{:?}", status.tier), "", None)
-            .unwrap();
-        io.insert(
-            "op_archives",
-            vec![
-                Value::Int(i64::from(status.id)),
-                Value::Text(status.name.clone()),
-                Value::Text(format!("{:?}", status.tier)),
-                Value::Text(format!("{:?}", status.state)),
-                Value::Int(status.capacity as i64),
-                Value::Int(status.used as i64),
-            ],
-        )
-        .unwrap();
-    }
-    create_user(io, "loader", "pw", "sci", Rights::SCIENTIST).unwrap();
-}
-
-fn login(io: &DmIo) -> (SessionManager, Arc<Session>) {
-    let mgr = SessionManager::new();
-    let cookie = mgr.authenticate(io, "loader", "pw", "t").unwrap();
-    let session = mgr.lookup("t", cookie, SessionKind::Hle).unwrap();
-    (mgr, session)
-}
-
-fn make_catalog(io: &DmIo, session: &Session) -> i64 {
-    let svc = Services::new(io);
-    let catalog = svc
-        .create_catalog(session, "extended", "system", None)
-        .unwrap();
-    svc.publish(session, "catalog", catalog).unwrap();
-    catalog
+fn fixture() -> Loader {
+    Loader::new("ingest-crash", StorageConfig::default())
 }
 
 /// Canonical dump of every table: sorted debug-formatted rows, table-tagged.
@@ -226,10 +129,8 @@ fn crashing(victim: u32, site: CrashSite<JournalStep>) -> IngestOptions {
 
 #[test]
 fn boundary_crash_matrix_resumes_byte_identical() {
-    let seed = effective_seed();
-    println!("ingest_crash seed={seed}");
-    let units = workload(seed);
-    let victim = units[units.len() / 2].seq;
+    let units = workload();
+    let victim = drawn_victim(&units);
 
     // Uninterrupted twin: the reference state.
     let reference = fixture();
@@ -293,10 +194,8 @@ fn boundary_crash_matrix_resumes_byte_identical() {
 
 #[test]
 fn midstep_crash_matrix_compensates_without_duplicates() {
-    let seed = effective_seed();
-    println!("ingest_crash seed={seed}");
-    let units = workload(seed);
-    let victim = units[units.len() / 2].seq;
+    let units = workload();
+    let victim = drawn_victim(&units);
 
     let reference = fixture();
     pipeline::ingest(
@@ -377,85 +276,11 @@ fn midstep_crash_matrix_compensates_without_duplicates() {
 // WAL-backed recovery: resume across a real fixture teardown
 // ---------------------------------------------------------------------------
 
-struct WalFix {
-    io: DmIo,
-    #[allow(dead_code)]
-    mgr: SessionManager,
-    session: Arc<Session>,
-    cfg: IngestConfig,
-}
-
-fn wal_fixture(dir: &Path, options: WalOptions) -> WalFix {
-    wal_fixture_on(dir, options, None)
-}
-
-fn wal_fixture_on(dir: &Path, options: WalOptions, storage: Option<StorageConfig>) -> WalFix {
-    let db = Database::open(
-        "ingest-crash-wal",
-        DbOptions {
-            storage: storage.unwrap_or_default(),
-            wal_path: Some(dir.join("wal.log")),
-            wal: options,
-        },
-    )
-    .unwrap();
-    let fresh = {
-        let mut conn = db.connect();
-        match schema::create_generic(&mut conn) {
-            Ok(()) => {
-                schema::create_domain(&mut conn).unwrap();
-                true
-            }
-            // Schema already replayed from the log: recovery open.
-            Err(_) => false,
-        }
-    };
-    let files = FileStore::new();
-    for (id, name) in [(1u32, "raw"), (2u32, "derived")] {
-        files.register(Archive::new(
-            id,
-            name,
-            ArchiveTier::OnlineDisk,
-            1 << 26,
-            Box::new(DirBackend::new(dir.join(name)).unwrap()),
-        ));
-    }
-    let io = DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(files),
-        Clock::starting_at(0),
-        &IoConfig::default(),
-    );
-    if fresh {
-        setup_node(&io);
-    } else {
-        io.reseed_after_recovery();
-    }
-    let (mgr, session) = login(&io);
-    let catalog = if fresh {
-        make_catalog(&io, &session)
-    } else {
-        let r = io
-            .query(&Query::table("catalog").filter(Expr::eq("name", "extended")))
-            .unwrap();
-        r.rows[0][0].as_int().unwrap()
-    };
-    WalFix {
-        io,
-        mgr,
-        session,
-        cfg: IngestConfig::new(1, 2, catalog),
-    }
-}
-
 #[test]
 fn wal_recovery_resumes_across_process_death() {
-    let seed = effective_seed();
-    println!("ingest_crash seed={seed}");
-    let units = workload(seed);
+    let units = workload();
     let victim = units[units.len() / 2].seq;
-    let dir = std::env::temp_dir().join(format!("hedc-ingest-crash-{}-{seed}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("hedc-ingest-crash-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let options = WalOptions {
@@ -463,7 +288,7 @@ fn wal_recovery_resumes_across_process_death() {
         group_commit: 4,
     };
 
-    let fix = wal_fixture(&dir, options);
+    let fix = Loader::wal(&dir, options, StorageConfig::default());
     let crashed = pipeline::ingest(
         &fix.io,
         &fix.session,
@@ -475,7 +300,7 @@ fn wal_recovery_resumes_across_process_death() {
     // "Process death": only the WAL file and the archive directories survive.
     drop(fix);
 
-    let fix = wal_fixture(&dir, options);
+    let fix = Loader::wal(&dir, options, StorageConfig::default());
     let resumed = pipeline::ingest(&fix.io, &fix.session, &units, &fix.cfg, &serial()).unwrap();
     assert!(resumed.fully_accounted());
     assert_eq!(resumed.failed, 0);
@@ -530,10 +355,8 @@ fn small_paged() -> StorageConfig {
 /// invisible to the recovery contract.
 #[test]
 fn paged_boundary_crash_resumes_byte_identical_to_memory_twin() {
-    let seed = effective_seed();
-    println!("ingest_crash seed={seed}");
-    let units = workload(seed);
-    let victim = units[units.len() / 2].seq;
+    let units = workload();
+    let victim = drawn_victim(&units);
 
     let reference = fixture();
     pipeline::ingest(
@@ -551,7 +374,7 @@ fn paged_boundary_crash_resumes_byte_identical_to_memory_twin() {
         JournalStep::RawRow,
         JournalStep::Done,
     ] {
-        let fix = fixture_on(Some(small_paged()));
+        let fix = Loader::new("ingest-crash", small_paged());
         let crashed = pipeline::ingest(
             &fix.io,
             &fix.session,
@@ -577,14 +400,9 @@ fn paged_boundary_crash_resumes_byte_identical_to_memory_twin() {
 /// reproduces the exact state — same contract as the memory backend.
 #[test]
 fn paged_wal_recovery_resumes_across_process_death() {
-    let seed = effective_seed();
-    println!("ingest_crash seed={seed}");
-    let units = workload(seed);
+    let units = workload();
     let victim = units[units.len() / 2].seq;
-    let dir = std::env::temp_dir().join(format!(
-        "hedc-ingest-crash-paged-{}-{seed}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("hedc-ingest-crash-paged-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let options = WalOptions {
@@ -592,7 +410,7 @@ fn paged_wal_recovery_resumes_across_process_death() {
         group_commit: 4,
     };
 
-    let fix = wal_fixture_on(&dir, options, Some(small_paged()));
+    let fix = Loader::wal(&dir, options, small_paged());
     let crashed = pipeline::ingest(
         &fix.io,
         &fix.session,
@@ -603,7 +421,7 @@ fn paged_wal_recovery_resumes_across_process_death() {
     assert!(matches!(crashed, Err(DmError::Crashed(_))));
     drop(fix);
 
-    let fix = wal_fixture_on(&dir, options, Some(small_paged()));
+    let fix = Loader::wal(&dir, options, small_paged());
     let resumed = pipeline::ingest(&fix.io, &fix.session, &units, &fix.cfg, &serial()).unwrap();
     assert!(resumed.fully_accounted());
     assert_eq!(resumed.failed, 0);
@@ -641,9 +459,7 @@ fn paged_wal_recovery_resumes_across_process_death() {
 
 #[test]
 fn failed_units_are_reported_not_lost() {
-    let seed = effective_seed();
-    println!("ingest_crash seed={seed}");
-    let units = workload(seed);
+    let units = workload();
     let victim = &units[1];
     let fix = fixture();
 
@@ -678,9 +494,7 @@ fn failed_units_are_reported_not_lost() {
 
 #[test]
 fn parallel_ingest_matches_serial_semantics() {
-    let seed = effective_seed();
-    println!("ingest_crash seed={seed}");
-    let units = workload(seed);
+    let units = workload();
 
     let s = fixture();
     let serial_report = pipeline::ingest(&s.io, &s.session, &units, &s.cfg, &serial()).unwrap();

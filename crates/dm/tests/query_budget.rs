@@ -7,12 +7,9 @@
 //! string, schema clone, registry lookup or span-store lock back on the
 //! path fails this suite rather than a noisy timing.
 
-use hedc_dm::{
-    create_user, schema, Clock, DmIo, IoConfig, NameType, Names, Partitioning, Rights, Services,
-    Session, SessionKind, SessionManager,
-};
-use hedc_filestore::FileStore;
-use hedc_metadb::{Database, DbOptions, Expr, Query, StorageConfig};
+use hedc_dm::testkit::{login, node};
+use hedc_dm::{DmIo, NameType, Names, Services, Session};
+use hedc_metadb::{Expr, Query, StorageConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
@@ -80,30 +77,8 @@ struct Fixture {
 const FILES: i64 = 7;
 
 fn fixture(storage: StorageConfig) -> Fixture {
-    let db = Database::open(
-        "budget",
-        DbOptions {
-            storage,
-            ..DbOptions::default()
-        },
-    )
-    .unwrap();
-    {
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-    }
-    let io = DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(FileStore::new()),
-        Clock::starting_at(0),
-        &IoConfig::default(),
-    );
-    create_user(&io, "ana", "pw", "sci", Rights::SCIENTIST).unwrap();
-    let mgr = SessionManager::new();
-    let cookie = mgr.authenticate(&io, "ana", "pw", "ip").unwrap();
-    let session = mgr.lookup("ip", cookie, SessionKind::Hle).unwrap();
+    let io = node("budget", storage);
+    let session = login(&io, "ana");
 
     let names = Names::new(&io);
     names.register_archive(1, "disk", "arch", None).unwrap();

@@ -9,62 +9,17 @@
 //! Every case derives from one printed seed (`HEDC_TEST_SEED` overrides,
 //! `scripts/check.sh --seed <seed>` replays).
 
-use hedc_dm::{
-    create_user, schema, splitmix64, Clock, DmIo, HleSpec, IoConfig, Partitioning, Rights,
-    Services, SessionKind, SessionManager,
-};
-use hedc_filestore::FileStore;
-use hedc_metadb::{
-    query_to_sql, AggFunc, CmpOp, Database, DbOptions, Expr, OrderDir, Query, StorageConfig, Value,
-};
-use std::sync::Arc;
+use hedc_dm::testkit::{login, node, node_with, Seed, Stream};
+use hedc_dm::{DmIo, HleSpec, IoConfig, Services};
+use hedc_metadb::{query_to_sql, AggFunc, CmpOp, Expr, OrderDir, Query, StorageConfig, Value};
 use std::time::Duration;
-
-struct Rng(u64);
-
-impl Rng {
-    fn below(&mut self, n: u64) -> u64 {
-        splitmix64(&mut self.0) % n
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-
-    fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
-        items[self.below(items.len() as u64) as usize]
-    }
-}
-
-fn node(label: &str, storage: StorageConfig, config: &IoConfig) -> DmIo {
-    let db = Database::open(
-        label,
-        DbOptions {
-            storage,
-            ..DbOptions::default()
-        },
-    )
-    .unwrap();
-    {
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-    }
-    DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(FileStore::new()),
-        Clock::starting_at(0),
-        config,
-    )
-}
 
 const LABELS: [&str; 5] = ["flare", "grb", "it's", "quiet sun", ""];
 const ROWS: i64 = 120;
 
 /// `obs(id pk, grp indexed, t indexed, label, flux, flag)`: every column
 /// type the renderer has a literal for, two secondary indexes, NULLs.
-fn populate(io: &DmIo, rng: &mut Rng) {
+fn populate(io: &DmIo, rng: &mut Stream) {
     io.execute_ddl(
         "CREATE TABLE obs (id INT NOT NULL, grp INT NOT NULL, t TIMESTAMP NOT NULL, \
          label TEXT, flux FLOAT, flag BOOL, PRIMARY KEY (id))",
@@ -89,14 +44,14 @@ fn populate(io: &DmIo, rng: &mut Rng) {
                 Value::Int(rng.below(1_000) as i64),
                 label,
                 flux,
-                Value::Bool(rng.chance(50)),
+                Value::Bool(rng.per_mille(500)),
             ],
         )
         .unwrap();
     }
 }
 
-fn predicate(rng: &mut Rng) -> Expr {
+fn predicate(rng: &mut Stream) -> Expr {
     let ops = [
         CmpOp::Eq,
         CmpOp::Ne,
@@ -105,7 +60,7 @@ fn predicate(rng: &mut Rng) -> Expr {
         CmpOp::Gt,
         CmpOp::Ge,
     ];
-    let op = ops[rng.below(6) as usize];
+    let op = *rng.pick(&ops);
     match rng.below(9) {
         0 => Expr::eq("id", rng.below(ROWS as u64 + 10) as i64),
         1 => Expr::cmp("grp", op, rng.below(8) as i64),
@@ -116,18 +71,18 @@ fn predicate(rng: &mut Rng) -> Expr {
         // Never empty: `IN ()` is a query object with no SQL spelling.
         3 => Expr::in_list("id", (0..1 + rng.below(5)).map(|_| rng.below(150) as i64)),
         4 => Expr::in_list("grp", (0..1 + rng.below(4)).map(|_| rng.below(9) as i64)),
-        5 => Expr::eq("label", rng.pick(&LABELS)),
+        5 => Expr::eq("label", *rng.pick(&LABELS)),
         6 => Expr::cmp("flux", op, rng.below(20) as f64 * 0.5 - 2.5),
-        7 => Expr::eq("flag", rng.chance(50)),
+        7 => Expr::eq("flag", rng.per_mille(500)),
         _ => Expr::cmp("t", op, rng.below(1_000) as i64),
     }
 }
 
-fn filter(rng: &mut Rng) -> Expr {
+fn filter(rng: &mut Stream) -> Expr {
     let mut e = predicate(rng);
     for _ in 0..rng.below(3) {
         let next = predicate(rng);
-        e = if rng.chance(70) {
+        e = if rng.per_mille(700) {
             e.and(next)
         } else {
             e.or(next)
@@ -136,21 +91,21 @@ fn filter(rng: &mut Rng) -> Expr {
     e
 }
 
-fn dir(rng: &mut Rng) -> OrderDir {
-    if rng.chance(50) {
+fn dir(rng: &mut Stream) -> OrderDir {
+    if rng.per_mille(500) {
         OrderDir::Asc
     } else {
         OrderDir::Desc
     }
 }
 
-fn random_query(rng: &mut Rng) -> Query {
+fn random_query(rng: &mut Stream) -> Query {
     const COLS: [&str; 6] = ["id", "grp", "t", "label", "flux", "flag"];
     let mut q = Query::table("obs");
-    if rng.chance(80) {
+    if rng.per_mille(800) {
         q = q.filter(filter(rng));
     }
-    if rng.chance(35) {
+    if rng.per_mille(350) {
         // Aggregate mode, ordered by output labels when ordered at all.
         let aggs = [
             AggFunc::CountStar,
@@ -161,7 +116,7 @@ fn random_query(rng: &mut Rng) -> Query {
             AggFunc::Max("flux".into()),
         ];
         let mut labels = Vec::new();
-        if rng.chance(60) {
+        if rng.per_mille(600) {
             q = q.group_by("grp");
             labels.push("grp".to_string());
         }
@@ -172,23 +127,23 @@ fn random_query(rng: &mut Rng) -> Query {
                 q = q.aggregate(agg);
             }
         }
-        if rng.chance(50) {
+        if rng.per_mille(500) {
             let key = labels[rng.below(labels.len() as u64) as usize].clone();
             q = q.order_by(key, dir(rng));
         }
     } else {
-        if rng.chance(50) {
+        if rng.per_mille(500) {
             let n = 1 + rng.below(4) as usize;
-            let cols: Vec<&str> = (0..n).map(|_| rng.pick(&COLS)).collect();
+            let cols: Vec<&str> = (0..n).map(|_| *rng.pick(&COLS)).collect();
             q = q.select(&cols);
         }
         for _ in 0..rng.below(3) {
-            q = q.order_by(rng.pick(&COLS), dir(rng));
+            q = q.order_by(*rng.pick(&COLS), dir(rng));
         }
     }
-    if rng.chance(40) {
+    if rng.per_mille(400) {
         q = q.limit(rng.below(12) as usize);
-        if rng.chance(50) {
+        if rng.per_mille(500) {
             q = q.offset(rng.below(6) as usize);
         }
     }
@@ -197,12 +152,11 @@ fn random_query(rng: &mut Rng) -> Query {
 
 #[test]
 fn query_objects_and_their_sql_rendering_agree_on_both_backends() {
-    let seed = hedc_metadb::test_seed();
-    println!("query_equiv seed = {seed}");
+    let seed = Seed::from_env(0x0570_BEE7);
     for storage in [StorageConfig::default(), StorageConfig::paged()] {
         let backend = storage.backend;
-        let mut rng = Rng(seed);
-        let io = node("equiv", storage, &IoConfig::default());
+        let mut rng = seed.stream("queries");
+        let io = node("equiv", storage);
         populate(&io, &mut rng);
         let db = io.db_for("obs");
         let schema = db.schema_of("obs").unwrap();
@@ -212,7 +166,7 @@ fn query_objects_and_their_sql_rendering_agree_on_both_backends() {
             let sql = query_to_sql(&q, &schema);
             let direct = io.query(&q);
             let rendered = db.connect().execute_sql(&sql);
-            let ctx = format!("seed {seed} {backend:?} case {case}: {sql}");
+            let ctx = format!("{backend:?} case {case}: {sql}");
             match (direct, rendered) {
                 (Ok(a), Ok(b)) => {
                     let b = b.rows();
@@ -240,7 +194,7 @@ fn slow_query_event_carries_the_rendered_sql() {
         slow_query: Duration::ZERO,
         ..IoConfig::default()
     };
-    let io = node("equiv-slow", StorageConfig::default(), &config);
+    let io = node_with("equiv-slow", StorageConfig::default(), &config);
     let q = Query::table("loc_archive")
         .filter(Expr::eq("archive_id", 4242))
         .limit(3);
@@ -265,14 +219,8 @@ fn slow_query_event_carries_the_rendered_sql() {
 /// scoping is applied to what it parsed to.
 #[test]
 fn user_sql_still_parses_and_scopes() {
-    let io = node("equiv-user", StorageConfig::default(), &IoConfig::default());
-    let mgr = SessionManager::new();
-    let mut sessions = Vec::new();
-    for name in ["ann", "ben"] {
-        create_user(&io, name, "pw", "sci", Rights::SCIENTIST).unwrap();
-        let cookie = mgr.authenticate(&io, name, "pw", name).unwrap();
-        sessions.push(mgr.lookup(name, cookie, SessionKind::Hle).unwrap());
-    }
+    let io = node("equiv-user", StorageConfig::default());
+    let sessions = [login(&io, "ann"), login(&io, "ben")];
     let svc = Services::new(&io);
     // A fresh HLE is private to its owner.
     let id = svc

@@ -16,39 +16,17 @@
 //! Seeded faults derive from one printed seed (`HEDC_TEST_SEED`
 //! overrides; replay with `scripts/check.sh --seed <seed>`).
 
+use hedc_dm::testkit::{HleRow, Seed, ShardedFixture, Stream};
 use hedc_dm::{
-    schema, splitmix64, Clock, DmError, DmIo, DmNode, DmResult, FaultPlan, FaultyDmNode, IoConfig,
-    NameType, Partitioning, ShardMap, ShardedDm,
+    CrashSite, DmError, DmIo, DmNode, DmResult, FaultCounts, FaultPlan, MoveSpec, MoveStep,
+    NameType, ShardMap, ShardMover, ShardedDm,
 };
-use hedc_filestore::FileStore;
-use hedc_metadb::{Database, Expr, OrderDir, Query, QueryResult, Value};
+use hedc_metadb::{AggFunc, Expr, OrderDir, Query, QueryResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 const BASE_SEED: u64 = 0x5AAD_FA17;
-
-fn effective_seed() -> u64 {
-    std::env::var("HEDC_TEST_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(BASE_SEED)
-}
-
-fn store(label: &str) -> Arc<DmIo> {
-    let db = Database::in_memory(label);
-    {
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-    }
-    Arc::new(DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(FileStore::new()),
-        Clock::starting_at(0),
-        &IoConfig::default(),
-    ))
-}
 
 /// Sheds the first `sheds` queries with [`DmError::Overloaded`], serves
 /// everything after; counts what it actually served.
@@ -84,54 +62,24 @@ impl DmNode for ShedFirst {
     }
 }
 
-/// A minimal HLE row: only the columns the suite queries carry signal.
-fn hle_row(id: i64, time_end: i64, n_photons: i64) -> Vec<Value> {
-    vec![
-        Value::Int(id),
-        Value::Int(1),                   // owner
-        Value::Int(id % 16),             // item_id
-        Value::Timestamp(time_end - 10), // time_start
-        Value::Timestamp(time_end),      // time_end
-        Value::Float(3.0),
-        Value::Float(20_000.0),
-        Value::Text("flare".into()), // event_type
-        Value::Null,
-        Value::Float((id % 7) as f64), // peak_rate
-        Value::Null,
-        Value::Int(n_photons),
-        Value::Int(1),
-        Value::Int(1),
-        Value::Bool(true), // public
-        Value::Null,
-        Value::Null,
-        Value::Timestamp(time_end - 10), // created_ms
-        Value::Text("user".into()),
-        Value::Null,
-        Value::Null,
-        Value::Null,
-        Value::Null,
-        Value::Int(0),
-        Value::Bool(false),
-    ]
-}
-
-/// Two range shards (cut at 1000) with the given replica sets, plus an
-/// unsharded oracle holding every row.
+/// Two range shards (cut at 1000).
 fn two_shard_map() -> ShardMap {
     ShardMap::new(2)
         .with_range("hle", "time_end", vec![1000], vec![0, 1])
         .with_hash("loc_item", "item_id", 8)
 }
 
-fn seed_rows(map: &ShardMap, stores: &[Arc<DmIo>], oracle: &DmIo, n: i64) {
-    let mut state = 0x0DDB_1A5Eu64;
-    for id in 0..n {
-        let time_end = 1 + (splitmix64(&mut state) % 2_000) as i64;
-        let row = hle_row(id, time_end, (id * 13) % 997);
-        let owner = map.shard_for("hle", time_end).unwrap();
-        stores[owner as usize].insert("hle", row.clone()).unwrap();
-        oracle.insert("hle", row).unwrap();
-    }
+/// [`two_shard_map`] with `n` rows spread over `time_end` in `[1, 2000]`
+/// and one replica per plan on each shard, drawing from `faults`.
+fn cluster(faults: &mut Stream, replicas: &[FaultPlan], n: i64) -> ShardedFixture {
+    let mut times = Stream(0x0DDB_1A5E);
+    let rows = (0..n).map(|id| HleRow::at(id, 1 + times.below(2_000) as i64));
+    ShardedFixture::build(faults, two_shard_map(), replicas, rows)
+}
+
+/// Two replicas per shard that fail only when a test switches them off.
+fn steady_pairs(n: i64) -> ShardedFixture {
+    cluster(&mut Stream(0), &[FaultPlan::none(), FaultPlan::none()], n)
 }
 
 /// The fanout query every test scatters: spans the range cut, totally
@@ -145,38 +93,16 @@ fn spanning_query() -> Query {
 
 #[test]
 fn replica_death_mid_scatter_is_absorbed_by_the_sibling() {
-    let map = two_shard_map();
-    let stores = [store("md-s0"), store("md-s1")];
-    let oracle = store("md-oracle");
-    seed_rows(&map, &stores, &oracle, 200);
-
-    // Shard 0: two replicas over the same store; replica a0 dies after
-    // exactly 3 served calls — mid-way through the query sequence.
-    let mk = |io: &Arc<DmIo>, label: &str| {
-        Arc::new(FaultyDmNode::new(
-            Arc::clone(io),
-            label,
-            FaultPlan::seeded(1),
-        ))
-    };
-    let a0 = mk(&stores[0], "a0");
-    let a1 = mk(&stores[0], "a1");
-    let b0 = mk(&stores[1], "b0");
-    let b1 = mk(&stores[1], "b1");
+    // Shard 0's first replica dies after exactly 3 served calls — mid-way
+    // through the query sequence.
+    let ShardedFixture {
+        sharded,
+        oracle,
+        nodes,
+        ..
+    } = steady_pairs(200);
+    let (a0, a1) = (&nodes[0][0], &nodes[0][1]);
     a0.down_after(3);
-    let sharded = ShardedDm::new(
-        vec![
-            vec![
-                Arc::clone(&a0) as Arc<dyn DmNode>,
-                Arc::clone(&a1) as Arc<dyn DmNode>,
-            ],
-            vec![
-                Arc::clone(&b0) as Arc<dyn DmNode>,
-                Arc::clone(&b1) as Arc<dyn DmNode>,
-            ],
-        ],
-        map,
-    );
 
     let q = spanning_query();
     let want = oracle.query(&q).unwrap();
@@ -197,44 +123,16 @@ fn replica_death_mid_scatter_is_absorbed_by_the_sibling() {
 
 #[test]
 fn seeded_replica_flapping_never_surfaces_or_truncates() {
-    let seed = effective_seed();
-    println!("shard_fault seed={seed} (replay: scripts/check.sh --seed {seed})");
-    let map = two_shard_map();
-    let stores = [store("fl-s0"), store("fl-s1")];
-    let oracle = store("fl-oracle");
-    seed_rows(&map, &stores, &oracle, 300);
-
     // One noisy replica per shard (~25% unavailable); the sibling is
     // always healthy, so every scatter must complete exactly.
-    let noisy = |io: &Arc<DmIo>, label: &str, s: u64| {
-        Arc::new(FaultyDmNode::new(
-            Arc::clone(io),
-            label,
-            FaultPlan::seeded(s).unavailable(250),
-        ))
-    };
-    let steady = |io: &Arc<DmIo>, label: &str| {
-        Arc::new(FaultyDmNode::new(
-            Arc::clone(io),
-            label,
-            FaultPlan::seeded(0),
-        ))
-    };
-    let n0 = noisy(&stores[0], "n0", seed);
-    let n1 = noisy(&stores[1], "n1", seed ^ 0x9E37_79B9_7F4A_7C15);
-    let sharded = ShardedDm::new(
-        vec![
-            vec![
-                Arc::clone(&n0) as Arc<dyn DmNode>,
-                steady(&stores[0], "s0") as Arc<dyn DmNode>,
-            ],
-            vec![
-                Arc::clone(&n1) as Arc<dyn DmNode>,
-                steady(&stores[1], "s1") as Arc<dyn DmNode>,
-            ],
-        ],
-        map,
-    );
+    let mut faults = Seed::from_env(BASE_SEED).stream("node-faults");
+    let plans = [FaultPlan::none().unavailable(250), FaultPlan::none()];
+    let ShardedFixture {
+        sharded,
+        oracle,
+        nodes,
+        ..
+    } = cluster(&mut faults, &plans, 300);
 
     let q = spanning_query();
     let want = oracle.query(&q).unwrap();
@@ -244,7 +142,7 @@ fn seeded_replica_flapping_never_surfaces_or_truncates() {
             .unwrap_or_else(|e| panic!("scatter {i}: injected flap must be absorbed: {e}"));
         assert_eq!(got.rows, want.rows, "scatter {i}");
     }
-    let injected = n0.counts().unavailable + n1.counts().unavailable;
+    let injected = nodes[0][0].counts().unavailable + nodes[1][0].counts().unavailable;
     assert!(
         injected > 0,
         "the plan should have injected at least one outage"
@@ -253,11 +151,7 @@ fn seeded_replica_flapping_never_surfaces_or_truncates() {
 
 #[test]
 fn overload_shed_redirects_within_the_shard_without_health_flip() {
-    let map = two_shard_map();
-    let stores = [store("ov-s0"), store("ov-s1")];
-    let oracle = store("ov-oracle");
-    seed_rows(&map, &stores, &oracle, 150);
-
+    let ShardedFixture { stores, oracle, .. } = steady_pairs(150);
     let shedder = Arc::new(ShedFirst {
         inner: Arc::clone(&stores[0]),
         sheds: AtomicU64::new(2),
@@ -269,7 +163,7 @@ fn overload_shed_redirects_within_the_shard_without_health_flip() {
             vec![Arc::clone(&shedder) as Arc<dyn DmNode>, mk(&stores[0])],
             vec![mk(&stores[1]), mk(&stores[1])],
         ],
-        map,
+        two_shard_map(),
     );
 
     let q = spanning_query();
@@ -295,35 +189,13 @@ fn overload_shed_redirects_within_the_shard_without_health_flip() {
 
 #[test]
 fn whole_shard_loss_is_a_typed_error_not_a_truncated_result() {
-    let map = two_shard_map();
-    let stores = [store("wl-s0"), store("wl-s1")];
-    let oracle = store("wl-oracle");
-    seed_rows(&map, &stores, &oracle, 200);
-
-    let mk = |io: &Arc<DmIo>, label: &str| {
-        Arc::new(FaultyDmNode::new(
-            Arc::clone(io),
-            label,
-            FaultPlan::seeded(2),
-        ))
-    };
-    let a0 = mk(&stores[0], "wa0");
-    let a1 = mk(&stores[0], "wa1");
-    let b0 = mk(&stores[1], "wb0");
-    let b1 = mk(&stores[1], "wb1");
-    let sharded = ShardedDm::new(
-        vec![
-            vec![
-                Arc::clone(&a0) as Arc<dyn DmNode>,
-                Arc::clone(&a1) as Arc<dyn DmNode>,
-            ],
-            vec![
-                Arc::clone(&b0) as Arc<dyn DmNode>,
-                Arc::clone(&b1) as Arc<dyn DmNode>,
-            ],
-        ],
-        map,
-    );
+    let ShardedFixture {
+        sharded,
+        oracle,
+        nodes,
+        ..
+    } = steady_pairs(200);
+    let (b0, b1) = (&nodes[1][0], &nodes[1][1]);
 
     // Healthy baseline.
     let q = spanning_query();
@@ -358,32 +230,10 @@ fn whole_shard_loss_is_a_typed_error_not_a_truncated_result() {
 
 #[test]
 fn shard_loss_during_batch_resolution_errors_per_entry() {
+    let ShardedFixture { sharded, nodes, .. } = steady_pairs(0);
     let map = two_shard_map();
-    let stores = [store("br-s0"), store("br-s1")];
-    let mk = |io: &Arc<DmIo>, label: &str| {
-        Arc::new(FaultyDmNode::new(
-            Arc::clone(io),
-            label,
-            FaultPlan::seeded(3),
-        ))
-    };
-    let b0 = mk(&stores[1], "bb0");
-    let b1 = mk(&stores[1], "bb1");
-    let sharded = ShardedDm::new(
-        vec![
-            vec![
-                mk(&stores[0], "ba0") as Arc<dyn DmNode>,
-                mk(&stores[0], "ba1") as Arc<dyn DmNode>,
-            ],
-            vec![
-                Arc::clone(&b0) as Arc<dyn DmNode>,
-                Arc::clone(&b1) as Arc<dyn DmNode>,
-            ],
-        ],
-        map.clone(),
-    );
-    b0.set_down(true);
-    b1.set_down(true);
+    nodes[1][0].set_down(true);
+    nodes[1][1].set_down(true);
 
     let ids: Vec<i64> = (0..32).collect();
     let results = sharded.resolve_batch(&ids, NameType::File);
@@ -402,4 +252,134 @@ fn shard_loss_during_batch_resolution_errors_per_entry() {
         }
     }
     assert!(lost > 0, "some ids must hash to the dead shard");
+}
+
+// ---------------------------------------------------------------------------
+// The three fault sources of one seed, together
+// ---------------------------------------------------------------------------
+
+/// What one composed run drew and injected.
+#[derive(Debug, PartialEq)]
+struct Composed {
+    cell: CrashSite<MoveStep>,
+    counts: Vec<FaultCounts>,
+    /// Every query every reader issued, reader by reader.
+    asked: Vec<Vec<String>>,
+}
+
+/// One seeded query against `hle`. Key-pinned point reads are right at any
+/// instant of a move (the cutover is one atomic map install). Scatters are
+/// drawn only while no move is in flight: between a move's copy and clean
+/// steps the moved partition sits on two shards and a scatter returns it
+/// twice — ROADMAP item 4's oracle has to fix that before it can drop this
+/// restriction.
+fn client_query(clients: &mut Stream, move_in_flight: bool) -> Query {
+    let q = Query::table("hle").select(&["id", "time_end", "n_photons"]);
+    match clients.below(if move_in_flight { 1 } else { 3 }) {
+        0 => q.filter(Expr::eq("id", clients.below(120) as i64)),
+        1 => {
+            let lo = clients.below(3_000) as i64;
+            q.filter(Expr::between("time_end", lo, lo + 600))
+                .order_by("id", OrderDir::Asc)
+        }
+        _ => Query::table("hle")
+            .aggregate(AggFunc::CountStar)
+            .aggregate(AggFunc::Sum("n_photons".into())),
+    }
+}
+
+/// Node faults, a workflow crash and client schedules from one seed: four
+/// concurrent readers browse a 2×2 cluster with one noisy and one slow
+/// replica per shard — before a partition move, against whatever state the
+/// mover left when it died at the drawn cell, and after the resumed move.
+/// `burn` names a stream that draws seven extra values first.
+fn composed_run(seed: Seed, burn: &str) -> Composed {
+    let stream = |label: &str| {
+        let mut s = seed.stream(label);
+        if label == burn {
+            (0..7).for_each(|_| _ = s.draw());
+        }
+        s
+    };
+    let (mut faults, mut crash, mut clients) = (
+        stream("node-faults"),
+        stream("workflow-crash"),
+        stream("clients"),
+    );
+    let plans = [
+        FaultPlan::none().unavailable(250),
+        FaultPlan::none().slow(100, Duration::from_micros(50)),
+    ];
+    let map = ShardMap::new(2).with_hash("hle", "id", 4);
+    let rows = (0..120).map(|id| HleRow::at(id, 10 + (id * 37) % 3_000));
+    let fix = ShardedFixture::build(&mut faults, map, &plans, rows);
+    let cell = CrashSite::<MoveStep>::drawn(&mut crash);
+    let spec = MoveSpec {
+        table: "hle".into(),
+        part: 0,
+        to: 1,
+    };
+
+    let mut readers: Vec<Stream> = (0..4).map(|_| clients.fork()).collect();
+    let mut asked = vec![Vec::new(); readers.len()];
+    let mut browse = |move_in_flight: bool| {
+        std::thread::scope(|scope| {
+            for (rng, log) in readers.iter_mut().zip(&mut asked) {
+                let fix = &fix;
+                scope.spawn(move || {
+                    for _ in 0..25 {
+                        let q = client_query(rng, move_in_flight);
+                        let want = fix.oracle.query(&q).unwrap();
+                        let got = fix.sharded.query(&q).unwrap_or_else(|e| {
+                            panic!("{cell:?}: a healthy sibling must absorb every fault: {e}")
+                        });
+                        assert_eq!(
+                            (got.columns, got.rows),
+                            (want.columns, want.rows),
+                            "{cell:?}: {q:?}"
+                        );
+                        log.push(format!("{q:?}"));
+                    }
+                });
+            }
+        })
+    };
+
+    browse(false);
+    let mover = ShardMover::new(&fix.stores[0], fix.store_refs(), &fix.sharded);
+    let died = mover.with_crash(cell).run(&spec);
+    assert!(
+        matches!(died, Err(DmError::Crashed(_))),
+        "{cell:?}: {died:?}"
+    );
+    browse(true);
+    ShardMover::new(&fix.stores[0], fix.store_refs(), &fix.sharded)
+        .run(&spec)
+        .unwrap_or_else(|e| panic!("{cell:?}: resume must complete: {e}"));
+    browse(false);
+
+    let counts = fix.nodes.iter().flatten().map(|n| n.counts()).collect();
+    Composed {
+        cell,
+        counts,
+        asked,
+    }
+}
+
+/// The seed of ROADMAP item 4's oracle: the node, workflow and client fault
+/// sources run *together* from one seed, every answer equals the unsharded
+/// twin's, and the run replays.
+#[test]
+fn node_faults_a_workflow_crash_and_clients_compose_and_replay() {
+    let seed = Seed::from_env(BASE_SEED);
+    let first = composed_run(seed, "");
+    let injected: u64 = first.counts.iter().map(|c| c.unavailable + c.slow).sum();
+    assert!(injected > 0, "the plans must have injected: {first:?}");
+    assert_eq!(first, composed_run(seed, ""), "same seed, same run");
+
+    // Drawing more from one stream moves neither of the other two.
+    let noisier = composed_run(seed, "node-faults");
+    assert_eq!((noisier.cell, &noisier.asked), (first.cell, &first.asked));
+    assert_eq!(composed_run(seed, "workflow-crash").asked, first.asked);
+    assert_eq!(composed_run(seed, "clients").cell, first.cell);
 }

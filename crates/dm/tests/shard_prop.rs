@@ -11,55 +11,16 @@
 //! multisets, which is the documented carve-out (shard-concatenation order
 //! replaces single-node scan order).
 
-use hedc_dm::{
-    schema, splitmix64, Clock, DmError, DmIo, DmNode, DmResult, FanoutPlan, IoConfig, NameType,
-    Partitioning, ShardMap, ShardedDm,
-};
-use hedc_filestore::FileStore;
-use hedc_metadb::{AggFunc, CmpOp, Database, Expr, OrderDir, Query, QueryResult, Value};
+use hedc_dm::testkit::{HleRow, Seed, ShardedFixture, Stream};
+use hedc_dm::{DmError, DmIo, DmNode, DmResult, FanoutPlan, NameType, ShardMap, ShardedDm};
+use hedc_metadb::{AggFunc, CmpOp, Expr, OrderDir, Query, QueryResult, Value};
 use std::sync::{Arc, Mutex};
 
 const BASE_SEED: u64 = 0x5AAD_0010;
 
-fn effective_seed() -> u64 {
-    std::env::var("HEDC_TEST_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(BASE_SEED)
-}
-
-/// Deterministic splitmix stream, the same generator the fault plans use.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        splitmix64(&mut self.0)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fixtures
-// ---------------------------------------------------------------------------
-
-/// A DM store with the full schema and nothing else.
-fn store(label: &str) -> Arc<DmIo> {
-    let db = Database::in_memory(label);
-    {
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-    }
-    Arc::new(DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(FileStore::new()),
-        Clock::starting_at(0),
-        &IoConfig::default(),
-    ))
+/// The suite's stream; `case` separates the tests that share the seed.
+fn stream(case: &str) -> Stream {
+    Seed::from_env(BASE_SEED).stream(case)
 }
 
 /// A [`DmNode`] that records every query it serves — the probe for the
@@ -79,92 +40,16 @@ impl DmNode for RecordingNode {
     }
 }
 
-/// One synthetic HLE row. Integer-valued numerics keep SUM/AVG in the
-/// byte-identical regime; `peak_rate` is a float for MIN/MAX coverage.
-fn hle_row(id: i64, rng: &mut Rng) -> Vec<Value> {
-    let t0 = rng.below(4_000) as i64;
-    let dur = 1 + rng.below(400) as i64;
-    let kinds = ["flare", "grb", "background", "calibration"];
-    let kind = kinds[rng.below(kinds.len() as u64) as usize];
-    let n_photons = if rng.below(10) == 0 {
-        Value::Null
-    } else {
-        Value::Int(rng.below(100_000) as i64)
-    };
-    vec![
-        Value::Int(id),
-        Value::Int(1 + rng.below(5) as i64),   // owner
-        Value::Int(rng.below(64) as i64),      // item_id
-        Value::Timestamp(t0),                  // time_start
-        Value::Timestamp(t0 + dur),            // time_end
-        Value::Float(3.0),                     // energy_lo
-        Value::Float(20_000.0),                // energy_hi
-        Value::Text(kind.into()),              // event_type
-        Value::Null,                           // flare_class
-        Value::Float(rng.below(1_000) as f64), // peak_rate
-        Value::Null,                           // hardness
-        n_photons,                             // n_photons
-        Value::Int(1),                         // calib_version
-        Value::Int(1),                         // version
-        Value::Bool(rng.below(2) == 0),        // public
-        Value::Null,                           // title
-        Value::Null,                           // notes
-        Value::Timestamp(t0),                  // created_ms
-        Value::Text("user".into()),            // source
-        Value::Null,                           // position_x
-        Value::Null,                           // position_y
-        Value::Null,                           // goes_flux
-        Value::Null,                           // active_region
-        Value::Int(rng.below(5) as i64),       // quality
-        Value::Bool(false),                    // obsolete
-    ]
-}
-
-/// A seeded cluster: `shards` stores partitioned per `map`, the same rows
-/// mirrored into one unsharded oracle store.
-struct Cluster {
-    sharded: ShardedDm,
-    oracle: Arc<DmIo>,
-    rows: Vec<Vec<Value>>,
-}
-
-fn cluster(seed: u64, shards: u32, map: ShardMap, n_rows: usize) -> Cluster {
-    let mut rng = Rng(seed);
-    let stores: Vec<Arc<DmIo>> = (0..shards).map(|s| store(&format!("shard-{s}"))).collect();
-    let oracle = store("oracle");
-    let mut rows = Vec::with_capacity(n_rows);
-    for id in 0..n_rows as i64 {
-        let row = hle_row(id, &mut rng);
-        let spec = map.sharding("hle").expect("hle must be sharded");
-        let key_col = match spec.column.as_str() {
-            "id" => 0,
-            "time_end" => 4,
-            other => panic!("unexpected shard key {other}"),
-        };
-        let key = match &row[key_col] {
-            Value::Int(i) => *i,
-            Value::Timestamp(t) => *t,
-            other => panic!("non-integer shard key {other:?}"),
-        };
-        let owner = map.shard_for("hle", key).unwrap();
-        stores[owner as usize].insert("hle", row.clone()).unwrap();
-        oracle.insert("hle", row.clone()).unwrap();
-        rows.push(row);
-    }
-    let replica_sets: Vec<Vec<Arc<dyn DmNode>>> = stores
-        .iter()
-        .map(|io| vec![Arc::clone(io) as Arc<dyn DmNode>])
-        .collect();
-    Cluster {
-        sharded: ShardedDm::new(replica_sets, map),
-        oracle,
-        rows,
-    }
+/// A seeded cluster of healthy single-replica shards: `n_rows` rows drawn
+/// from `rng`, partitioned per `map`, mirrored into the unsharded oracle.
+fn cluster(rng: &mut Stream, map: ShardMap, n_rows: i64) -> ShardedFixture {
+    let mut rows = rng.fork();
+    ShardedFixture::plain(map, (0..n_rows).map(|id| HleRow::seeded(id, &mut rows)))
 }
 
 /// The seeded partitioning for one scenario round: alternate hash-by-id
 /// and range-by-time_end.
-fn seeded_map(rng: &mut Rng, shards: u32) -> ShardMap {
+fn seeded_map(rng: &mut Stream, shards: u32) -> ShardMap {
     if rng.below(2) == 0 {
         ShardMap::new(shards).with_hash("hle", "id", 16)
     } else {
@@ -179,7 +64,7 @@ fn seeded_map(rng: &mut Rng, shards: u32) -> ShardMap {
 
 /// A seeded row query whose final ORDER BY key is the unique `id`: totally
 /// ordered, so the sharded answer must be byte-identical.
-fn ordered_query(rng: &mut Rng) -> Query {
+fn ordered_query(rng: &mut Stream) -> Query {
     let mut q = Query::table("hle");
     q = match rng.below(4) {
         0 => q.select(&["id", "event_type", "n_photons"]),
@@ -211,7 +96,7 @@ fn ordered_query(rng: &mut Rng) -> Query {
 }
 
 /// A seeded integer-aggregate query: byte-identical under the merge.
-fn aggregate_query(rng: &mut Rng) -> Query {
+fn aggregate_query(rng: &mut Stream) -> Query {
     let mut q = Query::table("hle");
     if rng.below(2) == 0 {
         q = q.group_by("event_type");
@@ -244,13 +129,11 @@ fn multiset(r: &QueryResult) -> Vec<String> {
 
 #[test]
 fn sharded_answers_are_byte_identical_to_the_unsharded_oracle() {
-    let seed = effective_seed();
-    println!("shard_prop seed={seed} (replay: scripts/check.sh --seed {seed})");
-    let mut rng = Rng(seed);
+    let mut rng = stream("oracle");
     for round in 0..4u64 {
         let shards = 2 + rng.below(7) as u32; // 2..=8
         let map = seeded_map(&mut rng, shards);
-        let c = cluster(rng.next(), shards, map, 300);
+        let c = cluster(&mut rng, map, 300);
         for case in 0..25u64 {
             let q = ordered_query(&mut rng);
             let want = c.oracle.query(&q).unwrap();
@@ -293,12 +176,10 @@ fn sharded_answers_are_byte_identical_to_the_unsharded_oracle() {
 /// ORDER BY column — and must answer `RemoteFailed`, never panic.
 #[test]
 fn merge_is_invariant_under_shuffled_reply_order() {
-    let seed = effective_seed() ^ 0x00FF_F00D;
-    println!("shard_prop seed={seed} (replay: scripts/check.sh --seed {seed})");
-    let mut rng = Rng(seed);
+    let mut rng = stream("merge");
     let shards = 5;
     let map = ShardMap::new(shards).with_hash("hle", "id", 16);
-    let c = cluster(rng.next(), shards, map.clone(), 200);
+    let c = cluster(&mut rng, map, 200);
     let mut queries: Vec<Query> = (0..20).map(|_| ordered_query(&mut rng)).collect();
     // `time_end` is not projected: the plan widens the pushed projection by
     // it, as a carrier the merge sorts on and then strips.
@@ -327,11 +208,7 @@ fn merge_is_invariant_under_shuffled_reply_order() {
             .collect();
         let reference = plan.merge(parts.clone()).unwrap();
         for _ in 0..4 {
-            // Fisher–Yates over the parts.
-            for i in (1..parts.len()).rev() {
-                let j = rng.below(i as u64 + 1) as usize;
-                parts.swap(i, j);
-            }
+            rng.shuffle(&mut parts);
             let shuffled = plan.merge(parts.clone()).unwrap();
             assert_eq!(shuffled.columns, reference.columns);
             assert_eq!(
@@ -377,21 +254,10 @@ fn merge_is_invariant_under_shuffled_reply_order() {
 
 #[test]
 fn limit_pushdown_caps_what_each_shard_returns() {
-    let seed = effective_seed() ^ 0x10_57;
-    println!("shard_prop seed={seed} (replay: scripts/check.sh --seed {seed})");
-    let mut rng = Rng(seed);
-    let shards = 4u32;
-    let map = ShardMap::new(shards).with_hash("hle", "id", 16);
+    let map = ShardMap::new(4).with_hash("hle", "id", 16);
+    let ShardedFixture { stores, oracle, .. } = cluster(&mut stream("pushdown"), map.clone(), 400);
 
-    // Build the cluster by hand so every shard node records its queries.
-    let stores: Vec<Arc<DmIo>> = (0..shards).map(|s| store(&format!("rec-{s}"))).collect();
-    let oracle = store("rec-oracle");
-    for id in 0..400i64 {
-        let row = hle_row(id, &mut rng);
-        let owner = map.shard_for("hle", id).unwrap();
-        stores[owner as usize].insert("hle", row.clone()).unwrap();
-        oracle.insert("hle", row).unwrap();
-    }
+    // A second router over the same stores, every replica recording.
     let recorders: Vec<Arc<RecordingNode>> = stores
         .iter()
         .map(|io| {
@@ -447,19 +313,9 @@ fn point_and_batch_resolution_route_like_the_oracle() {
     // only pin that grouped routing agrees with shard_for on every id and
     // that input order is preserved positionally even when ids interleave
     // across shards.
-    let seed = effective_seed() ^ 0xBA7C;
-    println!("shard_prop seed={seed} (replay: scripts/check.sh --seed {seed})");
-    let mut rng = Rng(seed);
-    let shards = 3u32;
-    let map = ShardMap::new(shards).with_hash("loc_item", "item_id", 12);
-    let stores: Vec<Arc<DmIo>> = (0..shards).map(|s| store(&format!("res-{s}"))).collect();
-    let sharded = ShardedDm::new(
-        stores
-            .iter()
-            .map(|io| vec![Arc::clone(io) as Arc<dyn DmNode>])
-            .collect(),
-        map.clone(),
-    );
+    let mut rng = stream("resolve");
+    let map = ShardMap::new(3).with_hash("loc_item", "item_id", 12);
+    let sharded = ShardedFixture::plain(map.clone(), []).sharded;
     let ids: Vec<i64> = (0..40).map(|_| rng.below(10_000) as i64).collect();
     let results = sharded.resolve_batch(&ids, NameType::File);
     assert_eq!(results.len(), ids.len(), "positional, one answer per input");
@@ -482,17 +338,20 @@ fn same_seed_reproduces_the_same_answers() {
     // The replay contract behind the printed seed: the whole scenario is a
     // pure function of it.
     let run = |seed: u64| -> Vec<String> {
-        let mut rng = Rng(seed);
+        let mut rng = Seed(seed).stream("replay");
         let shards = 2 + rng.below(7) as u32;
         let map = seeded_map(&mut rng, shards);
-        let c = cluster(rng.next(), shards, map, 120);
+        let c = cluster(&mut rng, map, 120);
         let mut digest = Vec::new();
         for _ in 0..10 {
             let q = ordered_query(&mut rng);
             let r = c.sharded.query(&q).unwrap();
             digest.push(format!("{:?}|{:?}", r.columns, r.rows));
         }
-        digest.push(format!("{}", c.rows.len()));
+        digest.push(format!(
+            "{:?}",
+            c.oracle.query(&Query::table("hle")).unwrap().rows
+        ));
         digest
     };
     assert_eq!(run(41), run(41), "same seed, same cluster, same answers");

@@ -17,71 +17,16 @@
 //! (`HEDC_TEST_SEED` overrides; replay with `scripts/check.sh --seed`).
 
 use hedc_cache::CacheConfig;
+use hedc_dm::testkit::{replica_sets, HleRow, Seed, ShardedFixture};
 use hedc_dm::{
-    schema, splitmix64, Clock, CrashSite, DmError, DmIo, DmNode, DmResult, IoConfig, MoveSpec,
-    MoveStep, Partitioning, ShardMap, ShardMover, ShardedDm, Step,
+    CrashSite, DmError, DmIo, DmResult, MoveSpec, MoveStep, ShardMap, ShardMover, ShardedDm, Step,
 };
-use hedc_filestore::FileStore;
-use hedc_metadb::{Database, Expr, OrderDir, Query, Value};
-use std::sync::Arc;
+use hedc_metadb::{Expr, OrderDir, Query, Value};
 
 const BASE_SEED: u64 = 0x5AAD_0EBA;
 const N_ROWS: i64 = 120;
 /// The hash slot the matrix moves from shard 0 to shard 1.
 const MOVED_PART: u32 = 0;
-
-fn effective_seed() -> u64 {
-    std::env::var("HEDC_TEST_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(BASE_SEED)
-}
-
-fn store(label: &str) -> Arc<DmIo> {
-    let db = Database::in_memory(label);
-    {
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-    }
-    Arc::new(DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(FileStore::new()),
-        Clock::starting_at(0),
-        &IoConfig::default(),
-    ))
-}
-
-fn hle_row(id: i64, time_end: i64) -> Vec<Value> {
-    vec![
-        Value::Int(id),
-        Value::Int(1),
-        Value::Int(id % 16),
-        Value::Timestamp(time_end - 5),
-        Value::Timestamp(time_end),
-        Value::Float(3.0),
-        Value::Float(20_000.0),
-        Value::Text("flare".into()),
-        Value::Null,
-        Value::Float((id % 11) as f64),
-        Value::Null,
-        Value::Int((id * 13) % 997),
-        Value::Int(1),
-        Value::Int(1),
-        Value::Bool(true),
-        Value::Null,
-        Value::Null,
-        Value::Timestamp(time_end - 5),
-        Value::Text("user".into()),
-        Value::Null,
-        Value::Null,
-        Value::Null,
-        Value::Null,
-        Value::Int(0),
-        Value::Bool(false),
-    ]
-}
 
 /// Slots spread round-robin over 2 shards: slots {0,2} on shard 0,
 /// {1,3} on shard 1. The matrix moves slot 0 to shard 1.
@@ -89,32 +34,17 @@ fn base_map() -> ShardMap {
     ShardMap::new(2).with_hash("hle", "id", 4)
 }
 
-struct Fix {
-    stores: Vec<Arc<DmIo>>,
-    sharded: ShardedDm,
-}
-
-fn fixture(seed: u64, cache: bool) -> Fix {
-    let map = base_map();
-    let stores = vec![store("reb-0"), store("reb-1")];
-    let mut state = seed;
-    for id in 0..N_ROWS {
-        let time_end = 10 + (splitmix64(&mut state) % 3_000) as i64;
-        let owner = map.shard_for("hle", id).unwrap();
-        stores[owner as usize]
-            .insert("hle", hle_row(id, time_end))
-            .unwrap();
+/// [`N_ROWS`] rows at seeded `time_end`s under [`base_map`]; `cache` puts a
+/// merged-result cache on the router.
+fn fixture(cache: bool) -> ShardedFixture {
+    let mut times = Seed::from_env(BASE_SEED).stream("placement");
+    let rows = (0..N_ROWS).map(|id| HleRow::at(id, 10 + times.below(3_000) as i64));
+    let mut fix = ShardedFixture::plain(base_map(), rows);
+    if cache {
+        let sets = replica_sets(&fix.nodes);
+        fix.sharded = ShardedDm::with_cache(sets, base_map(), &CacheConfig::default());
     }
-    let replica_sets: Vec<Vec<Arc<dyn DmNode>>> = stores
-        .iter()
-        .map(|io| vec![Arc::clone(io) as Arc<dyn DmNode>])
-        .collect();
-    let sharded = if cache {
-        ShardedDm::with_cache(replica_sets, map, &CacheConfig::default())
-    } else {
-        ShardedDm::new(replica_sets, map)
-    };
-    Fix { stores, sharded }
+    fix
 }
 
 fn spec() -> MoveSpec {
@@ -135,9 +65,11 @@ fn hle_dump(io: &DmIo) -> Vec<String> {
     rows
 }
 
-fn run_mover(fix: &Fix, crash: Option<CrashSite<MoveStep>>) -> DmResult<hedc_dm::MoveOutcome> {
-    let stores: Vec<&DmIo> = fix.stores.iter().map(|s| s.as_ref()).collect();
-    let mut mover = ShardMover::new(fix.stores[0].as_ref(), stores, &fix.sharded);
+fn run_mover(
+    fix: &ShardedFixture,
+    crash: Option<CrashSite<MoveStep>>,
+) -> DmResult<hedc_dm::MoveOutcome> {
+    let mut mover = ShardMover::new(&fix.stores[0], fix.store_refs(), &fix.sharded);
     if let Some(c) = crash {
         mover = mover.with_crash(c);
     }
@@ -153,9 +85,7 @@ fn moved_ids(map: &ShardMap) -> Vec<i64> {
 
 #[test]
 fn uninterrupted_move_relocates_the_partition_and_bumps_the_epoch() {
-    let seed = effective_seed();
-    println!("shard_rebalance seed={seed} (replay: scripts/check.sh --seed {seed})");
-    let fix = fixture(seed, false);
+    let fix = fixture(false);
     let map0 = fix.sharded.map();
     let ids = moved_ids(&map0);
     assert!(!ids.is_empty(), "slot {MOVED_PART} must own rows");
@@ -194,11 +124,8 @@ fn uninterrupted_move_relocates_the_partition_and_bumps_the_epoch() {
 
 #[test]
 fn crash_matrix_resumes_to_the_twin_placement_byte_for_byte() {
-    let seed = effective_seed();
-    println!("shard_rebalance seed={seed} (replay: scripts/check.sh --seed {seed})");
-
     // Uninterrupted twin: the reference placement.
-    let twin = fixture(seed, false);
+    let twin = fixture(false);
     run_mover(&twin, None).unwrap();
     let twin_dumps: Vec<Vec<String>> = twin.stores.iter().map(|s| hle_dump(s)).collect();
     let twin_epoch = twin.sharded.map().epoch;
@@ -207,7 +134,7 @@ fn crash_matrix_resumes_to_the_twin_placement_byte_for_byte() {
     let matrix: Vec<CrashSite<MoveStep>> = CrashSite::all().collect();
     assert!(matrix.len() >= 7, "the matrix must not shrink: {matrix:?}");
     for crash in matrix {
-        let fix = fixture(seed, false);
+        let fix = fixture(false);
         let ids = moved_ids(&fix.sharded.map());
         let died = run_mover(&fix, Some(crash));
         assert!(
@@ -262,13 +189,11 @@ fn crash_matrix_resumes_to_the_twin_placement_byte_for_byte() {
 
 #[test]
 fn cutover_leaves_zero_stale_cache_hits() {
-    let seed = effective_seed();
-    println!("shard_rebalance seed={seed} (replay: scripts/check.sh --seed {seed})");
     // The matrix includes the nastiest window: a crash *between* the map
     // install and the generation bumps (MidStep(Cutover)). Resume must
     // re-bump, so even entries cached inside that window cannot be served.
     for crash in [None, Some(CrashSite::MidStep(MoveStep::Cutover))] {
-        let fix = fixture(seed, true);
+        let fix = fixture(true);
         let ids = moved_ids(&fix.sharded.map());
         let probe = Query::table("hle")
             .select(&["id", "n_photons"])
@@ -325,8 +250,7 @@ fn cutover_leaves_zero_stale_cache_hits() {
 fn journal_is_scoped_per_move_key() {
     // Two different moves journal side by side without clobbering each
     // other's resume state: move slot 0 → shard 1, then slot 1 → shard 0.
-    let seed = effective_seed();
-    let fix = fixture(seed, false);
+    let fix = fixture(false);
     run_mover(&fix, None).unwrap();
 
     let back = MoveSpec {
@@ -334,8 +258,7 @@ fn journal_is_scoped_per_move_key() {
         part: 1,
         to: 0,
     };
-    let stores: Vec<&DmIo> = fix.stores.iter().map(|s| s.as_ref()).collect();
-    let mover = ShardMover::new(fix.stores[0].as_ref(), stores, &fix.sharded);
+    let mover = ShardMover::new(&fix.stores[0], fix.store_refs(), &fix.sharded);
     let out = mover.run(&back).unwrap();
     assert_eq!(out.from, 1);
     assert_eq!(out.resumed_from, None, "a distinct move key starts fresh");

@@ -7,13 +7,12 @@
 //! is compensated exactly once, a boundary resume compensates nothing, and
 //! the journal reader tolerates junk rows but not a corrupt winning row.
 
+use hedc_dm::testkit::node;
 use hedc_dm::workflow::{self, Probe, Workflow, JOURNAL_TABLE};
-use hedc_dm::{schema, Clock, CrashSite, DmError, DmIo, IoConfig, Partitioning, Step};
-use hedc_filestore::FileStore;
-use hedc_metadb::{Database, Expr, Query, Statement, Value};
+use hedc_dm::{CrashSite, DmError, DmIo, Step};
+use hedc_metadb::{Expr, Query, Statement, Value};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Toy {
@@ -80,18 +79,7 @@ impl Workflow for ToyRun<'_> {
 }
 
 fn store() -> DmIo {
-    let db = Database::in_memory("workflow-toy");
-    {
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-    }
-    DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(FileStore::new()),
-        Clock::starting_at(0),
-        &IoConfig::default(),
-    )
+    node("workflow-toy", Default::default())
 }
 
 /// Canonical dump of the journal and the effects table.

@@ -240,57 +240,52 @@ pub fn decode_row(buf: &[u8]) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hedc_obs::{Seed, Stream};
     use std::cmp::Ordering;
 
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    const SEED: u64 = 0x0570_BEE7;
 
     /// Random value whose numeric part stays within ±2^53, where the
     /// encoding is exactly faithful to `Value::cmp`.
-    fn arb_value(state: &mut u64) -> Value {
-        match splitmix(state) % 8 {
+    fn arb_value(state: &mut Stream) -> Value {
+        match state.below(8) {
             0 => Value::Null,
-            1 => Value::Bool(splitmix(state) & 1 == 1),
-            2 => Value::Int((splitmix(state) % (1 << 53)) as i64 - (1 << 52)),
-            3 => Value::Timestamp((splitmix(state) % (1 << 53)) as i64 - (1 << 52)),
+            1 => Value::Bool(state.below(2) == 1),
+            2 => Value::Int(state.below(1 << 53) as i64 - (1 << 52)),
+            3 => Value::Timestamp(state.below(1 << 53) as i64 - (1 << 52)),
             4 => {
-                let i = (splitmix(state) % 2000) as i64 - 1000;
-                if splitmix(state) & 1 == 1 {
+                let i = state.below(2000) as i64 - 1000;
+                if state.below(2) == 1 {
                     Value::Float(i as f64) // integral float: canonical case
                 } else {
                     Value::Float(i as f64 + 0.5)
                 }
             }
             5 => {
-                let n = (splitmix(state) % 12) as usize;
+                let n = state.below(12) as usize;
                 let s: String = (0..n)
-                    .map(|_| char::from(b'a' + (splitmix(state) % 26) as u8))
+                    .map(|_| char::from(b'a' + state.below(26) as u8))
                     .collect();
                 Value::Text(s)
             }
             6 => {
                 // Text with embedded NULs to exercise the escape.
-                let n = (splitmix(state) % 6) as usize;
+                let n = state.below(6) as usize;
                 let s: String = (0..n)
-                    .map(|_| if splitmix(state) & 1 == 1 { '\0' } else { 'x' })
+                    .map(|_| if state.below(2) == 1 { '\0' } else { 'x' })
                     .collect();
                 Value::Text(s)
             }
             _ => {
-                let n = (splitmix(state) % 8) as usize;
-                Value::Bytes((0..n).map(|_| (splitmix(state) % 256) as u8).collect())
+                let n = state.below(8) as usize;
+                Value::Bytes((0..n).map(|_| state.below(256) as u8).collect())
             }
         }
     }
 
     #[test]
     fn single_value_order_matches_value_cmp() {
-        let mut state = crate::test_seed();
+        let mut state = Seed::from_env(SEED).stream("single");
         for _ in 0..4000 {
             let a = arb_value(&mut state);
             let b = arb_value(&mut state);
@@ -306,9 +301,9 @@ mod tests {
 
     #[test]
     fn composite_key_order_matches_tuple_cmp() {
-        let mut state = crate::test_seed() ^ 0xC0FFEE;
+        let mut state = Seed::from_env(SEED).stream("composite");
         for _ in 0..2000 {
-            let n = 1 + (splitmix(&mut state) % 3) as usize;
+            let n = 1 + state.below(3) as usize;
             let a: Vec<Value> = (0..n).map(|_| arb_value(&mut state)).collect();
             let b: Vec<Value> = (0..n).map(|_| arb_value(&mut state)).collect();
             assert_eq!(

@@ -71,21 +71,3 @@ pub use stats::{DbStats, StatsSnapshot};
 pub use table::{IndexRef, Table};
 pub use value::{DataType, Value};
 pub use wal::{read_committed, LogRecord, Wal, WalOptions};
-
-/// Seed for randomized tests: honors `HEDC_TEST_SEED` (decimal or
-/// `0x`-prefixed hex) so a failing run can be replayed exactly, and
-/// falls back to a fixed constant so default runs are reproducible.
-#[doc(hidden)]
-pub fn test_seed() -> u64 {
-    match std::env::var("HEDC_TEST_SEED") {
-        Ok(s) => {
-            let s = s.trim();
-            if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-                u64::from_str_radix(hex, 16).expect("HEDC_TEST_SEED hex")
-            } else {
-                s.parse().expect("HEDC_TEST_SEED decimal")
-            }
-        }
-        Err(_) => 0x0570_BEE7,
-    }
-}

@@ -11,49 +11,24 @@
 //! interval, where a min would occasionally sneak under the bar and a max
 //! is hostage to scheduler noise.)
 
-use hedc_net::frame::{read_frame, write_frame, Frame, FrameKind};
-use hedc_net::proto::{decode, encode, Request, Response};
-use hedc_net::{DmServer, ServerConfig};
-use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+mod common;
 
-fn dm_node() -> Arc<hedc_dm::Dm> {
-    let fs = hedc_filestore::FileStore::new();
-    fs.register(hedc_filestore::Archive::in_memory(
-        1,
-        "raw",
-        hedc_filestore::ArchiveTier::OnlineDisk,
-        1 << 30,
-    ));
-    hedc_dm::Dm::bootstrap(Arc::new(fs), hedc_dm::DmConfig::default()).unwrap()
-}
+use common::{serve, RawClient};
+use hedc_dm::testkit;
+use hedc_net::ServerConfig;
+use std::time::{Duration, Instant};
 
 #[test]
 fn idle_accept_to_first_response_median_is_under_a_millisecond() {
-    let server =
-        DmServer::bind("127.0.0.1:0", dm_node(), ServerConfig::default()).expect("bind loopback");
+    let server = serve(testkit::dm(), ServerConfig::default());
     let addr = server.local_addr();
 
     let trials = 100;
     let mut rtts: Vec<Duration> = (0..trials)
         .map(|i| {
             let start = Instant::now();
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            stream.set_nodelay(true).expect("nodelay");
-            let frame = Frame {
-                kind: FrameKind::Request,
-                trace_id: 0,
-                span_id: 0,
-                req_id: i + 1,
-                payload: encode(&Request::Ping).unwrap(),
-            };
-            write_frame(&mut stream, &frame).expect("write ping");
-            let reply = read_frame(&mut stream).expect("read pong");
-            let elapsed = start.elapsed();
-            let response: Response = decode(&reply.payload).expect("decode pong");
-            assert!(matches!(response, Response::Pong { .. }), "{response:?}");
-            elapsed
+            RawClient::connect(addr).ping(i + 1);
+            start.elapsed()
         })
         .collect();
 

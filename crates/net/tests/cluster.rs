@@ -10,60 +10,20 @@
 //! `scripts/check.sh --seed <printed seed>` (which exports
 //! `HEDC_TEST_SEED`).
 
+mod common;
+
+use common::{browse_query, canned_result, fast_config, serve, Script, ScriptedPeer};
 use hedc_cache::CacheConfig;
-use hedc_dm::{
-    Dm, DmConfig, DmError, DmNode, DmResult, DmRouter, FaultPlan, FaultyDmNode, NameType,
-    ResolvedName, ShardMap,
-};
-use hedc_filestore::{Archive, ArchiveTier, FileStore};
-use hedc_metadb::{AccessPath, ExecStats, Expr, Query, QueryResult, Value};
-use hedc_net::frame::{self, Frame, FrameKind};
-use hedc_net::proto::{self, Request, Response, WireError, WireErrorKind};
+use hedc_dm::testkit::{self, Seed};
+use hedc_dm::{Dm, DmError, DmNode, DmResult, DmRouter, FaultPlan, FaultyDmNode, NameType};
+use hedc_metadb::Query;
+use hedc_net::proto::WireErrorKind;
 use hedc_net::{DmServer, NetConfig, NetDm, ServerConfig};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-fn dm_node() -> Arc<Dm> {
-    let fs = FileStore::new();
-    fs.register(Archive::in_memory(
-        1,
-        "raw",
-        ArchiveTier::OnlineDisk,
-        1 << 30,
-    ));
-    fs.register(Archive::in_memory(
-        2,
-        "derived",
-        ArchiveTier::OnlineRaid,
-        1 << 30,
-    ));
-    Dm::bootstrap(Arc::new(fs), DmConfig::default()).unwrap()
-}
-
 fn boot(label: &str) -> (DmServer, Arc<NetDm>) {
-    let server =
-        DmServer::bind("127.0.0.1:0", dm_node(), ServerConfig::default()).expect("bind loopback");
-    let client = Arc::new(NetDm::connect(server.local_addr(), label, fast_config()));
-    (server, client)
-}
-
-/// Test-friendly deadlines: fail fast, retry fast.
-fn fast_config() -> NetConfig {
-    NetConfig {
-        connect_timeout: Duration::from_millis(200),
-        request_timeout: Duration::from_secs(2),
-        retries: 2,
-        backoff_base: Duration::from_millis(2),
-        backoff_max: Duration::from_millis(20),
-        health_ttl: Duration::from_millis(50),
-        ..NetConfig::default()
-    }
-}
-
-fn browse_query() -> Query {
-    Query::table("catalog").filter(Expr::eq("public", true))
+    common::boot(label, ServerConfig::default())
 }
 
 /// `net.client.unavailable` is one process-wide counter and the tests of
@@ -144,24 +104,12 @@ fn failover_completes_every_request_when_a_node_dies_mid_run() {
     // it is killed. Only unavailability is injected — RemoteFailed means
     // "the node is up, the query is bad" and is deliberately not failed
     // over by the router.
-    let faulty_a = Arc::new(FaultyDmNode::new(
-        dm_node(),
-        "srv-a",
-        FaultPlan::seeded(0xC0FFEE)
-            .unavailable(150)
-            .slow(50, Duration::from_millis(2)),
-    ));
-    println!(
-        "fault seed {} (replay: scripts/check.sh --seed {})",
-        faulty_a.seed(),
-        faulty_a.seed()
-    );
-    let mut server_a = DmServer::bind(
-        "127.0.0.1:0",
-        faulty_a.clone() as Arc<dyn DmNode>,
-        ServerConfig::default(),
-    )
-    .expect("bind loopback");
+    let faults = Seed::from_env(0xC0FFEE).stream("node-faults");
+    let plan = FaultPlan::none()
+        .unavailable(150)
+        .slow(50, Duration::from_millis(2));
+    let faulty_a = Arc::new(FaultyDmNode::new(testkit::dm(), "srv-a", plan, faults));
+    let mut server_a = serve(faulty_a.clone(), ServerConfig::default());
     let client_a = Arc::new(NetDm::connect(
         server_a.local_addr(),
         "net-a",
@@ -275,7 +223,7 @@ fn warm_client_cache_survives_backend_outage_read_only() {
 /// A bootstrapped DM carrying `n` items with attached file names, plus the
 /// item ids.
 fn dm_with_items(n: usize) -> (Arc<Dm>, Vec<i64>) {
-    let dm = dm_node();
+    let dm = testkit::dm();
     let names = dm.names();
     let items: Vec<i64> = (0..n)
         .map(|i| {
@@ -310,22 +258,10 @@ fn batch_over_the_wire_isolates_injected_per_entry_faults() {
         .map(|&id| dm.names().resolve(id, NameType::File).unwrap())
         .collect();
 
-    let faulty = Arc::new(FaultyDmNode::new(
-        dm,
-        "wire-faults",
-        FaultPlan::seeded(5).unavailable(250),
-    ));
-    println!(
-        "fault seed {} (replay: scripts/check.sh --seed {})",
-        faulty.seed(),
-        faulty.seed()
-    );
-    let server = DmServer::bind(
-        "127.0.0.1:0",
-        faulty.clone() as Arc<dyn DmNode>,
-        ServerConfig::default(),
-    )
-    .expect("bind loopback");
+    let faults = Seed::from_env(5).stream("node-faults");
+    let plan = FaultPlan::none().unavailable(250);
+    let faulty = Arc::new(FaultyDmNode::new(dm, "wire-faults", plan, faults));
+    let server = serve(faulty.clone(), ServerConfig::default());
     let client = NetDm::connect(server.local_addr(), "wire-faults", fast_config());
 
     let got = client.resolve_batch(&items, NameType::File);
@@ -372,12 +308,7 @@ fn query_batch_isolates_a_rejected_entry() {
 #[test]
 fn resolve_roundtrip_matches_local_resolution() {
     let (dm, items) = dm_with_items(3);
-    let server = DmServer::bind(
-        "127.0.0.1:0",
-        dm.clone() as Arc<dyn DmNode>,
-        ServerConfig::default(),
-    )
-    .expect("bind loopback");
+    let server = serve(dm.clone(), ServerConfig::default());
     let client = NetDm::connect(server.local_addr(), "resolve-node", fast_config());
     for &item in &items {
         let local = dm.names().resolve(item, NameType::File).unwrap();
@@ -408,12 +339,7 @@ fn rpc_metrics_are_recorded() {
         "net.server.bytes_out",
         "net.server.requests",
     ] {
-        let value = snap
-            .counters
-            .iter()
-            .find(|(n, _)| n == counter)
-            .map(|(_, v)| *v)
-            .unwrap_or(0);
+        let value = snap.counter(counter).unwrap_or(0);
         assert!(value > 0, "counter {counter} should be non-zero");
     }
 }
@@ -421,150 +347,6 @@ fn rpc_metrics_are_recorded() {
 // ---------------------------------------------------------------------------
 // The one call path, against a scripted peer
 // ---------------------------------------------------------------------------
-
-/// What the scripted peer does with every request that is not a ping.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Script {
-    /// The variant the request asks for.
-    Expected,
-    /// A typed wire error.
-    Error(WireErrorKind),
-    /// A well-formed response no `DmNode` method asks for.
-    WrongVariant,
-    /// A batch answer one entry short (a bare empty batch to a single call).
-    TruncatedBatch,
-    /// Hang up without answering.
-    CloseSocket,
-}
-
-fn canned_result() -> QueryResult {
-    QueryResult {
-        columns: vec!["id".into()],
-        rows: vec![vec![Value::Int(7)]],
-        stats: ExecStats {
-            rows_scanned: 1,
-            rows_returned: 1,
-            rows_sorted: 0,
-            access: AccessPath::FullScan,
-        },
-    }
-}
-
-fn canned_name(item_id: i64, name_type: NameType) -> ResolvedName {
-    ResolvedName {
-        entry_id: item_id,
-        name_type,
-        archive_id: 1,
-        archive_path: format!("raw/{item_id}"),
-        entry_path: format!("{item_id}"),
-        full_name: format!("file:hedc/raw/{item_id}#{item_id}"),
-        url: None,
-        size: 1,
-        role: "data".into(),
-        transforms: Vec::new(),
-    }
-}
-
-fn expected_answer(request: &Request) -> Response {
-    match request {
-        Request::Query(_) => Response::Result(canned_result()),
-        Request::Resolve { item_id, name_type } => {
-            Response::Names(vec![canned_name(*item_id, *name_type)])
-        }
-        Request::Batch(entries) => Response::Batch(entries.iter().map(expected_answer).collect()),
-        other => panic!("the four DmNode methods never send {other:?}"),
-    }
-}
-
-/// A loopback listener speaking the frame protocol from a [`Script`] the
-/// test flips between calls. Pings always get a pong, so only the call
-/// under test decides the client's health verdict.
-struct ScriptedPeer {
-    addr: SocketAddr,
-    script: Arc<Mutex<Script>>,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ScriptedPeer {
-    fn start() -> ScriptedPeer {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().unwrap();
-        let script = Arc::new(Mutex::new(Script::Expected));
-        let stop = Arc::new(AtomicBool::new(false));
-        let (script2, stop2) = (Arc::clone(&script), Arc::clone(&stop));
-        let acceptor = std::thread::spawn(move || {
-            let mut conns = Vec::new();
-            for stream in listener.incoming() {
-                if stop2.load(Ordering::SeqCst) {
-                    break;
-                }
-                let (stream, script) = (stream.expect("accept"), Arc::clone(&script2));
-                conns.push(std::thread::spawn(move || Self::serve(stream, &script)));
-            }
-            for conn in conns {
-                conn.join().expect("scripted connection panicked");
-            }
-        });
-        ScriptedPeer {
-            addr,
-            script,
-            stop,
-            acceptor: Some(acceptor),
-        }
-    }
-
-    fn set(&self, script: Script) {
-        *self.script.lock().unwrap() = script;
-    }
-
-    /// One connection: answer frames until the client hangs up or the
-    /// script says to.
-    fn serve(mut stream: TcpStream, script: &Mutex<Script>) {
-        stream.set_nodelay(true).unwrap();
-        while let Ok(request) = frame::read_frame(&mut stream) {
-            let message: Request = proto::decode(&request.payload).expect("client sent a request");
-            let script = *script.lock().unwrap();
-            let answer = match (&message, script) {
-                (Request::Ping, _) => Response::Pong {
-                    node_id: "scripted".into(),
-                    epoch: 0,
-                },
-                (_, Script::Expected) => expected_answer(&message),
-                (_, Script::Error(kind)) => Response::Error(WireError {
-                    kind,
-                    message: "scripted".into(),
-                }),
-                (_, Script::WrongVariant) => Response::ShardMap(ShardMap::new(1)),
-                (Request::Batch(entries), Script::TruncatedBatch) => {
-                    Response::Batch(entries.iter().skip(1).map(expected_answer).collect())
-                }
-                (_, Script::TruncatedBatch) => Response::Batch(Vec::new()),
-                (_, Script::CloseSocket) => return,
-            };
-            let reply = Frame {
-                kind: FrameKind::Response,
-                payload: proto::encode(&answer).unwrap(),
-                ..request
-            };
-            if frame::write_frame(&mut stream, &reply).is_err() {
-                return;
-            }
-        }
-    }
-
-    /// Stop accepting and wait for every connection to drain. Call after
-    /// the clients are dropped: a connection ends when its client hangs up.
-    fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr); // wake the acceptor
-        self.acceptor
-            .take()
-            .unwrap()
-            .join()
-            .expect("acceptor panicked");
-    }
-}
 
 /// The outcome classes the table distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq)]

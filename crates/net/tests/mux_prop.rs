@@ -16,82 +16,16 @@
 //!    (shuffled) order always yields each request's own answer: the
 //!    client's view is keyed by request id, never by arrival order.
 
-use hedc_dm::splitmix64;
-use hedc_metadb::{Expr, Query};
-use hedc_net::proto::{Request, Response, WireErrorKind};
-use hedc_net::{DmServer, MuxClient, Pending, ServerConfig};
-use std::sync::Arc;
+mod common;
+
+use common::{mux, serve, Kind};
+use hedc_dm::testkit::{self, Seed, Stream};
+use hedc_net::proto::{Request, Response};
+use hedc_net::{Pending, ServerConfig};
 use std::time::Duration;
 
 const CASES: usize = 24;
-const MAX_BURST: usize = 20;
-
-fn dm_node() -> Arc<hedc_dm::Dm> {
-    let fs = hedc_filestore::FileStore::new();
-    fs.register(hedc_filestore::Archive::in_memory(
-        1,
-        "raw",
-        hedc_filestore::ArchiveTier::OnlineDisk,
-        1 << 30,
-    ));
-    hedc_dm::Dm::bootstrap(Arc::new(fs), hedc_dm::DmConfig::default()).unwrap()
-}
-
-fn base_seed() -> u64 {
-    std::env::var("HEDC_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x00D1_5EED)
-}
-
-/// Request classes whose responses are mutually distinguishable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Ping,
-    Browse,
-    BadTable,
-}
-
-impl Kind {
-    fn draw(state: &mut u64) -> Kind {
-        match splitmix64(state) % 3 {
-            0 => Kind::Ping,
-            1 => Kind::Browse,
-            _ => Kind::BadTable,
-        }
-    }
-
-    fn request(self) -> Request {
-        match self {
-            Kind::Ping => Request::Ping,
-            Kind::Browse => {
-                Request::Query(Query::table("catalog").filter(Expr::eq("public", true)))
-            }
-            Kind::BadTable => Request::Query(Query::table("no_such_table")),
-        }
-    }
-
-    fn check(self, response: &Response, seed: u64) {
-        match self {
-            Kind::Ping => {
-                assert!(
-                    matches!(response, Response::Pong { .. }),
-                    "seed {seed}: {response:?}"
-                )
-            }
-            Kind::Browse => match response {
-                Response::Result(r) => assert_eq!(r.rows.len(), 2, "seed {seed}"),
-                other => panic!("seed {seed}: browse answered with {other:?}"),
-            },
-            Kind::BadTable => match response {
-                Response::Error(e) => {
-                    assert_eq!(e.kind, WireErrorKind::Rejected, "seed {seed}: {e:?}")
-                }
-                other => panic!("seed {seed}: bad table answered with {other:?}"),
-            },
-        }
-    }
-}
+const MAX_BURST: u64 = 20;
 
 /// What one pipelined slot expects back.
 #[derive(Debug)]
@@ -102,10 +36,10 @@ enum Expected {
 }
 
 impl Expected {
-    fn draw(state: &mut u64) -> Expected {
+    fn draw(state: &mut Stream) -> Expected {
         // 1 in 4 slots is a batch of 2..=6 entries (batches do not nest).
-        if splitmix64(state) % 4 == 0 {
-            let n = 2 + (splitmix64(state) % 5) as usize;
+        if state.below(4) == 0 {
+            let n = 2 + state.below(5) as usize;
             Expected::Batch((0..n).map(|_| Kind::draw(state)).collect())
         } else {
             Expected::One(Kind::draw(state))
@@ -119,67 +53,51 @@ impl Expected {
         }
     }
 
-    fn check(&self, response: &Response, seed: u64) {
-        match self {
-            Expected::One(kind) => kind.check(response, seed),
-            Expected::Batch(kinds) => match response {
-                Response::Batch(entries) => {
-                    assert_eq!(entries.len(), kinds.len(), "seed {seed}: batch arity");
-                    // Per-entry isolation: each position carries its own
-                    // verdict; a BadTable entry must not poison siblings.
-                    for (kind, entry) in kinds.iter().zip(entries) {
-                        kind.check(entry, seed);
-                    }
+    fn check(&self, response: &Response) {
+        match (self, response) {
+            (Expected::One(kind), _) => {
+                assert!(kind.matches(response), "{kind:?} answered {response:?}")
+            }
+            (Expected::Batch(kinds), Response::Batch(entries)) => {
+                assert_eq!(entries.len(), kinds.len(), "batch arity");
+                // Per-entry isolation: each position carries its own
+                // verdict; a BadTable entry must not poison siblings.
+                for (kind, entry) in kinds.iter().zip(entries) {
+                    assert!(kind.matches(entry), "{kind:?} entry answered {entry:?}");
                 }
-                other => panic!("seed {seed}: batch answered with {other:?}"),
-            },
+            }
+            (_, other) => panic!("batch answered with {other:?}"),
         }
-    }
-}
-
-/// Seeded Fisher–Yates: the order the test *waits* in, decoupled from the
-/// order requests were submitted and from server completion order.
-fn shuffle<T>(items: &mut Vec<T>, state: &mut u64) {
-    for i in (1..items.len()).rev() {
-        let j = (splitmix64(state) % (i as u64 + 1)) as usize;
-        items.swap(i, j);
     }
 }
 
 #[test]
 fn interleaved_pipelined_requests_demultiplex_by_request_id() {
-    let seed = base_seed();
-    println!("mux seed {seed} (replay: scripts/check.sh --seed {seed})");
+    let mut state = Seed::from_env(0x00D1_5EED).stream("clients");
+    let server = serve(testkit::dm(), ServerConfig::default());
+    let client = mux(server.local_addr());
 
-    let server =
-        DmServer::bind("127.0.0.1:0", dm_node(), ServerConfig::default()).expect("bind loopback");
-    let client =
-        MuxClient::connect(server.local_addr(), Duration::from_millis(500)).expect("connect");
-
-    let mut state = seed;
     for case in 0..CASES {
-        let burst = 1 + (splitmix64(&mut state) % MAX_BURST as u64) as usize;
+        let burst = 1 + state.below(MAX_BURST) as usize;
         let mut pending: Vec<(Expected, Pending)> = Vec::with_capacity(burst);
         for _ in 0..burst {
             let expected = Expected::draw(&mut state);
             let p = client
                 .submit(&expected.request(), 0, 0)
-                .unwrap_or_else(|e| panic!("seed {seed} case {case}: submit failed: {e}"));
+                .unwrap_or_else(|e| panic!("case {case}: submit failed: {e}"));
             pending.push((expected, p));
         }
-        // Consume out of submission order: correlation must come from the
-        // frame's request id, not from queue position.
-        shuffle(&mut pending, &mut state);
+        // Consume out of submission order (a seeded shuffle, decoupled
+        // from server completion order too): correlation must come from
+        // the frame's request id, not from queue position.
+        state.shuffle(&mut pending);
         for (expected, p) in pending {
             let (response, _) = p
                 .wait(Duration::from_secs(5))
-                .unwrap_or_else(|e| panic!("seed {seed} case {case}: lost response: {e}"));
-            expected.check(&response, seed);
+                .unwrap_or_else(|e| panic!("case {case}: lost response: {e}"));
+            expected.check(&response);
         }
-        assert!(
-            !client.is_dead(),
-            "seed {seed} case {case}: connection died"
-        );
+        assert!(!client.is_dead(), "case {case}: connection died");
     }
     drop(client);
     drop(server);

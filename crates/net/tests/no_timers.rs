@@ -11,13 +11,15 @@
 //!
 //! The wake-up counter is process-wide, so the tests here take turns.
 
-use hedc_dm::{splitmix64, DmNode, DmResult};
-use hedc_metadb::{AccessPath, ExecStats, Query, QueryResult, Value};
-use hedc_net::frame::{read_frame, write_frame, Frame, FrameKind};
-use hedc_net::proto::{decode, encode, Request, Response};
-use hedc_net::{AdmissionConfig, DmServer, MuxClient, NetConfig, NetDm, ServerConfig};
+mod common;
+
+use common::{mux, one_cell, serve, workers, RawClient};
+use hedc_dm::testkit::Seed;
+use hedc_dm::{DmNode, DmResult};
+use hedc_metadb::{Query, QueryResult, Value};
+use hedc_net::proto::{Request, Response};
+use hedc_net::{DmServer, NetConfig, NetDm};
 use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -27,13 +29,6 @@ fn take_turn() -> MutexGuard<'static, ()> {
     ONE_SERVER_AT_A_TIME
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn base_seed() -> u64 {
-    std::env::var("HEDC_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x0071_3E55)
 }
 
 /// Answers `echo_request(serial, delay)` with `serial`, after sleeping
@@ -47,16 +42,7 @@ impl DmNode for EchoNode {
 
     fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
         std::thread::sleep(Duration::from_micros(q.limit.unwrap_or(0) as u64));
-        Ok(QueryResult {
-            columns: vec!["serial".into()],
-            rows: vec![vec![Value::Int(q.offset.unwrap_or(0) as i64)]],
-            stats: ExecStats {
-                rows_scanned: 1,
-                rows_returned: 1,
-                rows_sorted: 0,
-                access: AccessPath::FullScan,
-            },
-        })
+        Ok(one_cell("serial", Value::Int(q.offset.unwrap_or(0) as i64)))
     }
 }
 
@@ -75,51 +61,20 @@ fn echoed(response: &Response) -> Option<i64> {
     }
 }
 
-fn echo_server(workers: usize) -> DmServer {
-    let config = ServerConfig {
-        admission: AdmissionConfig {
-            workers,
-            ..AdmissionConfig::default()
-        },
-        ..ServerConfig::default()
-    };
-    DmServer::bind("127.0.0.1:0", Arc::new(EchoNode), config).expect("bind loopback")
+fn echo_server(n: usize) -> DmServer {
+    serve(Arc::new(EchoNode), workers(n))
 }
 
 fn shard_wakeups() -> u64 {
     hedc_obs::global().counter("net.server.shard_wakeups").get()
 }
 
-fn connect(addr: SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("read timeout");
-    stream
-}
-
-fn ping(stream: &mut TcpStream, req_id: u64) {
-    let frame = Frame {
-        kind: FrameKind::Request,
-        trace_id: 0,
-        span_id: 0,
-        req_id,
-        payload: encode(&Request::Ping).expect("encode"),
-    };
-    write_frame(stream, &frame).expect("write ping");
-    let reply = read_frame(stream).expect("read pong");
-    assert_eq!(reply.req_id, req_id);
-    let response: Response = decode(&reply.payload).expect("decode pong");
-    assert!(matches!(response, Response::Pong { .. }), "{response:?}");
-}
-
 #[test]
 fn an_idle_server_stays_asleep_and_a_ping_costs_at_most_three_shard_wakeups() {
     let _turn = take_turn();
     let server = echo_server(2);
-    let mut stream = connect(server.local_addr());
-    ping(&mut stream, 1); // the connection is registered and served
+    let mut stream = RawClient::connect(server.local_addr());
+    stream.ping(1); // the connection is registered and served
 
     let before = shard_wakeups();
     std::thread::sleep(Duration::from_millis(300));
@@ -132,7 +87,7 @@ fn an_idle_server_stays_asleep_and_a_ping_costs_at_most_three_shard_wakeups() {
     const PINGS: u64 = 200;
     let before = shard_wakeups();
     for i in 0..PINGS {
-        ping(&mut stream, 2 + i);
+        stream.ping(2 + i);
     }
     let busy = shard_wakeups() - before;
     println!("shard wake-ups: {idle} in 300 ms idle, {busy} for {PINGS} pings");
@@ -147,9 +102,11 @@ fn an_idle_server_stays_asleep_and_a_ping_costs_at_most_three_shard_wakeups() {
 fn shutdown_with_idle_connections_does_not_wait_out_a_park_interval() {
     let _turn = take_turn();
     let mut server = echo_server(2);
-    let mut idle: Vec<TcpStream> = (0..32).map(|_| connect(server.local_addr())).collect();
+    let mut idle: Vec<RawClient> = (0..32)
+        .map(|_| RawClient::connect(server.local_addr()))
+        .collect();
     for (i, stream) in idle.iter_mut().enumerate() {
-        ping(stream, i as u64); // every one is owned by a shard by now
+        stream.ping(i as u64); // every one is owned by a shard by now
     }
     let start = Instant::now();
     server.shutdown();
@@ -174,37 +131,34 @@ fn thread_names() -> Vec<String> {
 #[test]
 fn eight_callers_share_one_connection_without_a_reader_thread() {
     let _turn = take_turn();
-    let seed = base_seed();
-    println!("no_timers seed {seed} (replay: scripts/check.sh --seed {seed})");
+    let mut clients = Seed::from_env(0x0071_3E55).stream("clients");
     const CALLERS: usize = 8;
     const REQUESTS: usize = 40;
 
     // As many workers as callers, and a seeded service time per request:
     // answers complete in an order unrelated to the order they were asked.
     let server = echo_server(CALLERS);
-    let client = Arc::new(
-        MuxClient::connect(server.local_addr(), Duration::from_millis(500)).expect("connect"),
-    );
+    let client = Arc::new(mux(server.local_addr()));
     let start = Arc::new(Barrier::new(CALLERS));
     let callers: Vec<_> = (0..CALLERS)
         .map(|caller| {
             let client = Arc::clone(&client);
             let start = Arc::clone(&start);
-            let mut state = seed ^ (caller as u64).wrapping_mul(0x9E37_79B9);
+            let mut delays = clients.fork();
             std::thread::spawn(move || {
                 start.wait();
                 for i in 0..REQUESTS {
                     let serial = caller * 1000 + i;
-                    let delay = Duration::from_micros(splitmix64(&mut state) % 1500);
+                    let delay = Duration::from_micros(delays.below(1500));
                     let (response, _) = client
                         .submit(&echo_request(serial, delay), 0, 0)
-                        .unwrap_or_else(|e| panic!("seed {seed}: submit {serial}: {e}"))
+                        .unwrap_or_else(|e| panic!("submit {serial}: {e}"))
                         .wait(Duration::from_secs(5))
-                        .unwrap_or_else(|e| panic!("seed {seed}: lost answer {serial}: {e}"));
+                        .unwrap_or_else(|e| panic!("lost answer {serial}: {e}"));
                     assert_eq!(
                         echoed(&response),
                         Some(serial as i64),
-                        "seed {seed}: caller {caller} got somebody else's answer"
+                        "caller {caller} got somebody else's answer"
                     );
                 }
             })
@@ -232,9 +186,7 @@ fn eight_callers_share_one_connection_without_a_reader_thread() {
 fn a_reader_whose_deadline_expires_hands_the_socket_to_a_follower() {
     let _turn = take_turn();
     let server = echo_server(2);
-    let client = Arc::new(
-        MuxClient::connect(server.local_addr(), Duration::from_millis(500)).expect("connect"),
-    );
+    let client = Arc::new(mux(server.local_addr()));
 
     // The holder asks for an answer that takes far longer than it is
     // willing to wait. It is alone on the connection when it starts to

@@ -1,40 +1,14 @@
 //! Trace propagation through `Request::Batch` frames, per-entry server
 //! spans (error paths included), and the structured slow-request event.
 
-use hedc_dm::{Dm, DmConfig, DmNode, NameType};
-use hedc_filestore::{Archive, ArchiveTier, FileStore};
-use hedc_metadb::{Expr, Query};
-use hedc_net::{DmServer, NetConfig, NetDm, ServerConfig};
+mod common;
+
+use common::{boot, browse_query};
+use hedc_dm::{DmNode, NameType};
+use hedc_metadb::Query;
+use hedc_net::ServerConfig;
 use hedc_obs::FinishedSpan;
-use std::sync::Arc;
 use std::time::Duration;
-
-fn dm_node() -> Arc<Dm> {
-    let fs = FileStore::new();
-    fs.register(Archive::in_memory(
-        1,
-        "raw",
-        ArchiveTier::OnlineDisk,
-        1 << 30,
-    ));
-    fs.register(Archive::in_memory(
-        2,
-        "derived",
-        ArchiveTier::OnlineRaid,
-        1 << 30,
-    ));
-    Dm::bootstrap(Arc::new(fs), DmConfig::default()).unwrap()
-}
-
-fn boot(label: &str, config: ServerConfig) -> (DmServer, Arc<NetDm>) {
-    let server = DmServer::bind("127.0.0.1:0", dm_node(), config).expect("bind loopback");
-    let client = Arc::new(NetDm::connect(
-        server.local_addr(),
-        label,
-        NetConfig::default(),
-    ));
-    (server, client)
-}
 
 fn by_name<'a>(spans: &'a [FinishedSpan], name: &str) -> Vec<&'a FinishedSpan> {
     spans.iter().filter(|s| s.name == name).collect()
@@ -52,7 +26,7 @@ fn batch_entries_join_the_callers_trace_including_errors() {
     let trace_id = root.context().trace_id;
     let root_span_id = root.context().span_id;
     let queries = [
-        Query::table("catalog").filter(Expr::eq("public", true)),
+        browse_query(),
         Query::table("no_such_table"),
         Query::table("catalog"),
     ];

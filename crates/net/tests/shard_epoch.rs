@@ -13,10 +13,12 @@
 //! Seeded: the per-client schedules derive from a printed seed
 //! (`HEDC_TEST_SEED` overrides; replay with `scripts/check.sh --seed`).
 
-use hedc_dm::{
-    schema, splitmix64, Clock, DmIo, DmNode, IoConfig, Partitioning, ShardMap, ShardMapHandle,
-};
-use hedc_metadb::{Database, Expr, Query, QueryResult, Value};
+mod common;
+
+use common::{mux, rpc};
+use hedc_dm::testkit::{HleRow, Seed, ShardedFixture};
+use hedc_dm::{ShardMap, ShardMapHandle};
+use hedc_metadb::{Expr, Query, QueryResult, Value};
 use hedc_net::proto::{Request, Response, WireErrorKind};
 use hedc_net::{DmServer, MuxClient, ServerConfig, ShardIdentity};
 use std::net::SocketAddr;
@@ -29,70 +31,11 @@ const ROUNDS: usize = 8;
 /// The range partition the churn thread flips between shards; its key
 /// interval (`id >= 2000`) holds no rows and is never queried.
 const CHURN_PART: u32 = 2;
-const BASE_SEED: u64 = 0x5AAD_E70C;
-
-fn effective_seed() -> u64 {
-    std::env::var("HEDC_TEST_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(BASE_SEED)
-}
 
 /// `id < 1000` → shard 0, `1000 ≤ id < 2000` → shard 1, `id ≥ 2000` →
 /// the churn partition (initially shard 0, flipped throughout the test).
 fn cluster_map() -> ShardMap {
     ShardMap::new(2).with_range("hle", "id", vec![1000, 2000], vec![0, 1, 0])
-}
-
-fn store(label: &str) -> Arc<DmIo> {
-    let db = Database::in_memory(label);
-    {
-        let mut conn = db.connect();
-        schema::create_generic(&mut conn).unwrap();
-        schema::create_domain(&mut conn).unwrap();
-    }
-    Arc::new(DmIo::new(
-        vec![db],
-        Partitioning::single(),
-        Arc::new(hedc_filestore::FileStore::new()),
-        Clock::starting_at(0),
-        &IoConfig::default(),
-    ))
-}
-
-/// The payload a probe for `id` must come back with.
-fn photons_for(id: i64) -> i64 {
-    (id * 13) % 997
-}
-
-fn hle_row(id: i64) -> Vec<Value> {
-    vec![
-        Value::Int(id),
-        Value::Int(1),
-        Value::Int(id % 16),
-        Value::Timestamp(id),
-        Value::Timestamp(id + 5),
-        Value::Float(3.0),
-        Value::Float(20_000.0),
-        Value::Text("flare".into()),
-        Value::Null,
-        Value::Float((id % 11) as f64),
-        Value::Null,
-        Value::Int(photons_for(id)),
-        Value::Int(1),
-        Value::Int(1),
-        Value::Bool(true),
-        Value::Null,
-        Value::Null,
-        Value::Timestamp(id),
-        Value::Text("user".into()),
-        Value::Null,
-        Value::Null,
-        Value::Null,
-        Value::Null,
-        Value::Int(0),
-        Value::Bool(false),
-    ]
 }
 
 struct Cluster {
@@ -101,43 +44,35 @@ struct Cluster {
     handle: Arc<ShardMapHandle>,
     /// Ids with rows, spread over both stable partitions.
     ids: Vec<i64>,
+    /// Every row, unsharded: what a probe must come back with.
+    oracle: Arc<hedc_dm::DmIo>,
 }
 
+/// Each shard's store behind its own server, all sharing one map handle.
 fn cluster() -> Cluster {
-    let map = cluster_map();
-    let handle = ShardMapHandle::new(map.clone());
-    let mut ids = Vec::new();
-    let stores = [store("epoch-0"), store("epoch-1")];
-    for base in [0i64, 1000] {
-        for off in 0..60 {
-            let id = base + off * 7;
-            let owner = map.shard_for("hle", id).unwrap() as usize;
-            stores[owner].insert("hle", hle_row(id)).unwrap();
-            ids.push(id);
-        }
-    }
-    let mut servers = Vec::new();
-    let mut addrs = Vec::new();
-    for (s, io) in stores.into_iter().enumerate() {
-        let node: Arc<dyn DmNode> = io;
-        let server = DmServer::bind_sharded(
-            "127.0.0.1:0",
-            node,
-            ServerConfig::default(),
-            ShardIdentity {
-                shard: s as u32,
-                map: Arc::clone(&handle),
-            },
-        )
-        .expect("bind loopback");
-        addrs.push(server.local_addr());
-        servers.push(server);
-    }
+    let ids: Vec<i64> = (0..60).flat_map(|off| [off * 7, 1000 + off * 7]).collect();
+    let rows = ids.iter().map(|&id| HleRow::at(id, id + 5));
+    let ShardedFixture { stores, oracle, .. } = ShardedFixture::plain(cluster_map(), rows);
+    let handle = ShardMapHandle::new(cluster_map());
+    let servers: Vec<DmServer> = (0u32..)
+        .zip(stores)
+        .map(|(shard, io)| {
+            let map = Arc::clone(&handle);
+            DmServer::bind_sharded(
+                "127.0.0.1:0",
+                io,
+                ServerConfig::default(),
+                ShardIdentity { shard, map },
+            )
+            .expect("bind loopback")
+        })
+        .collect();
     Cluster {
+        addrs: servers.iter().map(DmServer::local_addr).collect(),
         servers,
-        addrs,
         handle,
         ids,
+        oracle,
     }
 }
 
@@ -145,12 +80,6 @@ fn probe(id: i64) -> Query {
     Query::table("hle")
         .select(&["id", "n_photons"])
         .filter(Expr::eq("id", id))
-}
-
-fn rpc(client: &MuxClient, request: &Request) -> Response {
-    let pending = client.submit(request, 0, 0).expect("submit");
-    let (response, _) = pending.wait(Duration::from_secs(5)).expect("response");
-    response
 }
 
 /// Fetch the live map from any server.
@@ -164,12 +93,7 @@ fn fetch_map(client: &MuxClient) -> ShardMap {
 /// One cluster-aware client: routes by its local map snapshot, and on
 /// [`Response::Redirect`] refetches the map and retries. Returns the
 /// number of redirects absorbed.
-fn query_with_retry(
-    clients: &[MuxClient],
-    map: &mut ShardMap,
-    id: i64,
-    seed: u64,
-) -> (QueryResult, u64) {
+fn query_with_retry(clients: &[MuxClient], map: &mut ShardMap, id: i64) -> (QueryResult, u64) {
     let mut redirects = 0;
     for _attempt in 0..40 {
         let shard = map.shard_for("hle", id).expect("hle is sharded") as usize;
@@ -184,19 +108,19 @@ fn query_with_retry(
                 redirects += 1;
                 *map = fetch_map(&clients[shard]);
             }
-            other => panic!("probe for id {id} answered {other:?} (seed {seed})"),
+            other => panic!("probe for id {id} answered {other:?}"),
         }
     }
-    panic!("id {id}: still redirected after 40 map refetches (seed {seed})");
+    panic!("id {id}: still redirected after 40 map refetches");
 }
 
 #[test]
 fn pong_carries_the_live_epoch() {
     let c = cluster();
-    let client = MuxClient::connect(c.addrs[0], Duration::from_millis(500)).unwrap();
+    let client = mux(c.addrs[0]);
     match rpc(&client, &Request::Ping) {
         Response::Pong { node_id, epoch } => {
-            assert_eq!(node_id, "epoch-0");
+            assert_eq!(node_id, "shard-0");
             assert_eq!(epoch, c.handle.epoch());
         }
         other => panic!("{other:?}"),
@@ -217,7 +141,7 @@ fn pong_carries_the_live_epoch() {
 #[test]
 fn stale_epoch_redirects_and_a_refetched_map_succeeds() {
     let c = cluster();
-    let client = MuxClient::connect(c.addrs[0], Duration::from_millis(500)).unwrap();
+    let client = mux(c.addrs[0]);
     // Bump the epoch behind the client's back.
     assert!(c
         .handle
@@ -240,11 +164,8 @@ fn stale_epoch_redirects_and_a_refetched_map_succeeds() {
     // Refetch → retry: the exact row, not a miss.
     let mut map = fetch_map(&client);
     assert_eq!(map.epoch, live);
-    let clients = vec![
-        client,
-        MuxClient::connect(c.addrs[1], Duration::from_millis(500)).unwrap(),
-    ];
-    let (result, redirects) = query_with_retry(&clients, &mut map, c.ids[0], 0);
+    let clients = vec![client, mux(c.addrs[1])];
+    let (result, redirects) = query_with_retry(&clients, &mut map, c.ids[0]);
     assert_eq!(redirects, 0, "a fresh map needs no retry");
     assert_eq!(result.rows.len(), 1);
     assert_eq!(result.rows[0][0], Value::Int(c.ids[0]));
@@ -254,7 +175,7 @@ fn stale_epoch_redirects_and_a_refetched_map_succeeds() {
 #[test]
 fn wrong_shard_envelope_is_redirected_not_answered() {
     let c = cluster();
-    let client = MuxClient::connect(c.addrs[0], Duration::from_millis(500)).unwrap();
+    let client = mux(c.addrs[0]);
     // Right epoch, wrong shard: shard 0's server must not answer a query
     // addressed to shard 1, even though it could produce *some* rows.
     let wrong = Request::Sharded {
@@ -275,7 +196,7 @@ fn wrong_shard_envelope_is_redirected_not_answered() {
 #[test]
 fn nested_envelopes_are_rejected_as_malformed() {
     let c = cluster();
-    let client = MuxClient::connect(c.addrs[0], Duration::from_millis(500)).unwrap();
+    let client = mux(c.addrs[0]);
     let nested = Request::Sharded {
         shard: 0,
         epoch: c.handle.epoch(),
@@ -294,8 +215,7 @@ fn nested_envelopes_are_rejected_as_malformed() {
 
 #[test]
 fn churning_epochs_under_64_clients_never_lose_a_row() {
-    let seed = effective_seed();
-    println!("shard_epoch seed={seed} (replay: scripts/check.sh --seed {seed})");
+    let mut schedules = Seed::from_env(0x5AAD_E70C).stream("clients");
     let c = cluster();
     let addrs = c.addrs.clone();
     let ids = Arc::new(c.ids.clone());
@@ -309,10 +229,10 @@ fn churning_epochs_under_64_clients_never_lose_a_row() {
     let churned = Arc::new(Barrier::new(CLIENTS + 1));
     let stop = Arc::new(AtomicBool::new(false));
 
-    let mut root = seed;
     let handles: Vec<_> = (0..CLIENTS)
         .map(|_| {
-            let mut state = splitmix64(&mut root);
+            let mut state = schedules.fork();
+            let oracle = Arc::clone(&c.oracle);
             let addrs = addrs.clone();
             let ids = Arc::clone(&ids);
             let fetched = Arc::clone(&fetched);
@@ -328,15 +248,15 @@ fn churning_epochs_under_64_clients_never_lose_a_row() {
                 churned.wait();
                 let mut got = 0u64;
                 for _ in 0..ROUNDS {
-                    let id = ids[(splitmix64(&mut state) % ids.len() as u64) as usize];
-                    let (result, redirects) = query_with_retry(&clients, &mut map, id, seed);
+                    let id = *state.pick(&ids);
+                    let (result, redirects) = query_with_retry(&clients, &mut map, id);
                     total_redirects.fetch_add(redirects, Ordering::Relaxed);
-                    assert_eq!(result.rows.len(), 1, "id {id} (seed {seed})");
-                    assert_eq!(result.rows[0][0], Value::Int(id), "seed {seed}");
+                    assert_eq!(result.rows.len(), 1, "id {id}");
+                    assert_eq!(result.rows[0][0], Value::Int(id));
                     assert_eq!(
-                        result.rows[0][1],
-                        Value::Int(photons_for(id)),
-                        "id {id} came back with the wrong payload (seed {seed})"
+                        result.rows,
+                        oracle.query(&probe(id)).unwrap().rows,
+                        "id {id} came back with the wrong payload"
                     );
                     got += 1;
                 }
@@ -378,18 +298,18 @@ fn churning_epochs_under_64_clients_never_lose_a_row() {
     assert_eq!(
         answered,
         (CLIENTS * ROUNDS) as u64,
-        "every probe must land despite the churn (seed {seed})"
+        "every probe must land despite the churn"
     );
     let redirects = total_redirects.load(Ordering::Relaxed);
     assert!(
         redirects >= CLIENTS as u64,
         "each client's first probe was provably stale, yet only {redirects} \
-         redirects were absorbed (seed {seed})"
+         redirects were absorbed"
     );
     assert!(flips >= 1, "the churner must have republished");
     println!(
         "shard_epoch: {answered} probes, {redirects} redirects absorbed, \
-         {flips} republishes (seed {seed})"
+         {flips} republishes"
     );
     drop(c.servers);
 }

@@ -7,24 +7,16 @@
 //! side by side and assert both halves of the contract: the attacker is
 //! disconnected, and the legitimate client's latency stays bounded.
 
-use hedc_net::frame::{encode_frame, read_frame, write_frame, Frame, FrameKind};
-use hedc_net::proto::{decode, encode, Request, Response};
+mod common;
+
+use common::{serve, RawClient};
+use hedc_dm::testkit;
+use hedc_net::frame::encode_frame;
+use hedc_net::proto::Request;
 use hedc_net::{AdmissionConfig, DmServer, ServerConfig};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn dm_node() -> Arc<hedc_dm::Dm> {
-    let fs = hedc_filestore::FileStore::new();
-    fs.register(hedc_filestore::Archive::in_memory(
-        1,
-        "raw",
-        hedc_filestore::ArchiveTier::OnlineDisk,
-        1 << 30,
-    ));
-    hedc_dm::Dm::bootstrap(Arc::new(fs), hedc_dm::DmConfig::default()).unwrap()
-}
 
 /// A tight read deadline so the tests finish quickly; two workers so a pair
 /// of pinned connections would visibly starve the legitimate client.
@@ -37,7 +29,7 @@ fn loris_server() -> DmServer {
         },
         ..ServerConfig::default()
     };
-    DmServer::bind("127.0.0.1:0", dm_node(), config).expect("bind loopback")
+    serve(testkit::dm(), config)
 }
 
 fn counter(name: &str) -> u64 {
@@ -71,22 +63,11 @@ fn assert_severed(mut stream: TcpStream, patience: Duration) {
     }
 }
 
-/// One synchronous ping over a fresh blocking socket, returning its RTT.
+/// One synchronous ping over a fresh blocking socket, returning its RTT
+/// (connect included).
 fn timed_ping(addr: std::net::SocketAddr) -> Duration {
     let start = Instant::now();
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).ok();
-    let frame = Frame {
-        kind: FrameKind::Request,
-        trace_id: 0,
-        span_id: 0,
-        req_id: 1,
-        payload: encode(&Request::Ping).unwrap(),
-    };
-    write_frame(&mut stream, &frame).expect("write ping");
-    let reply = read_frame(&mut stream).expect("read pong");
-    let response: Response = decode(&reply.payload).expect("decode pong");
-    assert!(matches!(response, Response::Pong { .. }), "{response:?}");
+    RawClient::connect(addr).ping(1);
     start.elapsed()
 }
 
@@ -105,16 +86,8 @@ fn mid_payload_staller_is_severed_without_pinning_workers() {
     // the promised payload, then goes silent.
     let attackers: Vec<TcpStream> = (0..2)
         .map(|i| {
-            let mut stream = TcpStream::connect(addr).expect("attacker connect");
-            stream.set_nodelay(true).ok();
-            let frame = Frame {
-                kind: FrameKind::Request,
-                trace_id: 0,
-                span_id: 0,
-                req_id: 100 + i,
-                payload: encode(&Request::Ping).unwrap(),
-            };
-            let bytes = encode_frame(&frame).unwrap();
+            let RawClient(mut stream) = RawClient::connect(addr);
+            let bytes = encode_frame(&RawClient::frame(100 + i, &Request::Ping)).unwrap();
             let half = bytes.len() - 4;
             stream.write_all(&bytes[..half]).expect("partial write");
             stream.flush().ok();
@@ -152,17 +125,8 @@ fn byte_dribbler_is_severed_by_the_frame_deadline() {
     let addr = server.local_addr();
     let kills_before = counter("net.server.read_deadline_kills");
 
-    let frame = Frame {
-        kind: FrameKind::Request,
-        trace_id: 0,
-        span_id: 0,
-        req_id: 7,
-        payload: encode(&Request::Ping).unwrap(),
-    };
-    let bytes = encode_frame(&frame).unwrap();
-
-    let mut stream = TcpStream::connect(addr).expect("dribbler connect");
-    stream.set_nodelay(true).ok();
+    let bytes = encode_frame(&RawClient::frame(7, &Request::Ping)).unwrap();
+    let RawClient(mut stream) = RawClient::connect(addr);
     let start = Instant::now();
     let mut severed_while_writing = false;
     // 25 ms per byte: the ~60-byte frame would take ~1.5 s, far past the

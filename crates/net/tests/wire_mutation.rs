@@ -10,7 +10,8 @@
 //! `InvalidData` error, or "keep reading"; a panic fails the test, and the
 //! printed seed replays it (`HEDC_TEST_SEED`, `scripts/check.sh --seed`).
 
-use hedc_dm::{splitmix64, NameType, ResolvedName, ShardMap};
+use hedc_dm::testkit::{Seed, Stream};
+use hedc_dm::{NameType, ResolvedName, ShardMap};
 use hedc_metadb::{AccessPath, AggFunc, ExecStats, Expr, OrderDir, Query, QueryResult, Value};
 use hedc_net::frame::{self, Frame, FrameBuffer, FrameKind};
 use hedc_net::proto::{self, Request, Response, WireError, WireErrorKind};
@@ -18,15 +19,9 @@ use std::io::ErrorKind;
 
 const CASES: usize = 50_000;
 
-fn base_seed() -> u64 {
-    std::env::var("HEDC_TEST_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0x0B17_F11B)
-}
-
-fn below(state: &mut u64, n: usize) -> usize {
-    (splitmix64(state) % n.max(1) as u64) as usize
+/// A draw in `0..n`, and 0 for an empty range.
+fn below(state: &mut Stream, n: usize) -> usize {
+    state.below(n.max(1) as u64) as usize
 }
 
 fn requests() -> Vec<Request> {
@@ -145,7 +140,7 @@ fn corpus() -> Vec<Vec<u8>> {
 }
 
 /// Damage `bytes` one seeded way; `donor` supplies splice material.
-fn mutate(state: &mut u64, bytes: &mut Vec<u8>, donor: &[u8]) {
+fn mutate(state: &mut Stream, bytes: &mut Vec<u8>, donor: &[u8]) {
     match below(state, 4) {
         0 => {
             for _ in 0..1 + below(state, 4) {
@@ -163,7 +158,7 @@ fn mutate(state: &mut u64, bytes: &mut Vec<u8>, donor: &[u8]) {
         }
         _ => {
             for _ in 0..1 + below(state, 64) {
-                bytes.push(splitmix64(state) as u8);
+                bytes.push(state.draw() as u8);
             }
         }
     }
@@ -171,7 +166,7 @@ fn mutate(state: &mut u64, bytes: &mut Vec<u8>, donor: &[u8]) {
 
 /// Feed `bytes` to a fresh assembler in seeded chunks and decode whatever
 /// it releases. Returns how many frames decoded to a valid message.
-fn deliver(state: &mut u64, bytes: &[u8]) -> usize {
+fn deliver(state: &mut Stream, bytes: &[u8]) -> usize {
     let mut buf = FrameBuffer::new();
     let mut valid = 0;
     let mut rest = bytes;
@@ -205,10 +200,8 @@ fn deliver(state: &mut u64, bytes: &[u8]) -> usize {
 
 #[test]
 fn mutated_frames_never_panic_the_assembler_or_the_decoder() {
-    let seed = base_seed();
-    println!("wire_mutation seed={seed} (replay: scripts/check.sh --seed {seed})");
     let corpus = corpus();
-    let mut state = seed;
+    let mut state = Seed::from_env(0x0B17_F11B).stream("mutations");
 
     // The corpus itself is valid, however it is chunked.
     for bytes in &corpus {

@@ -11,14 +11,15 @@
 //!   its own request id, even when a multi-MiB response and small ones
 //!   complete concurrently on different workers.
 
+mod common;
+
+use common::{one_cell, serve, workers, RawClient};
 use hedc_dm::{DmNode, DmResult};
-use hedc_metadb::{AccessPath, ExecStats, Query, QueryResult, Value};
-use hedc_net::frame::{read_frame, write_frame, Frame, FrameKind};
-use hedc_net::proto::{decode, encode, Request, Response};
-use hedc_net::{AdmissionConfig, DmServer, ServerConfig};
+use hedc_metadb::{Query, QueryResult, Value};
+use hedc_net::proto::{Request, Response};
+use hedc_net::{DmServer, ServerConfig};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,64 +46,20 @@ impl DmNode for BlobNode {
         let blob: String =
             std::iter::repeat_n(letter(q.offset.unwrap_or(0)), q.limit.unwrap_or(0)).collect();
         self.served.fetch_add(1, Ordering::SeqCst);
-        Ok(QueryResult {
-            columns: vec!["blob".into()],
-            rows: vec![vec![Value::Text(blob)]],
-            stats: ExecStats {
-                rows_scanned: 1,
-                rows_returned: 1,
-                rows_sorted: 0,
-                access: AccessPath::FullScan,
-            },
-        })
+        Ok(one_cell("blob", Value::Text(blob)))
     }
 }
 
-fn server(node: Arc<BlobNode>, workers: usize, write_timeout: Duration) -> DmServer {
+fn server(node: Arc<BlobNode>, n: usize, write_timeout: Duration) -> DmServer {
     let config = ServerConfig {
         write_timeout,
-        admission: AdmissionConfig {
-            workers,
-            ..AdmissionConfig::default()
-        },
-        ..ServerConfig::default()
+        ..workers(n)
     };
-    DmServer::bind("127.0.0.1:0", node, config).expect("bind loopback")
-}
-
-fn connect(addr: SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("read timeout");
-    stream
-}
-
-fn send(stream: &mut TcpStream, req_id: u64, request: &Request) {
-    let frame = Frame {
-        kind: FrameKind::Request,
-        trace_id: 0,
-        span_id: 0,
-        req_id,
-        payload: encode(request).expect("encode"),
-    };
-    write_frame(stream, &frame).expect("write request");
+    serve(node, config)
 }
 
 fn blob_request(len: usize, tag: usize) -> Request {
     Request::Query(Query::table("blob").limit(len).offset(tag))
-}
-
-/// One synchronous ping; returns its round-trip time.
-fn ping(stream: &mut TcpStream, req_id: u64) -> Duration {
-    let start = Instant::now();
-    send(stream, req_id, &Request::Ping);
-    let reply = read_frame(stream).expect("read pong");
-    assert_eq!(reply.req_id, req_id);
-    let response: Response = decode(&reply.payload).expect("decode pong");
-    assert!(matches!(response, Response::Pong { .. }), "{response:?}");
-    start.elapsed()
 }
 
 #[test]
@@ -118,10 +75,10 @@ fn a_client_that_never_reads_is_severed_and_never_holds_the_worker() {
 
     // Several times more response bytes than the socket buffers hold,
     // requested by a client that never reads any of them.
-    let mut hog = connect(addr);
+    let mut hog = RawClient::connect(addr);
     let asked = Instant::now();
     for tag in 0..RESPONSES {
-        send(&mut hog, tag as u64, &blob_request(RESPONSE_BYTES, tag));
+        hog.send(tag as u64, &blob_request(RESPONSE_BYTES, tag));
     }
 
     // The worker gets through every one of them while the hog is still
@@ -137,10 +94,10 @@ fn a_client_that_never_reads_is_severed_and_never_holds_the_worker() {
 
     // And it stays reachable before, while and after the shard severs the
     // hog.
-    let mut sibling = connect(addr);
+    let mut sibling = RawClient::connect(addr);
     let mut req_id = 1;
     while asked.elapsed() < 2 * write_timeout {
-        let rtt = ping(&mut sibling, req_id);
+        let rtt = sibling.ping(req_id);
         assert!(
             rtt < Duration::from_millis(50),
             "sibling ping took {rtt:?} while the hog's responses were backed up"
@@ -154,7 +111,7 @@ fn a_client_that_never_reads_is_severed_and_never_holds_the_worker() {
     let mut received = 0usize;
     let mut buf = vec![0u8; 1 << 16];
     loop {
-        match hog.read(&mut buf) {
+        match hog.0.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => received += n,
             Err(e) if e.kind() == ErrorKind::ConnectionReset => break,
@@ -174,7 +131,7 @@ fn a_reading_client_gets_big_and_small_frames_whole_and_by_request_id() {
     // Several workers, so small responses complete while a big one is
     // still draining through the backlog.
     let server = server(Arc::new(BlobNode::default()), 4, Duration::from_secs(5));
-    let mut client = connect(server.local_addr());
+    let mut client = RawClient::connect(server.local_addr());
 
     // Big responses (each more than a socket buffer) interleaved with
     // pings and small blobs, all pipelined before anything is read.
@@ -182,16 +139,16 @@ fn a_reading_client_gets_big_and_small_frames_whole_and_by_request_id() {
     let mut req_id = 0u64;
     for round in 0..3 {
         req_id += 1;
-        send(&mut client, req_id, &blob_request(BIG_BYTES, round));
+        client.send(req_id, &blob_request(BIG_BYTES, round));
         expected.insert(req_id, Some((BIG_BYTES, round)));
         for small in 0..8 {
             req_id += 1;
             if small % 2 == 0 {
-                send(&mut client, req_id, &Request::Ping);
+                client.send(req_id, &Request::Ping);
                 expected.insert(req_id, None);
             } else {
                 let (len, tag) = (100 + small, round * 8 + small);
-                send(&mut client, req_id, &blob_request(len, tag));
+                client.send(req_id, &blob_request(len, tag));
                 expected.insert(req_id, Some((len, tag)));
             }
         }
@@ -199,31 +156,25 @@ fn a_reading_client_gets_big_and_small_frames_whole_and_by_request_id() {
     // Let the first big response hit a full socket before draining it.
     std::thread::sleep(Duration::from_millis(100));
 
-    // `read_frame` validates magic, version and length on every header, so
-    // bytes of one frame landing inside another would fail right here.
     for _ in 0..expected.len() {
-        let frame = read_frame(&mut client).expect("every response arrives as a whole frame");
-        assert_eq!(frame.kind, FrameKind::Response);
+        let (id, response) = client.recv();
         let want = expected
-            .remove(&frame.req_id)
-            .unwrap_or_else(|| panic!("unknown or repeated request id {}", frame.req_id));
-        let response: Response = decode(&frame.payload).expect("payload decodes");
+            .remove(&id)
+            .unwrap_or_else(|| panic!("unknown or repeated request id {id}"));
         match (want, response) {
             (None, Response::Pong { .. }) => {}
             (Some((len, tag)), Response::Result(r)) => {
                 let Some(Value::Text(blob)) = r.rows.first().and_then(|row| row.first()) else {
-                    panic!("request {} answered without its blob", frame.req_id);
+                    panic!("request {id} answered without its blob");
                 };
-                assert_eq!(blob.len(), len, "request {}", frame.req_id);
+                assert_eq!(blob.len(), len, "request {id}");
                 assert!(
                     blob.chars().all(|c| c == letter(tag)),
-                    "request {} got another request's bytes",
-                    frame.req_id
+                    "request {id} got another request's bytes"
                 );
             }
             (want, other) => panic!(
-                "request {} expected {want:?}, got {}",
-                frame.req_id,
+                "request {id} expected {want:?}, got {}",
                 match other {
                     Response::Error(e) => format!("error {e:?}"),
                     _ => "another response class".into(),

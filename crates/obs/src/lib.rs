@@ -36,6 +36,7 @@ pub mod export;
 pub mod flight;
 pub mod metrics;
 pub mod saturation;
+pub mod seed;
 pub mod trace;
 
 pub use critical::{analyze, analyze_trace, category_of, tier_of, Breakdown, Category};
@@ -47,6 +48,7 @@ pub use metrics::{
     RegistrySnapshot,
 };
 pub use saturation::{ring, sample_now, start_sampler, GaugeSample, Sampler, SaturationRing};
+pub use seed::{parse_seed, splitmix64, Seed, Stream};
 pub use trace::{
     adopt, current, record_interval, span_store, ContextGuard, FinishedSpan, PendingRoot, Span,
     SpanContext, SpanStore,

@@ -381,6 +381,14 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters.iter().find(|(n, _)| n == name).map(|e| e.1)
+    }
+
+    pub fn gauge(&self, name: &str) -> Option<i64> {
+        self.gauges.iter().find(|(n, _)| n == name).map(|e| e.1)
+    }
+
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms
             .iter()

@@ -69,9 +69,7 @@ pub use server_mgr::{MgrStats, ServerManager};
 mod tests {
     use super::*;
     use hedc_analysis::{AlgorithmRegistry, AnalysisParams};
-    use hedc_dm::{pipeline, Dm, DmConfig, IngestConfig, IngestOptions, Session};
-    use hedc_events::{generate, package, GenConfig};
-    use hedc_filestore::{Archive, ArchiveTier, FileStore};
+    use hedc_dm::{Dm, Session};
     use std::sync::Arc;
 
     struct Fx {
@@ -82,33 +80,8 @@ mod tests {
     }
 
     fn fixture() -> Fx {
-        let files = Arc::new(FileStore::new());
-        files.register(Archive::in_memory(
-            1,
-            "raw",
-            ArchiveTier::OnlineDisk,
-            1 << 30,
-        ));
-        files.register(Archive::in_memory(
-            2,
-            "derived",
-            ArchiveTier::OnlineRaid,
-            1 << 30,
-        ));
-        let dm = Dm::bootstrap(files, DmConfig::default()).unwrap();
-        // Load 20 minutes of telemetry.
-        let t = generate(&GenConfig {
-            duration_ms: 20 * 60 * 1000,
-            flares_per_hour: 6.0,
-            background_rate: 15.0,
-            seed: 4242,
-            ..GenConfig::default()
-        });
+        let dm = hedc_dm::testkit::dm_with_telemetry(20);
         let session = dm.import_session();
-        let cfg = IngestConfig::new(1, 2, dm.extended_catalog);
-        let units = package(&t, 200_000, 1);
-        let run = pipeline::ingest(&dm.io, &session, &units, &cfg, &IngestOptions::default());
-        assert_eq!(run.unwrap().failed, 0);
         let registry = Arc::new(AlgorithmRegistry::with_builtins());
         let pl = ProcessingLogic::start(
             Arc::clone(&dm),

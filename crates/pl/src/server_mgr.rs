@@ -198,6 +198,7 @@ impl ServerManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hedc_dm::testkit::Seed;
     use std::sync::atomic::Ordering as AtomicOrdering;
 
     fn photons(n: usize) -> Arc<PhotonList> {
@@ -226,38 +227,45 @@ mod tests {
         assert_eq!(mgr.stats().completed, 5);
     }
 
+    /// Five jobs on one server, a fault armed before the one the run's
+    /// `"workflow-crash"` stream picks; every job must still complete.
+    fn five_jobs_with_one_fault(
+        timeout: Duration,
+        arm: impl Fn(&hedc_analysis::FaultPlan),
+    ) -> MgrStats {
+        let mgr = ServerManager::start(1, timeout, 3);
+        let victim = Seed::from_env(0x5EED_C0DE)
+            .stream("workflow-crash")
+            .below(5);
+        for job in 0..5 {
+            if job == victim {
+                arm(&mgr.fault_plan(0).unwrap());
+            }
+            let out = mgr.run(
+                AnalysisKind::Histogram,
+                photons(100),
+                AnalysisParams::window(0, 1000),
+            );
+            assert!(out.is_ok(), "job {job} (fault on job {victim}): {out:?}");
+        }
+        assert_eq!(mgr.stats().completed, 5);
+        mgr.stats()
+    }
+
     #[test]
     fn recovers_from_crash() {
-        let mgr = ServerManager::start(1, Duration::from_secs(10), 3);
-        mgr.fault_plan(0)
-            .unwrap()
-            .crash_next
-            .store(true, AtomicOrdering::SeqCst);
-        let out = mgr.run(
-            AnalysisKind::Histogram,
-            photons(100),
-            AnalysisParams::window(0, 1000),
-        );
-        assert!(out.is_ok(), "{out:?}");
-        let s = mgr.stats();
+        let s = five_jobs_with_one_fault(Duration::from_secs(10), |faults| {
+            faults.crash_next.store(true, AtomicOrdering::SeqCst)
+        });
         assert_eq!(s.crashes_recovered, 1);
-        assert_eq!(s.completed, 1);
     }
 
     #[test]
     fn recovers_from_hang_via_timeout() {
-        let mgr = ServerManager::start(1, Duration::from_millis(100), 3);
-        mgr.fault_plan(0)
-            .unwrap()
-            .hang_next_ms
-            .store(5_000, AtomicOrdering::SeqCst);
-        let out = mgr.run(
-            AnalysisKind::Histogram,
-            photons(100),
-            AnalysisParams::window(0, 1000),
-        );
-        assert!(out.is_ok(), "{out:?}");
-        assert_eq!(mgr.stats().timeouts, 1);
+        let s = five_jobs_with_one_fault(Duration::from_millis(100), |faults| {
+            faults.hang_next_ms.store(5_000, AtomicOrdering::SeqCst)
+        });
+        assert_eq!(s.timeouts, 1);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 
 mod common;
 
-use common::{any_hle, base_seed, dm_with_data, SlowCount, WINDOW};
+use common::{any_hle, clients, dm_with_data, SlowCount, WINDOW};
 use hedc_analysis::{AlgorithmRegistry, AnalysisParams};
-use hedc_dm::splitmix64;
 use hedc_pl::{PlConfig, PlError, ProcessingLogic, RequestSpec};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -33,13 +32,13 @@ fn concurrent_identical_submits_execute_exactly_once() {
 
     // N identical submits racing the leader's 150 ms execution. The jitter
     // between submits is seeded so a failing interleaving replays.
-    let mut seed = base_seed();
+    let mut jitter = clients();
     const N: usize = 8;
     let mut receivers = Vec::with_capacity(N);
     for _ in 0..N {
         let spec = RequestSpec::new("slowcount", AnalysisParams::window(WINDOW.0, WINDOW.1), hle);
         receivers.push(pl.submit_async(Arc::clone(&session), spec).1);
-        std::thread::sleep(Duration::from_micros(splitmix64(&mut seed) % 2_000));
+        std::thread::sleep(Duration::from_micros(jitter.below(2_000)));
     }
     let outcomes: Vec<_> = receivers
         .into_iter()

@@ -5,9 +5,9 @@
 #![allow(dead_code)] // each test binary uses a subset of this fixture
 
 use hedc_analysis::{Algorithm, AnalysisError, AnalysisParams, AnalysisProduct};
-use hedc_dm::{pipeline, Dm, DmConfig, IngestConfig, IngestOptions, Session};
-use hedc_events::{generate, package, GenConfig};
-use hedc_filestore::{Archive, ArchiveTier, FileStore, PhotonList};
+use hedc_dm::testkit::{self, Seed, Stream};
+use hedc_dm::{Dm, Session};
+use hedc_filestore::PhotonList;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,43 +15,15 @@ use std::time::Duration;
 /// The loaded telemetry window, mission ms.
 pub const WINDOW: (u64, u64) = (0, 20 * 60 * 1000);
 
-/// Deterministic replay: `HEDC_TEST_SEED` pins every seeded choice.
-pub fn base_seed() -> u64 {
-    std::env::var("HEDC_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x5EED_C0DE)
+/// The `"clients"` stream of the run's seed: submit jitter and windows.
+pub fn clients() -> Stream {
+    Seed::from_env(0x5EED_C0DE).stream("clients")
 }
 
-/// Bootstrapped DM with telemetry ingested at launch calibration (v1).
+/// Bootstrapped DM with [`WINDOW`] of telemetry ingested at launch
+/// calibration (v1).
 pub fn dm_with_data() -> Arc<Dm> {
-    let files = Arc::new(FileStore::new());
-    files.register(Archive::in_memory(
-        1,
-        "raw",
-        ArchiveTier::OnlineDisk,
-        1 << 30,
-    ));
-    files.register(Archive::in_memory(
-        2,
-        "derived",
-        ArchiveTier::OnlineRaid,
-        1 << 30,
-    ));
-    let dm = Dm::bootstrap(files, DmConfig::default()).unwrap();
-    let t = generate(&GenConfig {
-        duration_ms: WINDOW.1,
-        flares_per_hour: 6.0,
-        background_rate: 15.0,
-        seed: 4242,
-        ..GenConfig::default()
-    });
-    let session = dm.import_session();
-    let cfg = IngestConfig::new(1, 2, dm.extended_catalog);
-    let units = package(&t, 200_000, 1);
-    let run = pipeline::ingest(&dm.io, &session, &units, &cfg, &IngestOptions::default());
-    assert_eq!(run.unwrap().failed, 0);
-    dm
+    testkit::dm_with_telemetry(WINDOW.1 / 60_000)
 }
 
 /// Any HLE id to attach analyses to.

@@ -6,9 +6,9 @@
 
 mod common;
 
-use common::{any_hle, base_seed, dm_with_data, WINDOW};
+use common::{any_hle, clients, dm_with_data, WINDOW};
 use hedc_analysis::{AlgorithmRegistry, AnalysisParams};
-use hedc_dm::{splitmix64, Rights, SessionKind};
+use hedc_dm::{Rights, SessionKind};
 use hedc_pl::{PlConfig, ProcessingLogic, RequestSpec};
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,8 +44,8 @@ fn greedy_session_cannot_starve_a_light_one() {
         },
     );
 
-    let mut seed = base_seed();
-    let mut jitter = || splitmix64(&mut seed) % 500;
+    let mut clients = clients();
+    let mut jitter = || clients.below(500);
     // Occupy the dispatcher so every later submit enqueues behind it.
     let blocker = RequestSpec::new(
         "imaging",

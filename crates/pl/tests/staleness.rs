@@ -1,7 +1,8 @@
 //! Versioned result reuse: a recalibration (§3.1) must invalidate cached
-//! analyses. The old `find_existing_analysis` path silently served results
-//! computed under a superseded calibration; the versioned store recomputes
-//! instead. This is the seeded regression for that wrong-answer bug.
+//! analyses. The unversioned `find_existing_analysis` lookup (since deleted)
+//! silently served results computed under a superseded calibration; the
+//! versioned store recomputes instead. This is the regression for that
+//! wrong-answer bug.
 
 mod common;
 

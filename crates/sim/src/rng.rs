@@ -1,14 +1,7 @@
 //! Crate-private deterministic RNG: SplitMix64, the same generator the DM
 //! test seeds use, so every simulated stream replays from a single `u64`.
 
-/// Advance `state` and return the next SplitMix64 draw.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub(crate) use hedc_obs::splitmix64;
 
 /// Unit-interval sample from a SplitMix64 draw.
 pub(crate) fn unit(state: &mut u64) -> f64 {

@@ -11,41 +11,17 @@
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
+use hedc_obs::{Seed, Stream};
 use hedc_store::{Store, StoreOptions};
 
-/// SplitMix64 — the same tiny deterministic generator the dm fault
-/// harness uses; good enough statistical quality for workload shaping.
-struct SplitMix64(u64);
+const SEED: u64 = 0x0570_BEE7;
 
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
+/// The suite's seed mixed with a per-case constant, as a root stream.
+fn stream(mix: u64) -> Stream {
+    Stream(Seed::from_env(SEED).0 ^ mix)
 }
 
-fn effective_seed() -> u64 {
-    match std::env::var("HEDC_TEST_SEED") {
-        Ok(s) => {
-            let s = s.trim();
-            if let Some(hex) = s.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16).expect("HEDC_TEST_SEED hex")
-            } else {
-                s.parse().expect("HEDC_TEST_SEED decimal")
-            }
-        }
-        Err(_) => 0x0570_BEE7,
-    }
-}
-
-fn key_for(rng: &mut SplitMix64, space: u64) -> Vec<u8> {
+fn key_for(rng: &mut Stream, space: u64) -> Vec<u8> {
     // Mixed-length keys so slot arithmetic sees variable cell sizes.
     let n = rng.below(space);
     match rng.below(3) {
@@ -55,7 +31,7 @@ fn key_for(rng: &mut SplitMix64, space: u64) -> Vec<u8> {
     }
 }
 
-fn value_for(rng: &mut SplitMix64) -> Vec<u8> {
+fn value_for(rng: &mut Stream) -> Vec<u8> {
     // Mostly small values; occasionally large enough to spill to an
     // overflow chain even at 4K pages (tiny pages spill much sooner).
     let len = match rng.below(20) {
@@ -65,7 +41,7 @@ fn value_for(rng: &mut SplitMix64) -> Vec<u8> {
     };
     let mut v = Vec::with_capacity(len);
     for i in 0..len {
-        v.push((rng.next() as u8) ^ (i as u8));
+        v.push((rng.draw() as u8) ^ (i as u8));
     }
     v
 }
@@ -73,11 +49,8 @@ fn value_for(rng: &mut SplitMix64) -> Vec<u8> {
 /// One randomized round: a batch of mutations in a single transaction,
 /// then full-state comparison against the model via range scan, point
 /// gets, and bounded range scans.
-fn run_model(seed: u64, page_size: usize, rounds: usize, ops_per_round: usize, key_space: u64) {
-    eprintln!(
-        "btree_model: seed={seed:#x} page_size={page_size} rounds={rounds} ops={ops_per_round}"
-    );
-    let mut rng = SplitMix64(seed ^ page_size as u64);
+fn run_model(mix: u64, page_size: usize, rounds: usize, ops_per_round: usize, key_space: u64) {
+    let mut rng = stream(mix ^ page_size as u64);
     let store = Store::open(StoreOptions {
         path: None,
         page_size,
@@ -184,17 +157,17 @@ fn run_model(seed: u64, page_size: usize, rounds: usize, ops_per_round: usize, k
 fn model_tiny_pages_split_merge_heavy() {
     // 256-byte pages: a handful of cells per page, so every round
     // triggers splits and merges.
-    run_model(effective_seed(), 256, 40, 60, 300);
+    run_model(0, 256, 40, 60, 300);
 }
 
 #[test]
 fn model_small_pages_mixed() {
-    run_model(effective_seed() ^ 0xA5A5, 512, 25, 120, 900);
+    run_model(0xA5A5, 512, 25, 120, 900);
 }
 
 #[test]
 fn model_default_pages_overflow_heavy() {
-    run_model(effective_seed() ^ 0x5A5A, 4096, 12, 200, 2_000);
+    run_model(0x5A5A, 4096, 12, 200, 2_000);
 }
 
 /// Readers running full-tilt against a committing writer must always
@@ -246,7 +219,7 @@ fn concurrent_readers_never_see_torn_commits() {
             })
             .collect();
 
-        let mut rng = SplitMix64(effective_seed() ^ 0xC0C0);
+        let mut rng = stream(0xC0C0);
         let mut live: Vec<u64> = Vec::new();
         let mut next = 0u64;
         for _ in 0..300 {
@@ -277,9 +250,7 @@ fn concurrent_readers_never_see_torn_commits() {
 
 #[test]
 fn drain_to_empty_and_refill() {
-    let seed = effective_seed() ^ 0xD7A1;
-    eprintln!("btree_model drain: seed={seed:#x}");
-    let mut rng = SplitMix64(seed);
+    let mut rng = stream(0xD7A1);
     let store = Store::open(StoreOptions {
         path: None,
         page_size: 256,
@@ -298,10 +269,7 @@ fn drain_to_empty_and_refill() {
 
     // Delete in random order down to empty — exercises merges all the
     // way to root collapse.
-    for i in (1..keys.len()).rev() {
-        let j = rng.below(i as u64 + 1) as usize;
-        keys.swap(i, j);
-    }
+    rng.shuffle(&mut keys);
     let mut txn = store.begin();
     for k in &keys {
         assert!(txn.delete(tree, k).unwrap());

@@ -27,15 +27,7 @@ fn store_metrics_surface_in_the_global_registry() {
         assert!(snap.get(tree, &i.to_be_bytes()).expect("get").is_some());
     }
 
-    let names: Vec<String> = {
-        let s = hedc_obs::global().snapshot();
-        s.counters
-            .iter()
-            .map(|(n, _)| n.clone())
-            .chain(s.gauges.iter().map(|(n, _)| n.clone()))
-            .chain(s.histograms.iter().map(|(n, _)| n.clone()))
-            .collect()
-    };
+    let metrics = hedc_obs::global().snapshot();
     for metric in [
         "store.page_cache.hit",
         "store.page_cache.miss",
@@ -46,7 +38,9 @@ fn store_metrics_surface_in_the_global_registry() {
         "store.writer.stall",
     ] {
         assert!(
-            names.iter().any(|n| n == metric),
+            metrics.counter(metric).is_some()
+                || metrics.gauge(metric).is_some()
+                || metrics.histogram(metric).is_some(),
             "{metric} missing from the global obs registry"
         );
     }

@@ -325,20 +325,7 @@ mod tests {
     }
 
     fn fixture() -> Fx {
-        let files = Arc::new(FileStore::new());
-        files.register(Archive::in_memory(
-            1,
-            "raw",
-            ArchiveTier::OnlineDisk,
-            1 << 30,
-        ));
-        files.register(Archive::in_memory(
-            2,
-            "derived",
-            ArchiveTier::OnlineRaid,
-            1 << 30,
-        ));
-        let server = Dm::bootstrap(files, DmConfig::default()).unwrap();
+        let server = hedc_dm::testkit::dm();
         let t = generate(&GenConfig {
             duration_ms: 15 * 60 * 1000,
             background_rate: 15.0,

@@ -110,14 +110,11 @@ pub fn cluster_rows(plot: &ExtentPlot) -> Vec<(String, u64, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hedc_dm::{DmConfig, HleSpec};
-    use hedc_filestore::{Archive, ArchiveTier, FileStore};
+    use hedc_dm::HleSpec;
     use std::sync::Arc;
 
     fn dm_with_events() -> (Arc<Dm>, Arc<Session>) {
-        let files = Arc::new(FileStore::new());
-        files.register(Archive::in_memory(1, "a", ArchiveTier::OnlineDisk, 1 << 20));
-        let dm = Dm::bootstrap(files, DmConfig::default()).unwrap();
+        let dm = hedc_dm::testkit::dm();
         let session = dm.import_session();
         let svc = dm.services();
         for i in 0..50i64 {

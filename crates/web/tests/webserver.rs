@@ -1,9 +1,8 @@
 //! Full-stack tests of the thin Web interface: DM + PL + web routing.
 
 use hedc_analysis::AlgorithmRegistry;
-use hedc_dm::{pipeline, Dm, DmConfig, IngestConfig, IngestOptions, Rights};
+use hedc_dm::{pipeline, Dm, IngestConfig, IngestOptions, Rights};
 use hedc_events::{generate, package, GenConfig};
-use hedc_filestore::{Archive, ArchiveTier, FileStore};
 use hedc_pl::{PlConfig, ProcessingLogic};
 use hedc_web::{HttpRequest, WebServer};
 use std::sync::Arc;
@@ -16,20 +15,7 @@ struct Stack {
 }
 
 fn stack() -> Stack {
-    let files = Arc::new(FileStore::new());
-    files.register(Archive::in_memory(
-        1,
-        "raw",
-        ArchiveTier::OnlineDisk,
-        1 << 30,
-    ));
-    files.register(Archive::in_memory(
-        2,
-        "derived",
-        ArchiveTier::OnlineRaid,
-        1 << 30,
-    ));
-    let dm = Dm::bootstrap(files, DmConfig::default()).unwrap();
+    let dm = hedc_dm::testkit::dm();
     let telemetry = generate(&GenConfig {
         duration_ms: 15 * 60 * 1000,
         flares_per_hour: 8.0,

@@ -4,9 +4,11 @@
 #   scripts/check.sh           full gate (fmt, clippy, release build, tests,
 #                              bench smoke)
 #   scripts/check.sh --fast    skip clippy (the slowest step) for quick loops
-#   scripts/check.sh --seed N  replay the fault-injection suites with
+#   scripts/check.sh --seed N  replay every seeded suite — each target with
+#                              a file that calls `Seed::from_env` — with
 #                              HEDC_TEST_SEED=N (the seed a failing run
-#                              prints), then exit — no full gate
+#                              prints; decimal or 0x hex), then exit — no
+#                              full gate
 #   scripts/check.sh --bench-smoke
 #                              run only the bench-binary smoke pass (each
 #                              harness binary on a tiny config, seconds not
@@ -65,7 +67,12 @@ while [[ $# -gt 0 ]]; do
     --fast) fast=1; shift ;;
     --seed)
       [[ $# -ge 2 ]] || { echo "$usage" >&2; exit 2; }
-      seed="$2"; shift 2 ;;
+      seed="$2"; shift 2
+      # The grammar of hedc_obs::parse_seed (a u64, decimal or 0x hex): a
+      # seed the suites would refuse must not get as far as building them.
+      [[ "$seed" =~ ^(0[xX][0-9a-fA-F]{1,16}|[0-9]{1,19}|1[0-9]{19})$ ]] \
+        && ! [[ ${#seed} -eq 20 && "$seed" > 18446744073709551615 ]] \
+        || { echo "$0: --seed $seed: not a decimal or 0x-hex u64" >&2; exit 2; } ;;
     --*-smoke)
       only="${1#--}"; only="${only%-smoke}"
       [[ " ${smokes[*]} " == *" $only "* ]] || { echo "$usage" >&2; exit 2; }
@@ -77,6 +84,14 @@ done
 # The north-star number (ROADMAP: `crates/*/src` should go down), printed by
 # every gate run so a PR's effect on it is never a separate measurement.
 echo "==> crates/*/src: $(find crates -path '*/src/*' -name '*.rs' -print0 | xargs -0 cat | wc -l) lines"
+echo "==> test tree:    $(find crates/*/tests tests -name '*.rs' -print0 | xargs -0 cat | wc -l) lines"
+# One test kit: the seed has one reader and the `hle` tuple one spelling
+# (`hedc_obs::Seed::from_env`, `hedc_dm::testkit::HleRow::into_values`).
+seed_readers="$(grep -rn 'env::var("HEDC_TEST_SEED")' --include=*.rs crates tests | wc -l)"
+hle_rows="$(grep -rn 'fn hle_row' --include=*.rs crates tests | wc -l)"
+[[ "$seed_readers" -le 1 && "$hle_rows" -le 1 ]] || {
+  echo "FAIL: $seed_readers readers of HEDC_TEST_SEED and $hle_rows \`fn hle_row\` definitions (at most one each: use hedc_dm::testkit)" >&2
+  exit 1; }
 
 # Smoke-run every bench harness binary on a tiny configuration so the
 # harnesses cannot silently rot. HEDC_BENCH_SMOKE shrinks sweeps inside the
@@ -212,21 +227,34 @@ if [[ -n "$only" ]]; then
   exit 0
 fi
 
+# The seeded suites, one `<package> <target>` line each: every test target
+# with a file that calls `Seed::from_env` outside a comment. A `tests/common`
+# module counts for each suite of its crate that declares it; a file under
+# `src/` is that crate's unit tests.
+seeded_targets() {
+  grep -rlE '^[^/]*Seed::from_env\(' --include=*.rs crates tests | while read -r file; do
+    crate="hedc-$(cut -d/ -f2 <<<"$file")"
+    case "$file" in
+      tests/*) echo "hedc-core --test=$(basename "$file" .rs)" ;;
+      crates/*/src/*) echo "$crate --lib" ;;
+      crates/*/tests/common/*)
+        grep -l '^mod common;' "$(dirname "$(dirname "$file")")"/*.rs |
+          while read -r suite; do echo "$crate --test=$(basename "$suite" .rs)"; done ;;
+      crates/*/tests/*) echo "$crate --test=$(basename "$file" .rs)" ;;
+    esac
+  done | sort -u
+}
+
 if [[ -n "$seed" ]]; then
-  # Deterministic replay: pin every FaultPlan and cache/fault suite to the
-  # printed seed and run just the suites that consume it.
-  echo "==> replaying fault-injection suites with HEDC_TEST_SEED=$seed"
+  # Deterministic replay: one seed, every stream drawn from it.
+  echo "==> replaying the seeded suites with HEDC_TEST_SEED=$seed"
   export HEDC_TEST_SEED="$seed"
-  cargo test -q -p hedc-dm --test failover --test cache --test ingest_crash \
-    --test ingest_browse --test shard_prop --test shard_fault \
-    --test shard_rebalance --test workflow --test query_equiv \
-    --test query_budget -- --nocapture
-  cargo test -q -p hedc-metadb --test paged_model -- --nocapture
-  cargo test -q -p hedc-net --test cluster --test churn --test mux_prop \
-    --test slow_client --test shard_epoch --test write_timeout \
-    --test no_timers --test wire_mutation -- --nocapture
-  cargo test -q -p hedc-pl --test coalesce --test fairness \
-    --test staleness -- --nocapture
+  targets="$(seeded_targets)"
+  for package in $(cut -d' ' -f1 <<<"$targets" | sort -u); do
+    # shellcheck disable=SC2046  # one word per target flag
+    cargo test -q -p "$package" $(awk -v p="$package" '$1 == p { print $2 }' <<<"$targets") \
+      -- --nocapture
+  done
   echo "OK (seed $seed)"
   exit 0
 fi

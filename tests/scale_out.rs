@@ -2,40 +2,19 @@
 //! behind the router, browse load spread across them, node failure and
 //! recovery, and the partitioned-database configuration.
 
-use hedc_dm::{Dm, DmConfig, DmNode, DmRouter, FaultPlan, FaultyDmNode, HleSpec, Partitioning};
-use hedc_filestore::{Archive, ArchiveTier, FileStore};
+use hedc_dm::testkit::{dm, dm_with};
+use hedc_dm::{Dm, DmConfig, DmNode, DmRouter, FaultyDmNode, HleSpec, Partitioning};
 use hedc_metadb::{AggFunc, Expr, Query};
 use std::sync::Arc;
 
-fn files() -> Arc<FileStore> {
-    let fs = FileStore::new();
-    fs.register(Archive::in_memory(
-        1,
-        "raw",
-        ArchiveTier::OnlineDisk,
-        1 << 30,
-    ));
-    fs.register(Archive::in_memory(
-        2,
-        "derived",
-        ArchiveTier::OnlineRaid,
-        1 << 30,
-    ));
-    Arc::new(fs)
-}
-
-/// A replica behind the fault wrapper with a zero-rate plan: it fails only
-/// when a test flips it down.
+/// A replica behind the steady fault wrapper: it fails only when a test
+/// flips it down.
 fn replica(events: i64, label: &str) -> Arc<FaultyDmNode<Dm>> {
-    Arc::new(FaultyDmNode::new(
-        seeded_node(events),
-        label,
-        FaultPlan::seeded(0),
-    ))
+    Arc::new(FaultyDmNode::steady(seeded_node(events), label))
 }
 
 fn seeded_node(events: i64) -> Arc<Dm> {
-    let dm = Dm::bootstrap(files(), DmConfig::default()).unwrap();
+    let dm = dm();
     let session = dm.import_session();
     let svc = dm.services();
     for i in 0..events {
@@ -105,7 +84,7 @@ fn partitioned_databases_separate_browse_from_processing() {
             .route("view_meta", 1),
         ..DmConfig::default()
     };
-    let dm = Dm::bootstrap(files(), config).unwrap();
+    let dm = dm_with(config);
     let session = dm.import_session();
 
     // Browse writes land on db 0; processing-side tables on db 1.
