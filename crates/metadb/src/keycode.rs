@@ -19,11 +19,17 @@
 //!   `0x00 0x00`, which keeps components prefix-free so composite keys
 //!   concatenate into tuple order.
 //!
-//! Row payloads use a separate tagged binary codec ([`encode_row`] /
-//! [`decode_row`]) that round-trips every value exactly, including
-//! float bit patterns (NaN, -0.0) that a textual codec would mangle.
+//! Row payloads use a separate tagged binary codec (`encode_row` /
+//! `decode_row`) that round-trips every value exactly, including
+//! float bit patterns (NaN, -0.0) that a textual codec would mangle. It is
+//! also the row format of the `hedc-net` wire: [`put_row`] appends to a
+//! frame under construction and [`try_decode_row`] reads through a checked
+//! [`Reader`], so bytes off a socket are an error where bytes out of our
+//! own tree are a panic. That row codec is all this module shows outside
+//! the crate; the key encoding stays private to the paged backend.
 
 use crate::value::Value;
+use std::io;
 
 /// Rank tags, matching `Value::rank`.
 const TAG_NULL: u8 = 0x00;
@@ -33,7 +39,7 @@ const TAG_TEXT: u8 = 0x03;
 const TAG_BYTES: u8 = 0x04;
 
 /// Append the order-preserving encoding of one value.
-pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
+pub(crate) fn encode_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => out.push(TAG_NULL),
         Value::Bool(b) => {
@@ -68,7 +74,7 @@ pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
 }
 
 /// Encode a composite key (one encoded component per column, in order).
-pub fn encode_key(vals: &[Value]) -> Vec<u8> {
+pub(crate) fn encode_key(vals: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(vals.len() * 10);
     for v in vals {
         encode_value(&mut out, v);
@@ -79,7 +85,7 @@ pub fn encode_key(vals: &[Value]) -> Vec<u8> {
 /// Encode an index entry key: composite key bytes plus a big-endian row
 /// id suffix, so duplicate keys stay distinct in the tree and scans
 /// yield ids in (key, id) order.
-pub fn encode_index_entry(vals: &[Value], id: u64) -> Vec<u8> {
+pub(crate) fn encode_index_entry(vals: &[Value], id: u64) -> Vec<u8> {
     let mut out = encode_key(vals);
     out.extend_from_slice(&id.to_be_bytes());
     out
@@ -87,7 +93,7 @@ pub fn encode_index_entry(vals: &[Value], id: u64) -> Vec<u8> {
 
 /// Recover the row id from an index entry produced by
 /// [`encode_index_entry`].
-pub fn decode_index_entry_id(key: &[u8]) -> u64 {
+pub(crate) fn decode_index_entry_id(key: &[u8]) -> u64 {
     let n = key.len();
     debug_assert!(n >= 8, "index entry too short");
     let mut id = [0u8; 8];
@@ -97,7 +103,7 @@ pub fn decode_index_entry_id(key: &[u8]) -> u64 {
 
 /// Smallest byte string strictly greater than every extension of
 /// `prefix`, or `None` when the prefix is all `0xFF` (no upper bound).
-pub fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
+pub(crate) fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
     let mut out = prefix.to_vec();
     while let Some(last) = out.last_mut() {
         if *last < 0xFF {
@@ -147,94 +153,201 @@ const ROW_TS: u8 = 5;
 const ROW_BYTES: u8 = 6;
 
 /// Encode a full row for storage as a tree value.
-pub fn encode_row(row: &[Value]) -> Vec<u8> {
+pub(crate) fn encode_row(row: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + row.len() * 9);
+    put_row(&mut out, row);
+    out
+}
+
+/// Append a row — a `u32` little-endian value count, then each value by
+/// [`put_value`] — to `out`. The same bytes serve as a tree value and as a
+/// result row on the `hedc-net` wire.
+pub fn put_row(out: &mut Vec<u8>, row: &[Value]) {
     out.extend_from_slice(&(row.len() as u32).to_le_bytes());
     for v in row {
-        match v {
-            Value::Null => out.push(ROW_NULL),
-            Value::Int(i) => {
-                out.push(ROW_INT);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Float(f) => {
-                out.push(ROW_FLOAT);
-                out.extend_from_slice(&f.to_bits().to_le_bytes());
-            }
-            Value::Text(s) => {
-                out.push(ROW_TEXT);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-            Value::Bool(b) => {
-                out.push(ROW_BOOL);
-                out.push(u8::from(*b));
-            }
-            Value::Timestamp(t) => {
-                out.push(ROW_TS);
-                out.extend_from_slice(&t.to_le_bytes());
-            }
-            Value::Bytes(b) => {
-                out.push(ROW_BYTES);
-                out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                out.extend_from_slice(b);
-            }
+        put_value(out, v);
+    }
+}
+
+/// Append one tagged value: a tag byte, then eight little-endian bytes for
+/// `Int`/`Timestamp`/`Float` (floats as their bit pattern), one byte for
+/// `Bool`, a `u32` length and the bytes for `Text`/`Bytes`.
+pub fn put_value(out: &mut Vec<u8>, v: &Value) {
+    match v {
+        Value::Null => out.push(ROW_NULL),
+        Value::Int(i) => {
+            out.push(ROW_INT);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Value::Float(f) => {
+            out.push(ROW_FLOAT);
+            out.extend_from_slice(&f.to_bits().to_le_bytes());
+        }
+        Value::Text(s) => {
+            out.push(ROW_TEXT);
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+        Value::Bool(b) => {
+            out.push(ROW_BOOL);
+            out.push(u8::from(*b));
+        }
+        Value::Timestamp(t) => {
+            out.push(ROW_TS);
+            out.extend_from_slice(&t.to_le_bytes());
+        }
+        Value::Bytes(b) => {
+            out.push(ROW_BYTES);
+            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
+            out.extend_from_slice(b);
         }
     }
-    out
+}
+
+/// The most [`Reader::repeat`] reserves on the word of a count alone: room
+/// for 2 048 values or 340 requests, so the messages the system sends
+/// itself still decode into vectors allocated once.
+const MAX_RESERVE_BYTES: usize = 64 * 1024;
+
+/// A cursor over bytes that may be damaged or hostile. Every read is one
+/// [`Reader::take`], checked against what is left, so no length found in
+/// the input is believed before the bytes behind it are seen to exist.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+#[cold]
+fn short(want: usize, have: usize) -> io::Error {
+    invalid(format!("truncated: {want} bytes wanted, {have} left"))
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+        Reader { rest: buf }
+    }
+
+    /// The next `n` bytes, or `InvalidData` when fewer are left.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+        if n > self.rest.len() {
+            return Err(short(n, self.rest.len()));
+        }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Ok(head)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    /// One byte.
+    #[inline]
+    pub fn u8(&mut self) -> io::Result<u8> {
+        let [byte] = self.array()?;
+        Ok(byte)
+    }
+
+    /// A little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// A little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> io::Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// A `u32` element count, refused when it exceeds the bytes left (every
+    /// element is at least one byte). That bounds the *count*, not the
+    /// memory behind it — a one-byte element may be a 32-byte [`Value`] or a
+    /// message several times that — so never reserve for it directly: read
+    /// the elements with [`Reader::repeat`].
+    pub fn count(&mut self) -> io::Result<usize> {
+        let n = self.u32()? as usize;
+        if n > self.rest.len() {
+            return Err(short(n, self.rest.len()));
+        }
+        Ok(n)
+    }
+
+    /// `n` elements, each read by `get`. At most 64 KiB are reserved before
+    /// the first element is read; past that the vector grows as elements
+    /// actually arrive, so what a decode holds follows the bytes it has
+    /// consumed and never a count it was merely told.
+    pub fn repeat<T>(
+        &mut self,
+        n: usize,
+        mut get: impl FnMut(&mut Reader<'a>) -> io::Result<T>,
+    ) -> io::Result<Vec<T>> {
+        let fits = MAX_RESERVE_BYTES / std::mem::size_of::<T>().max(1);
+        let mut items = Vec::with_capacity(n.min(fits));
+        for _ in 0..n {
+            items.push(get(self)?);
+        }
+        Ok(items)
+    }
+
+    /// A `u32` length and that many bytes.
+    #[inline]
+    pub fn bytes(&mut self) -> io::Result<&'a [u8]> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
+
+    /// A `u32` length and that many bytes of valid UTF-8.
+    pub fn text(&mut self) -> io::Result<&'a str> {
+        std::str::from_utf8(self.bytes()?).map_err(|e| invalid(format!("text is not UTF-8: {e}")))
+    }
+
+    /// `Ok` only at the end of the input: trailing bytes are refused.
+    pub fn finish(&self) -> io::Result<()> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(invalid(format!("{} trailing bytes", self.rest.len())))
+        }
+    }
+}
+
+/// Read one row written by [`put_row`], checking every length against the
+/// bytes that are there.
+pub fn try_decode_row(r: &mut Reader<'_>) -> io::Result<Vec<Value>> {
+    let n = r.count()?;
+    r.repeat(n, try_decode_value)
+}
+
+/// Read one value written by [`put_value`].
+#[inline]
+pub fn try_decode_value(r: &mut Reader<'_>) -> io::Result<Value> {
+    Ok(match r.u8()? {
+        ROW_NULL => Value::Null,
+        ROW_INT => Value::Int(r.u64()? as i64),
+        ROW_FLOAT => Value::Float(f64::from_bits(r.u64()?)),
+        ROW_TEXT => Value::Text(r.text()?.to_string()),
+        ROW_BOOL => Value::Bool(r.u8()? != 0),
+        ROW_TS => Value::Timestamp(r.u64()? as i64),
+        ROW_BYTES => Value::Bytes(r.bytes()?.to_vec()),
+        other => return Err(invalid(format!("unknown value tag {other}"))),
+    })
 }
 
 /// Decode a row previously produced by [`encode_row`]. Panics on
 /// malformed input: row payloads only ever come from our own trees, so
 /// corruption here is a logic error, not an expected condition.
-pub fn decode_row(buf: &[u8]) -> Vec<Value> {
-    let mut p = 0usize;
-    let n = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-    p += 4;
-    let mut row = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tag = buf[p];
-        p += 1;
-        row.push(match tag {
-            ROW_NULL => Value::Null,
-            ROW_INT => {
-                let v = i64::from_le_bytes(buf[p..p + 8].try_into().unwrap());
-                p += 8;
-                Value::Int(v)
-            }
-            ROW_FLOAT => {
-                let v = u64::from_le_bytes(buf[p..p + 8].try_into().unwrap());
-                p += 8;
-                Value::Float(f64::from_bits(v))
-            }
-            ROW_TEXT => {
-                let len = u32::from_le_bytes(buf[p..p + 4].try_into().unwrap()) as usize;
-                p += 4;
-                let s = std::str::from_utf8(&buf[p..p + len]).expect("utf8 row text");
-                p += len;
-                Value::Text(s.to_string())
-            }
-            ROW_BOOL => {
-                let v = buf[p] != 0;
-                p += 1;
-                Value::Bool(v)
-            }
-            ROW_TS => {
-                let v = i64::from_le_bytes(buf[p..p + 8].try_into().unwrap());
-                p += 8;
-                Value::Timestamp(v)
-            }
-            ROW_BYTES => {
-                let len = u32::from_le_bytes(buf[p..p + 4].try_into().unwrap()) as usize;
-                p += 4;
-                let b = buf[p..p + len].to_vec();
-                p += len;
-                Value::Bytes(b)
-            }
-            other => panic!("corrupt row tag {other}"),
-        });
-    }
-    row
+pub(crate) fn decode_row(buf: &[u8]) -> Vec<Value> {
+    try_decode_row(&mut Reader::new(buf)).expect("row payload read back from our own tree")
 }
 
 #[cfg(test)]
@@ -379,6 +492,32 @@ mod tests {
                     _ => assert_eq!(a, b),
                 }
             }
+            // The checked reader consumes the row exactly, and a row cut
+            // short anywhere is an error, never a panic or a short row.
+            let mut r = Reader::new(&enc);
+            assert_eq!(try_decode_row(&mut r).unwrap().len(), row.len());
+            r.finish().unwrap();
+            for cut in 0..enc.len() {
+                let err = try_decode_row(&mut Reader::new(&enc[..cut])).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
+            }
         }
+    }
+
+    #[test]
+    fn checked_reader_refuses_what_the_bytes_do_not_back() {
+        // A count larger than the bytes behind it is refused before
+        // anything is reserved for it.
+        let mut claims_many = u32::MAX.to_le_bytes().to_vec();
+        claims_many.push(ROW_NULL);
+        assert!(try_decode_row(&mut Reader::new(&claims_many)).is_err());
+        // Text must be UTF-8, a tag must be known.
+        let bad_text = [1, 0, 0, 0, ROW_TEXT, 2, 0, 0, 0, 0xC3, 0x28];
+        assert!(try_decode_row(&mut Reader::new(&bad_text)).is_err());
+        assert!(try_decode_row(&mut Reader::new(&[1, 0, 0, 0, 99])).is_err());
+        // Trailing bytes are the caller's to refuse.
+        let mut r = Reader::new(&[0, 0, 0, 0, 7]);
+        assert!(try_decode_row(&mut r).unwrap().is_empty());
+        assert!(r.finish().is_err());
     }
 }

@@ -42,7 +42,7 @@ mod error;
 mod expr;
 mod fingerprint;
 mod index;
-mod keycode;
+pub mod keycode;
 mod lob;
 mod matview;
 mod paged;

@@ -15,7 +15,8 @@
 //! [`MuxClient`]: crate::MuxClient
 
 use crate::mux::MuxClient;
-use crate::proto::{Request, Response, WireErrorKind};
+use crate::proto::{BatchRef, QueryRef, Request, Response, WireErrorKind, MAX_BATCH_ENTRIES};
+use crate::wire::Put;
 use hedc_cache::{CacheConfig, GenerationMap, QueryCache};
 use hedc_dm::{DmError, DmNode, DmResult, NameType, ResolvedName};
 use hedc_metadb::{Query, QueryResult};
@@ -189,10 +190,10 @@ impl NetDm {
     /// timeout does **not** retire the connection — the straggling
     /// response, if it ever lands, is discarded by request id — but a hard
     /// transport error marks it dead and the pool prunes it.
-    fn roundtrip(&self, request: &Request) -> io::Result<(Response, usize, usize)> {
+    fn roundtrip(&self, request: &dyn Put) -> io::Result<(Response, usize, usize)> {
         let conn = self.checkout()?;
         let ctx = hedc_obs::current();
-        let pending = conn.submit(
+        let pending = conn.submit_message(
             request,
             ctx.map(|c| c.trace_id).unwrap_or(0),
             ctx.map(|c| c.span_id).unwrap_or(0),
@@ -206,7 +207,7 @@ impl NetDm {
     /// `Overloaded` sheds — per the config. Returns the decoded response,
     /// the last `Overloaded` rejection when every attempt was shed, or
     /// `None` after exhausting retries against a dead transport.
-    fn exchange(&self, request: &Request) -> Option<Response> {
+    fn exchange(&self, request: &dyn Put) -> Option<Response> {
         let obs = &self.metrics;
         let mut last_shed: Option<Response> = None;
         for attempt in 0..=self.config.retries {
@@ -275,11 +276,12 @@ impl NetDm {
     /// answered is up — also when it answered with an error, unless that
     /// error says it is going away; a dead transport is
     /// [`DmError::RemoteUnavailable`]. Callers only pick the variant they
-    /// asked for out of the `Ok`.
-    fn call(&self, request: Request) -> DmResult<Response> {
+    /// asked for out of the `Ok`. `request` is a [`Request`] or a view that
+    /// encodes as one from borrowed parts.
+    fn call(&self, request: &dyn Put) -> DmResult<Response> {
         let span = hedc_obs::Span::child("net.rpc.client");
         let start = Instant::now();
-        let outcome = self.exchange(&request);
+        let outcome = self.exchange(request);
         self.metrics
             .rpc
             .record_us(start.elapsed().as_micros() as u64);
@@ -304,20 +306,29 @@ impl NetDm {
         }
     }
 
-    /// `entries` in **one frame**, answered positionally: `pick` takes the
-    /// expected variant out of each entry's response, an entry the server
-    /// failed carries its own error, and a failure of the frame as a whole
-    /// is every entry's error. An empty batch sends nothing.
+    /// `entries` in **one frame** (one per [`MAX_BATCH_ENTRIES`] of them),
+    /// answered positionally: `pick` takes the expected variant out of each
+    /// entry's response, an entry the server failed carries its own error,
+    /// and a failure of a frame as a whole is the error of every entry in
+    /// it. An empty batch sends nothing.
     fn call_batch<T: Clone>(
         &self,
-        entries: Vec<Request>,
+        entries: &[impl Put],
         pick: impl Fn(Response) -> DmResult<T>,
     ) -> Vec<DmResult<T>> {
+        entries
+            .chunks(MAX_BATCH_ENTRIES)
+            .flat_map(|frame| self.call_batch_frame(frame, &pick))
+            .collect()
+    }
+
+    fn call_batch_frame<T: Clone>(
+        &self,
+        entries: &[impl Put],
+        pick: &impl Fn(Response) -> DmResult<T>,
+    ) -> Vec<DmResult<T>> {
         let n = entries.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let whole = match self.call(Request::Batch(entries)) {
+        let whole = match self.call(&BatchRef(entries)) {
             Ok(Response::Batch(responses)) => {
                 let mut responses = responses.into_iter();
                 return (0..n)
@@ -402,7 +413,7 @@ impl DmNode for NetDm {
     }
 
     fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
-        let fetch = || self.pick_result(self.call(Request::Query(q.clone()))?);
+        let fetch = || self.pick_result(self.call(&QueryRef(q))?);
         QueryCache::read_through(self.cache.as_ref(), CLIENT_SCOPE, q, fetch)
     }
 
@@ -423,11 +434,8 @@ impl DmNode for NetDm {
                 None => misses.push((i, None)),
             }
         }
-        let entries = misses
-            .iter()
-            .map(|&(i, _)| Request::Query(qs[i].clone()))
-            .collect();
-        let answers = self.call_batch(entries, |r| self.pick_result(r));
+        let entries: Vec<QueryRef<'_>> = misses.iter().map(|&(i, _)| QueryRef(&qs[i])).collect();
+        let answers = self.call_batch(&entries, |r| self.pick_result(r));
         for ((i, miss), answer) in misses.into_iter().zip(answers) {
             out[i] = Some(match (&self.cache, miss) {
                 (Some(cache), Some(miss)) => cache.finish(miss, &qs[i], answer),
@@ -440,7 +448,7 @@ impl DmNode for NetDm {
     }
 
     fn resolve_names(&self, item_id: i64, want: NameType) -> DmResult<Vec<ResolvedName>> {
-        self.pick_names(self.call(Request::Resolve {
+        self.pick_names(self.call(&Request::Resolve {
             item_id,
             name_type: want,
         })?)
@@ -452,14 +460,14 @@ impl DmNode for NetDm {
     /// A transport failure marks **every** entry `RemoteUnavailable` so the
     /// router fails the chunk over wholesale.
     fn resolve_batch(&self, item_ids: &[i64], want: NameType) -> Vec<DmResult<Vec<ResolvedName>>> {
-        let entries = item_ids
+        let entries: Vec<Request> = item_ids
             .iter()
             .map(|&item_id| Request::Resolve {
                 item_id,
                 name_type: want,
             })
             .collect();
-        self.call_batch(entries, |r| self.pick_names(r))
+        self.call_batch(&entries, |r| self.pick_names(r))
     }
 
     fn is_available(&self) -> bool {

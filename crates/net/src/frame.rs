@@ -6,13 +6,13 @@
 //! offset  size  field
 //! ------  ----  ------------------------------------------
 //!      0     4  magic  b"HEDC"
-//!      4     1  protocol version (currently 2)
+//!      4     1  protocol version (currently 3)
 //!      5     1  frame kind (1 = request, 2 = response)
 //!      6     8  trace id,    big-endian u64 (0 = untraced)
 //!     14     8  span id,     big-endian u64 (0 = untraced)
 //!     22     8  request id,  big-endian u64
 //!     30     4  payload length, big-endian u32
-//!     34     n  payload: serde_json-encoded proto message
+//!     34     n  payload: one binary proto message (see [`crate::proto`])
 //! ```
 //!
 //! The trace/span ids ride in the *header*, outside the serialized payload,
@@ -25,16 +25,26 @@
 //! at once, responses complete out of order, and each response frame
 //! carries back the id of the request it answers. Clients pick ids; the
 //! server echoes them verbatim and attaches no meaning beyond equality.
+//!
+//! v3 changed the payload, not the header: a tagged binary message where v2
+//! carried JSON text. There is one format per version and no negotiation —
+//! a v2 peer's first frame fails the version check below and the connection
+//! is dropped.
+//!
+//! A sender builds a frame in place ([`crate::proto::encode_framed`], and
+//! [`encode_frame`] for a payload that already exists): the header goes in
+//! with the length left open, the message is appended to the same buffer,
+//! and sealing checks the cap and patches the length in.
 
-use std::collections::VecDeque;
+use crate::wire::invalid;
 use std::io::{self, Read, Write};
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"HEDC";
 /// Current protocol version. Bumped on any incompatible payload change;
 /// peers reject mismatches rather than guessing. v2 added the request-id
-/// header field for connection multiplexing.
-pub const VERSION: u8 = 2;
+/// header field for connection multiplexing; v3 made the payload binary.
+pub const VERSION: u8 = 3;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 34;
 /// Upper bound on payload size; guards against allocating from a corrupt
@@ -62,7 +72,7 @@ impl FrameKind {
         match b {
             1 => Ok(FrameKind::Request),
             2 => Ok(FrameKind::Response),
-            other => Err(bad(format!("unknown frame kind {other}"))),
+            other => Err(invalid(format!("unknown frame kind {other}"))),
         }
     }
 }
@@ -90,36 +100,55 @@ impl Frame {
     }
 }
 
-fn bad(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
+/// Begin a frame in `buf` (which must be empty): the header, with the
+/// payload length left for [`seal_frame`] to fill in once the payload has
+/// been appended behind it.
+pub(crate) fn start_frame(
+    buf: &mut Vec<u8>,
+    kind: FrameKind,
+    trace_id: u64,
+    span_id: u64,
+    req_id: u64,
+) {
+    debug_assert!(buf.is_empty(), "one frame per buffer");
+    buf.extend_from_slice(&MAGIC);
+    buf.push(VERSION);
+    buf.push(kind.to_wire());
+    buf.extend_from_slice(&trace_id.to_be_bytes());
+    buf.extend_from_slice(&span_id.to_be_bytes());
+    buf.extend_from_slice(&req_id.to_be_bytes());
+    buf.extend_from_slice(&[0u8; 4]);
 }
 
-/// Serialize one frame's header into a fixed buffer.
-fn encode_header(frame: &Frame) -> io::Result<[u8; HEADER_LEN]> {
-    if frame.payload.len() > MAX_PAYLOAD_BYTES {
-        return Err(bad(format!(
-            "payload {} bytes exceeds cap {MAX_PAYLOAD_BYTES}",
-            frame.payload.len()
+/// Finish the frame [`start_frame`] began: everything in `buf` behind the
+/// header is its payload. Refuses a payload over [`MAX_PAYLOAD_BYTES`] —
+/// the receiver would, and a length that does not fit the prefix must
+/// never reach the wire.
+pub(crate) fn seal_frame(buf: &mut [u8]) -> io::Result<()> {
+    let len = buf.len() - HEADER_LEN;
+    if len > MAX_PAYLOAD_BYTES {
+        return Err(invalid(format!(
+            "payload of {len} bytes exceeds the {} MiB frame cap",
+            MAX_PAYLOAD_BYTES >> 20
         )));
     }
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC);
-    header[4] = VERSION;
-    header[5] = frame.kind.to_wire();
-    header[6..14].copy_from_slice(&frame.trace_id.to_be_bytes());
-    header[14..22].copy_from_slice(&frame.span_id.to_be_bytes());
-    header[22..30].copy_from_slice(&frame.req_id.to_be_bytes());
-    header[30..34].copy_from_slice(&(frame.payload.len() as u32).to_be_bytes());
-    Ok(header)
+    buf[30..HEADER_LEN].copy_from_slice(&(len as u32).to_be_bytes());
+    Ok(())
 }
 
 /// Encode one frame into a contiguous byte vector (header + payload),
 /// ready to hand to a nonblocking writer that flushes in pieces.
 pub fn encode_frame(frame: &Frame) -> io::Result<Vec<u8>> {
-    let header = encode_header(frame)?;
     let mut buf = Vec::with_capacity(frame.wire_len());
-    buf.extend_from_slice(&header);
+    start_frame(
+        &mut buf,
+        frame.kind,
+        frame.trace_id,
+        frame.span_id,
+        frame.req_id,
+    );
     buf.extend_from_slice(&frame.payload);
+    seal_frame(&mut buf)?;
     Ok(buf)
 }
 
@@ -185,10 +214,10 @@ fn decode_after_header(r: &mut impl Read, header: [u8; HEADER_LEN]) -> io::Resul
 #[allow(clippy::type_complexity)]
 fn decode_header(header: &[u8; HEADER_LEN]) -> io::Result<(FrameKind, u64, u64, u64, usize)> {
     if header[0..4] != MAGIC {
-        return Err(bad("bad frame magic".into()));
+        return Err(invalid("bad frame magic"));
     }
     if header[4] != VERSION {
-        return Err(bad(format!(
+        return Err(invalid(format!(
             "protocol version mismatch: peer speaks v{}, we speak v{VERSION}",
             header[4]
         )));
@@ -199,7 +228,7 @@ fn decode_header(header: &[u8; HEADER_LEN]) -> io::Result<(FrameKind, u64, u64, 
     let req_id = u64::from_be_bytes(header[22..30].try_into().unwrap());
     let len = u32::from_be_bytes(header[30..34].try_into().unwrap()) as usize;
     if len > MAX_PAYLOAD_BYTES {
-        return Err(bad(format!(
+        return Err(invalid(format!(
             "payload {len} bytes exceeds cap {MAX_PAYLOAD_BYTES}"
         )));
     }
@@ -215,7 +244,9 @@ fn decode_header(header: &[u8; HEADER_LEN]) -> io::Result<(FrameKind, u64, u64, 
 /// prefix is rejected before any payload allocation.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
-    buf: VecDeque<u8>,
+    /// Received bytes; those before `head` belong to frames already drained.
+    buf: Vec<u8>,
+    head: usize,
     /// Set when the buffer holds the start of a frame that is not yet
     /// complete; cleared when the frame drains. Drives read-deadline
     /// enforcement: a peer that starts a frame and stalls is killable.
@@ -230,8 +261,14 @@ impl FrameBuffer {
 
     /// Append freshly-read bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend(bytes.iter().copied());
-        self.partial = !self.buf.is_empty();
+        // Drop the drained prefix once it outweighs what is still pending,
+        // so the move is always the smaller half.
+        if self.head > self.buf.len() - self.head {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+        self.partial = !self.is_empty();
     }
 
     /// True when the buffer holds the beginning of an unfinished frame —
@@ -242,12 +279,12 @@ impl FrameBuffer {
 
     /// Bytes currently buffered.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 
     /// True when no bytes are buffered.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Drain the next complete frame, if one has fully arrived.
@@ -255,22 +292,23 @@ impl FrameBuffer {
     /// `Ok(None)` means "keep reading"; an error means the stream is
     /// corrupt and the connection must be dropped.
     pub fn next_frame(&mut self) -> io::Result<Option<Frame>> {
-        if self.buf.len() < HEADER_LEN {
-            self.partial = !self.buf.is_empty();
+        let pending = &self.buf[self.head..];
+        let Some(header) = pending.first_chunk::<HEADER_LEN>() else {
+            self.partial = !pending.is_empty();
             return Ok(None);
-        }
-        let mut header = [0u8; HEADER_LEN];
-        for (i, b) in self.buf.iter().take(HEADER_LEN).enumerate() {
-            header[i] = *b;
-        }
-        let (kind, trace_id, span_id, req_id, len) = decode_header(&header)?;
-        if self.buf.len() < HEADER_LEN + len {
+        };
+        let (kind, trace_id, span_id, req_id, len) = decode_header(header)?;
+        let Some(payload) = pending.get(HEADER_LEN..HEADER_LEN + len) else {
             self.partial = true;
             return Ok(None);
+        };
+        let payload = payload.to_vec();
+        self.head += HEADER_LEN + len;
+        if self.is_empty() {
+            self.buf.clear();
+            self.head = 0;
         }
-        self.buf.drain(..HEADER_LEN);
-        let payload: Vec<u8> = self.buf.drain(..len).collect();
-        self.partial = !self.buf.is_empty();
+        self.partial = !self.is_empty();
         Ok(Some(Frame {
             kind,
             trace_id,
@@ -292,7 +330,8 @@ mod tests {
             trace_id: 0xDEAD_BEEF,
             span_id: 42,
             req_id: 7,
-            payload: br#"{"Ping":null}"#.to_vec(),
+            // `Request::Resolve { item_id: 42, name_type: NameType::File }`
+            payload: vec![3, 42, 0, 0, 0, 0, 0, 0, 0, 1],
         }
     }
 
@@ -329,10 +368,17 @@ mod tests {
         let mut corrupt = buf.clone();
         corrupt[0] = b'X';
         assert!(read_frame(&mut Cursor::new(&corrupt)).is_err());
-        let mut wrong_ver = buf.clone();
-        wrong_ver[4] = 9;
-        let err = read_frame(&mut Cursor::new(&wrong_ver)).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        // A future version and the JSON-payload v2 alike: no fallback.
+        for version in [9, 2] {
+            let mut wrong_ver = buf.clone();
+            wrong_ver[4] = version;
+            let err = read_frame(&mut Cursor::new(&wrong_ver)).unwrap_err();
+            let want = format!("peer speaks v{version}, we speak v{VERSION}");
+            assert!(err.to_string().contains(&want), "{err}");
+            let mut fb = FrameBuffer::new();
+            fb.extend(&wrong_ver);
+            assert!(fb.next_frame().is_err());
+        }
     }
 
     #[test]

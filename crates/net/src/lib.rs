@@ -9,9 +9,10 @@
 //! * [`frame`] — length-prefixed, versioned frames with trace-ID and
 //!   request-ID propagation in the header, so `hedc-obs` span trees stay
 //!   connected across the wire and many requests multiplex per socket.
-//! * [`proto`] — serde-encoded `Query`/`QueryResult`/error payloads
-//!   mirroring the `DmNode` trait, plus a liveness ping and a typed
-//!   `Overloaded` shed response.
+//! * [`proto`] — `Query`/`QueryResult`/error payloads mirroring the
+//!   `DmNode` trait, plus a liveness ping and a typed `Overloaded` shed
+//!   response, in one length-checked binary layout whose rows are the
+//!   paged store's own row format (`hedc_metadb::keycode`).
 //! * [`DmServer`] — an event-driven server: a blocking acceptor with a
 //!   connection cap, reader shards blocked in `poll(2)` over their
 //!   sockets, and a bounded worker pool with deadline-aware load shedding
@@ -39,7 +40,7 @@
 //! let router = DmRouter::new(vec![remote]);
 //! ```
 //!
-//! Everything here is std + serde: no async runtime, no networking crates.
+//! Everything here is std: no async runtime, no networking crates.
 //! Readiness comes from `poll(2)`, declared in one small private module
 //! (the only `unsafe` in the workspace's library crates; `hedc-dm`,
 //! `hedc-cache` and `hedc-metadb` forbid it); nothing sleeps on a timer,
@@ -56,6 +57,7 @@ mod client;
 mod mux;
 mod poll;
 mod server;
+mod wire;
 
 pub use client::{NetConfig, NetDm};
 pub use mux::{MuxClient, Pending};

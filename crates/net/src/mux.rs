@@ -20,8 +20,9 @@
 //!
 //! [`NetDm`]: crate::NetDm
 
-use crate::frame::{encode_frame, Frame, FrameBuffer, FrameKind};
-use crate::proto::{decode, encode, Request, Response};
+use crate::frame::{Frame, FrameBuffer, FrameKind};
+use crate::proto::{decode, encode_framed, Request, Response};
+use crate::wire::Put;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -128,16 +129,21 @@ impl MuxClient {
     /// Submit one request; returns a handle to wait on. `trace`/`span` ride
     /// the frame header for cross-node trace propagation.
     pub fn submit(&self, request: &Request, trace_id: u64, span_id: u64) -> io::Result<Pending> {
-        let payload = encode(request)?;
+        self.submit_message(request, trace_id, span_id)
+    }
+
+    /// [`MuxClient::submit`] for anything that encodes as a request — the
+    /// borrowed views included, which is how a query leaves without being
+    /// cloned into a [`Request`] first.
+    pub(crate) fn submit_message(
+        &self,
+        request: &dyn Put,
+        trace_id: u64,
+        span_id: u64,
+    ) -> io::Result<Pending> {
         let req_id = self.next_id.fetch_add(1, Ordering::SeqCst);
         // One buffer, one write: header and payload leave in one segment.
-        let wire = encode_frame(&Frame {
-            kind: FrameKind::Request,
-            trace_id,
-            span_id,
-            req_id,
-            payload,
-        })?;
+        let wire = encode_framed(request, FrameKind::Request, trace_id, span_id, req_id)?;
         // Register the slot *before* writing: the response can land before
         // the submitting thread runs again.
         {

@@ -42,9 +42,9 @@
 //! the caller's trace, so a shed or queued request is attributable on
 //! `/hedc/traces`.
 
-use crate::frame::{encode_frame, Frame, FrameBuffer, FrameKind};
+use crate::frame::{Frame, FrameBuffer, FrameKind};
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
-use crate::proto::{decode, encode, Request, Response, WireError, WireErrorKind};
+use crate::proto::{decode, encode_framed, Request, Response, WireError, WireErrorKind};
 use hedc_dm::{DmNode, NameType, ShardMapHandle};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -164,8 +164,8 @@ struct ConnShared {
     stream: TcpStream,
     /// The connection's write lock, and what the socket has not taken yet.
     out: Mutex<Outbox>,
-    /// Set by a worker whose response could not be encoded or written; the
-    /// shard severs the connection when it next wakes.
+    /// Set by a worker whose response could not be written; the shard
+    /// severs the connection when it next wakes.
     dead: AtomicBool,
     /// Requests dispatched but not yet answered, for the per-connection
     /// in-flight cap.
@@ -878,15 +878,13 @@ fn dispatch(
 /// without it ever reaching a worker. Returns `false` when the connection
 /// must be severed.
 fn shed(conn: &mut Conn, frame: &Frame, reason: &str, c: &ShardCounters) -> bool {
-    let Some(bytes) = shed_response(frame, reason, &conn.peer) else {
-        return true;
-    };
+    let bytes = shed_response(frame, reason, &conn.peer);
     conn.note_drain(conn.shared.send(bytes, &c.bytes_out))
 }
 
 /// Build the encoded `Overloaded` response frame for a shed request and
 /// emit the structured shed event into the caller's trace.
-fn shed_response(frame: &Frame, reason: &str, peer: &str) -> Option<Vec<u8>> {
+fn shed_response(frame: &Frame, reason: &str, peer: &str) -> Vec<u8> {
     // Join the caller's trace so the shed is attributable on /hedc/traces.
     let caller = (frame.trace_id != 0).then_some(hedc_obs::SpanContext {
         trace_id: frame.trace_id,
@@ -897,19 +895,35 @@ fn shed_response(frame: &Frame, reason: &str, peer: &str) -> Option<Vec<u8>> {
         hedc_obs::events::kind::OVERLOAD_SHED,
         format!("reason={reason} peer={peer} req_id={}", frame.req_id),
     );
-    let payload = encode(&Response::Error(WireError {
+    let shed = Response::Error(WireError {
         kind: WireErrorKind::Overloaded,
         message: format!("shed: {reason}"),
-    }))
-    .ok()?;
-    encode_frame(&Frame {
-        kind: FrameKind::Response,
-        trace_id: frame.trace_id,
-        span_id: 0,
-        req_id: frame.req_id,
-        payload,
+    });
+    response_frame(&shed, frame, 0)
+}
+
+/// `response` as the frame answering `request`. A response too large for
+/// one frame goes back as a `Rejected` error on the same request id: the
+/// node is up and the connection in sync, so neither may be given up —
+/// a severed connection would read as a dead node and send the same
+/// request on to kill the replica the same way.
+fn response_frame(response: &Response, request: &Frame, span_id: u64) -> Vec<u8> {
+    let framed = |response: &Response| {
+        encode_framed(
+            response,
+            FrameKind::Response,
+            request.trace_id,
+            span_id,
+            request.req_id,
+        )
+    };
+    framed(response).unwrap_or_else(|over_cap| {
+        framed(&Response::Error(WireError {
+            kind: WireErrorKind::Rejected,
+            message: format!("response {over_cap}"),
+        }))
+        .expect("an error message fits a frame")
     })
-    .ok()
 }
 
 /// Worker loop: pop admitted requests, enforce the queue deadline, execute
@@ -952,9 +966,10 @@ fn worker_loop(
             // passed; answering now only wastes an execution slot.
             shed_deadline.inc();
             overloaded.inc();
-            if let Some(bytes) = shed_response(frame, "queue_deadline", &item.peer) {
-                item.answer(Some(bytes), &bytes_out);
-            }
+            item.answer(
+                shed_response(frame, "queue_deadline", &item.peer),
+                &bytes_out,
+            );
             item.finish(&inflight);
             continue;
         }
@@ -980,16 +995,7 @@ fn worker_loop(
             }),
         };
 
-        let reply = encode(&response).ok().and_then(|payload| {
-            encode_frame(&Frame {
-                kind: FrameKind::Response,
-                trace_id: frame.trace_id,
-                span_id: span.context().span_id,
-                req_id: frame.req_id,
-                payload,
-            })
-            .ok()
-        });
+        let reply = response_frame(&response, frame, span.context().span_id);
 
         let elapsed = start.elapsed();
         rpc_hist.record_us(elapsed.as_micros() as u64);
@@ -1020,11 +1026,10 @@ impl WorkItem {
     /// Write the response to the connection from this thread. The socket is
     /// nonblocking, so a slow peer costs the worker nothing: what does not
     /// fit stays in the connection's backlog and the owning shard is woken
-    /// to finish the write when the socket drains. `None` (the response
-    /// could not be encoded) or a failed write marks the connection dead
-    /// for the shard to sever.
-    fn answer(&self, reply: Option<Vec<u8>>, bytes_out: &hedc_obs::Counter) {
-        match reply.map_or(Drain::Dead, |bytes| self.conn.send(bytes, bytes_out)) {
+    /// to finish the write when the socket drains. A failed write marks the
+    /// connection dead for the shard to sever.
+    fn answer(&self, reply: Vec<u8>, bytes_out: &hedc_obs::Counter) {
+        match self.conn.send(reply, bytes_out) {
             Drain::Empty => {}
             Drain::Blocked(_) => self.shard.wake(),
             Drain::Dead => {

@@ -12,12 +12,14 @@
 
 mod common;
 
-use common::{browse_query, canned_result, fast_config, serve, Script, ScriptedPeer};
+use common::{
+    browse_query, canned_result, fast_config, mux, one_cell, serve, Script, ScriptedPeer,
+};
 use hedc_cache::CacheConfig;
 use hedc_dm::testkit::{self, Seed};
 use hedc_dm::{Dm, DmError, DmNode, DmResult, DmRouter, FaultPlan, FaultyDmNode, NameType};
-use hedc_metadb::Query;
-use hedc_net::proto::WireErrorKind;
+use hedc_metadb::{Query, QueryResult, Value};
+use hedc_net::proto::{Request, Response, WireErrorKind, MAX_BATCH_ENTRIES};
 use hedc_net::{DmServer, NetConfig, NetDm, ServerConfig};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -220,6 +222,53 @@ fn warm_client_cache_survives_backend_outage_read_only() {
     assert!(matches!(miss, DmError::RemoteUnavailable(_)), "{miss:?}");
 }
 
+/// A node whose every answer is too large for one frame: 40 MiB of LOB
+/// bytes against the 32 MiB payload cap.
+struct Bloated;
+
+impl DmNode for Bloated {
+    fn node_id(&self) -> String {
+        "bloated".into()
+    }
+
+    fn execute_query(&self, _q: &Query) -> DmResult<QueryResult> {
+        let mut result = canned_result();
+        result.rows = (0..5)
+            .map(|_| vec![Value::Bytes(vec![0xAB; 8 << 20])])
+            .collect();
+        Ok(result)
+    }
+}
+
+/// A response the frame cannot carry is the *query's* failure. Severing the
+/// connection instead reads as a dead node: the client fails over and the
+/// replica dies of the same answer.
+#[test]
+fn a_response_over_the_frame_cap_is_a_rejection_not_a_dead_node() {
+    let server = serve(Arc::new(Bloated), ServerConfig::default());
+    let client = NetDm::connect(server.local_addr(), "net-bloated", fast_config());
+    let err = client.execute_query(&browse_query()).unwrap_err();
+    assert!(
+        matches!(&err, DmError::BadQuery(m) if m.contains("exceeds the 32 MiB frame cap")),
+        "{err:?}"
+    );
+    assert!(client.is_available(), "the node answered: it is up");
+
+    // On one connection: the rejection comes back on the request's own id,
+    // and a sibling in flight beside it is answered as if nothing happened.
+    let conn = mux(server.local_addr());
+    let big = conn.submit(&Request::Query(browse_query()), 0, 0).unwrap();
+    let ping = conn.submit(&Request::Ping, 0, 0).unwrap();
+    let patience = Duration::from_secs(5);
+    match big.wait(patience).expect("an answer, not a hang-up").0 {
+        Response::Error(e) => assert_eq!(e.kind, WireErrorKind::Rejected, "{e:?}"),
+        other => panic!("over-cap result answered {other:?}"),
+    }
+    let pong = ping.wait(patience).expect("the connection survived").0;
+    assert!(matches!(pong, Response::Pong { .. }), "{pong:?}");
+    assert!(!conn.is_dead());
+}
+
 /// A bootstrapped DM carrying `n` items with attached file names, plus the
 /// item ids.
 fn dm_with_items(n: usize) -> (Arc<Dm>, Vec<i64>) {
@@ -303,6 +352,37 @@ fn query_batch_isolates_a_rejected_entry() {
     assert_eq!(got[0].as_ref().unwrap().rows.len(), 2);
     assert!(matches!(&got[1], Err(DmError::BadQuery(_))), "{:?}", got[1]);
     assert_eq!(got[2].as_ref().unwrap().rows.len(), 2);
+}
+
+/// A node that answers a query with the limit it carried.
+struct EchoLimit;
+
+impl DmNode for EchoLimit {
+    fn node_id(&self) -> String {
+        "echo".into()
+    }
+
+    fn execute_query(&self, q: &Query) -> DmResult<QueryResult> {
+        Ok(one_cell("limit", Value::Int(q.limit.unwrap_or(0) as i64)))
+    }
+}
+
+/// The decoder refuses a batch over `MAX_BATCH_ENTRIES`, so the client must
+/// never send one: a longer batch crosses in several frames and still comes
+/// back whole and in order.
+#[test]
+fn a_batch_longer_than_one_frame_carries_is_split_and_answered_in_order() {
+    let server = serve(Arc::new(EchoLimit), ServerConfig::default());
+    let client = NetDm::connect(server.local_addr(), "net-echo", fast_config());
+    let qs: Vec<Query> = (0..MAX_BATCH_ENTRIES + 3)
+        .map(|i| Query::table("t").limit(i))
+        .collect();
+    let got = client.execute_batch(&qs);
+    assert_eq!(got.len(), qs.len());
+    for (i, answer) in got.iter().enumerate() {
+        let result = answer.as_ref().expect("every entry answered");
+        assert_eq!(result.rows[0][0], Value::Int(i as i64));
+    }
 }
 
 #[test]

@@ -1,8 +1,10 @@
-//! Seeded byte mutation of the wire format: no input off a socket may panic
-//! the frame assembler or the message decoder.
+//! Seeded byte mutation of the wire format (v3, binary payloads): no input
+//! off a socket may panic the frame assembler or the message decoder — and
+//! seeded round trips: what the decoder accepts is what the encoder wrote.
 //!
-//! A corpus of valid frames — every [`Request`] and [`Response`] variant —
-//! is damaged four ways (bytes flipped, the tail truncated, a slice of
+//! A corpus of valid frames — every [`Request`] and [`Response`] variant,
+//! every [`Value`] variant at its awkward edges, empty and zero-column
+//! results, a 64-entry batch — is damaged four ways (bytes flipped, the tail truncated, a slice of
 //! another frame spliced in, bytes appended) and fed to a [`FrameBuffer`]
 //! in seeded chunk sizes, the way a nonblocking reader would deliver it.
 //! Every frame the buffer releases goes through [`proto::decode`] for its
@@ -12,7 +14,10 @@
 
 use hedc_dm::testkit::{Seed, Stream};
 use hedc_dm::{NameType, ResolvedName, ShardMap};
-use hedc_metadb::{AccessPath, AggFunc, ExecStats, Expr, OrderDir, Query, QueryResult, Value};
+use hedc_metadb::{
+    AccessPath, AggFunc, ArithOp, CmpOp, ExecStats, Expr, OrderDir, Projection, Query, QueryResult,
+    Value,
+};
 use hedc_net::frame::{self, Frame, FrameBuffer, FrameKind};
 use hedc_net::proto::{self, Request, Response, WireError, WireErrorKind};
 use std::io::ErrorKind;
@@ -39,12 +44,19 @@ fn requests() -> Vec<Request> {
         item_id: 42,
         name_type: NameType::Url,
     };
+    let resolve_batch = (0..64)
+        .map(|item_id| Request::Resolve {
+            item_id,
+            name_type: NameType::File,
+        })
+        .collect();
     vec![
         Request::Ping,
         Request::FetchShardMap,
         resolve.clone(),
         Request::Query(counts),
         Request::Batch(vec![Request::Query(browse.clone()), resolve, Request::Ping]),
+        Request::Batch(resolve_batch),
         Request::Sharded {
             shard: 1,
             epoch: 7,
@@ -76,6 +88,45 @@ fn responses() -> Vec<Response> {
             rows_sorted: 2,
             access: AccessPath::FullScan,
         },
+    };
+    let stats = |rows_returned| ExecStats {
+        rows_scanned: 40,
+        rows_returned,
+        rows_sorted: 0,
+        access: AccessPath::IndexMultiPoint {
+            name: "hle_pk".into(),
+            probes: 3,
+        },
+    };
+    // Every value variant, at the edges a text codec gets wrong.
+    let edges = QueryResult {
+        columns: vec!["v".into()],
+        rows: [
+            Value::Null,
+            Value::Int(i64::MIN),
+            Value::Float(f64::NAN),
+            Value::Float(-0.0),
+            Value::Text(String::new()),
+            Value::Text("h\u{e9}llo \u{1F600}\0".into()),
+            Value::Bool(true),
+            Value::Timestamp(i64::MAX),
+            Value::Bytes(Vec::new()),
+            Value::Bytes((0..=255).collect()),
+        ]
+        .into_iter()
+        .map(|v| vec![v])
+        .collect(),
+        stats: stats(10),
+    };
+    let empty = QueryResult {
+        columns: vec!["id".into(), "label".into()],
+        rows: Vec::new(),
+        stats: stats(0),
+    };
+    let zero_columns = QueryResult {
+        columns: Vec::new(),
+        rows: vec![Vec::new(), Vec::new()],
+        stats: stats(2),
     };
     let names = vec![ResolvedName {
         entry_id: 7,
@@ -112,6 +163,11 @@ fn responses() -> Vec<Response> {
             Response::Names(names),
         ]),
         Response::Result(result),
+        Response::Result(edges),
+        Response::Batch(vec![
+            Response::Result(empty),
+            Response::Result(zero_columns),
+        ]),
     ]
 }
 
@@ -227,4 +283,203 @@ fn mutated_frames_never_panic_the_assembler_or_the_decoder() {
     // The mutations are small, so much of the stream survives them: the
     // run exercised the accepting paths too, not only rejection.
     assert!(still_valid > CASES / 10, "only {still_valid} valid frames");
+}
+
+// ---------------------------------------------------------------------------
+// Round trips
+// ---------------------------------------------------------------------------
+
+fn arb_text(state: &mut Stream) -> String {
+    const ALPHABET: [char; 10] = [
+        'a',
+        'Z',
+        '_',
+        ' ',
+        '"',
+        '\\',
+        '\0',
+        '\u{e9}',
+        '\u{2603}',
+        '\u{1F600}',
+    ];
+    (0..below(state, 12))
+        .map(|_| *state.pick(&ALPHABET))
+        .collect()
+}
+
+fn arb_value(state: &mut Stream) -> Value {
+    match below(state, 7) {
+        0 => Value::Null,
+        1 => Value::Int(state.draw() as i64),
+        // Any bit pattern: NaN payloads, infinities, subnormals, -0.0.
+        2 => Value::Float(f64::from_bits(state.draw())),
+        3 => Value::Text(arb_text(state)),
+        4 => Value::Bool(state.per_mille(500)),
+        5 => Value::Timestamp(state.draw() as i64),
+        _ => Value::Bytes((0..below(state, 20)).map(|_| state.draw() as u8).collect()),
+    }
+}
+
+fn arb_expr(state: &mut Stream, depth: usize) -> Expr {
+    let sub = |state: &mut Stream| Box::new(arb_expr(state, depth + 1));
+    // Leaves only, once the tree is deep enough.
+    match below(state, if depth >= 5 { 3 } else { 12 }) {
+        0 => Expr::Literal(arb_value(state)),
+        1 => Expr::Name(arb_text(state)),
+        2 => Expr::Col(below(state, 40)),
+        3 => {
+            let ops = [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ];
+            Expr::Cmp(*state.pick(&ops), sub(state), sub(state))
+        }
+        4 => Expr::And(sub(state), sub(state)),
+        5 => Expr::Or(sub(state), sub(state)),
+        6 => Expr::Not(sub(state)),
+        7 => Expr::IsNull {
+            expr: sub(state),
+            negated: state.per_mille(500),
+        },
+        8 => Expr::Between {
+            expr: sub(state),
+            lo: sub(state),
+            hi: sub(state),
+        },
+        9 => Expr::InList {
+            expr: sub(state),
+            list: (0..below(state, 5))
+                .map(|_| arb_expr(state, depth + 1))
+                .collect(),
+        },
+        10 => Expr::Like {
+            expr: sub(state),
+            pattern: arb_text(state),
+        },
+        _ => {
+            let ops = [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div];
+            Expr::Arith(*state.pick(&ops), sub(state), sub(state))
+        }
+    }
+}
+
+fn arb_query(state: &mut Stream) -> Query {
+    let texts = |state: &mut Stream| (0..below(state, 4)).map(|_| arb_text(state)).collect();
+    let some_usize = |state: &mut Stream| {
+        state
+            .per_mille(500)
+            .then(|| state.draw() as usize >> below(state, 64))
+    };
+    Query {
+        table: arb_text(state),
+        projection: if state.per_mille(500) {
+            Projection::All
+        } else {
+            Projection::Columns(texts(state))
+        },
+        filter: state.per_mille(800).then(|| arb_expr(state, 0)),
+        order_by: (0..below(state, 3))
+            .map(|_| {
+                (
+                    arb_text(state),
+                    *state.pick(&[OrderDir::Asc, OrderDir::Desc]),
+                )
+            })
+            .collect(),
+        limit: some_usize(state),
+        offset: some_usize(state),
+        aggregates: (0..below(state, 3))
+            .map(|_| match below(state, 6) {
+                0 => AggFunc::CountStar,
+                1 => AggFunc::Count(arb_text(state)),
+                2 => AggFunc::Sum(arb_text(state)),
+                3 => AggFunc::Avg(arb_text(state)),
+                4 => AggFunc::Min(arb_text(state)),
+                _ => AggFunc::Max(arb_text(state)),
+            })
+            .collect(),
+        group_by: texts(state),
+    }
+}
+
+fn arb_result(state: &mut Stream) -> QueryResult {
+    let width = below(state, 6);
+    let rows: Vec<Vec<Value>> = (0..below(state, 8))
+        .map(|_| (0..width).map(|_| arb_value(state)).collect())
+        .collect();
+    QueryResult {
+        columns: (0..width).map(|_| arb_text(state)).collect(),
+        stats: ExecStats {
+            rows_scanned: below(state, 1 << 20),
+            rows_returned: rows.len(),
+            rows_sorted: below(state, 100),
+            access: match below(state, 3) {
+                0 => AccessPath::FullScan,
+                1 => AccessPath::Index {
+                    name: arb_text(state),
+                    point: state.per_mille(500),
+                },
+                _ => AccessPath::IndexMultiPoint {
+                    name: arb_text(state),
+                    probes: below(state, 64),
+                },
+            },
+        },
+        rows,
+    }
+}
+
+/// The query a round-trip request carries, whatever it is wrapped in.
+fn query_in(request: Request) -> Query {
+    match request {
+        Request::Query(q) => q,
+        Request::Batch(mut entries) => query_in(entries.pop().expect("a query entry")),
+        Request::Sharded { inner, .. } => query_in(*inner),
+        other => panic!("no query in {other:?}"),
+    }
+}
+
+#[test]
+fn what_was_encoded_is_what_decodes() {
+    let mut state = Seed::from_env(0x0B17_F11B).stream("round-trips");
+    for _ in 0..2_000 {
+        let q = arb_query(&mut state);
+        let request = match below(&mut state, 3) {
+            0 => Request::Query(q.clone()),
+            1 => Request::Batch(vec![Request::Ping, Request::Query(q.clone())]),
+            _ => Request::Sharded {
+                shard: state.draw() as u32,
+                epoch: state.draw(),
+                inner: Box::new(Request::Query(q.clone())),
+            },
+        };
+        let bytes = proto::encode(&request).expect("encodes");
+        let back: Request = proto::decode(&bytes).expect("decodes");
+        assert_eq!(format!("{back:?}"), format!("{request:?}"));
+        // Debug prints every NaN alike; the bytes do not. Equal re-encoding
+        // is bit-identical floats, in literals as in rows.
+        assert_eq!(proto::encode(&back).expect("re-encodes"), bytes);
+        assert_eq!(query_in(back).fingerprint(), q.fingerprint());
+
+        let result = arb_result(&mut state);
+        let response = Response::Result(result.clone());
+        let bytes = proto::encode(&response).expect("encodes");
+        let Response::Result(back) = proto::decode(&bytes).expect("decodes") else {
+            panic!("a result decoded to another variant");
+        };
+        assert_eq!(format!("{back:?}"), format!("{result:?}"));
+        for (sent, got) in result.rows.iter().flatten().zip(back.rows.iter().flatten()) {
+            if let (Value::Float(sent), Value::Float(got)) = (sent, got) {
+                assert_eq!(sent.to_bits(), got.to_bits());
+            }
+        }
+        assert_eq!(
+            proto::encode(&Response::Result(back)).expect("re-encodes"),
+            bytes
+        );
+    }
 }

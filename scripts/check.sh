@@ -38,10 +38,11 @@
 #                              run only the net-tier smoke: the hedc-net
 #                              suites in release mode (seeded multiplexing/
 #                              churn/slow-client/epoch suites, the response
-#                              spill path, the no-timers wake-up budgets)
-#                              and the cluster_scatter benchmark workload
-#                              at smoke size, which must answer correctly,
-#                              then exit
+#                              spill path, the no-timers wake-up budgets,
+#                              the wire mutation/round-trip/budget suites),
+#                              no serde_json under crates/net/src, and the
+#                              cluster_scatter benchmark workload at smoke
+#                              size, which must answer correctly, then exit
 #   scripts/check.sh --e2e-smoke
 #                              run only the frozen-benchmark drift gate:
 #                              build e2e_bench/ (the repo's performance
@@ -200,9 +201,13 @@ ingest_smoke() {
 # path in write_timeout.rs are timing-sensitive, so they are gated at the
 # optimization level they are quoted for), then the one benchmark workload
 # that crosses real sockets, whose answers are checked against the
-# unsharded twin.
+# unsharded twin. The wire has one format: a mention of serde_json under
+# crates/net/src is a second one on its way back in.
 net_smoke() {
   echo "==> net smoke (hedc-net suites in release + cluster_scatter answers)"
+  if grep -rn 'serde_json' crates/net/src; then
+    echo "FAIL: crates/net/src names serde_json (the wire is binary, v3; see DESIGN.md §8)" >&2; exit 1
+  fi
   cargo test --release -q -p hedc-net
   local last
   last="$(cargo run --release --offline --quiet --manifest-path e2e_bench/Cargo.toml \
