@@ -3,9 +3,10 @@
 //! Three modes:
 //!
 //! * **(default) live** — boot a node, load a slice of telemetry, drive a
-//!   few browse requests, and print the observability snapshot plus a
-//!   critical-path breakdown of the slowest retained traces. The "what is
-//!   this process doing" console.
+//!   few browse requests, and print the observability snapshot, the
+//!   storage finding if there is one (a page store pinned by an old
+//!   snapshot), and a critical-path breakdown of the slowest retained
+//!   traces. The "what is this process doing" console.
 //! * **`--obs-smoke`** — the CI gate: boot a node, force every request to
 //!   pin (threshold 1 µs), and assert the whole diagnosis loop closes:
 //!   traces pin, `/hedc/trace/<id>` serves the waterfall, the JSON variant
@@ -205,6 +206,13 @@ fn live() -> i32 {
     let hedc = boot_and_browse();
     let snapshot = hedc_obs::snapshot();
     println!("{}", snapshot.to_text());
+    let gauge = |name: &str| snapshot.metrics.gauge(name).unwrap_or(0);
+    if let Some(finding) = hedc_bench::pinned_store_finding(
+        gauge("store.snapshot.oldest_lag"),
+        gauge("store.pages.pending"),
+    ) {
+        println!("FINDING {finding}\n");
+    }
     println!("slowest retained traces");
     println!("{:-<74}", "");
     for record in hedc_obs::recorder().slowest(3) {

@@ -75,6 +75,19 @@ pub fn smoke() -> bool {
     std::env::var("HEDC_BENCH_SMOKE").map_or(false, |v| !v.is_empty() && v != "0")
 }
 
+/// `hedc_doctor`'s storage rule, over the `store.snapshot.oldest_lag` and
+/// `store.pages.pending` gauges: a snapshot a thousand commits behind with
+/// a thousand pages waiting for it is a handle somebody kept, not a query.
+pub fn pinned_store_finding(oldest_lag: i64, pending_pages: i64) -> Option<String> {
+    (oldest_lag >= 1000 && pending_pages >= 1000).then(|| {
+        format!(
+            "page reclamation held back by a snapshot {oldest_lag} commits old: \
+             {pending_pages} superseded pages wait for it and the page file grows with every \
+             commit — look for a kept `TableSnapshot` or a stalled query"
+        )
+    })
+}
+
 /// Format a ratio of measured vs paper as a signed percentage string.
 pub fn vs_paper(measured: f64, paper: f64) -> String {
     if paper == 0.0 {
@@ -82,4 +95,18 @@ pub fn vs_paper(measured: f64, paper: f64) -> String {
     }
     let pct = (measured - paper) / paper * 100.0;
     format!("{pct:+.0}%")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pinned_store_rule_needs_both_an_old_snapshot_and_waiting_pages() {
+        let finding = pinned_store_finding(4321, 36_000).expect("pinned");
+        assert!(finding.contains("held back by a snapshot 4321 commits old"));
+        // A long scan beside a quiet writer, and a busy writer nobody pins.
+        assert_eq!(pinned_store_finding(4321, 12), None);
+        assert_eq!(pinned_store_finding(1, 36_000), None);
+    }
 }

@@ -21,7 +21,7 @@ use crate::error::{DbError, DbResult};
 use crate::expr::Expr;
 use crate::index::RowId;
 use crate::lob::LobStore;
-use crate::paged::TableSnapshot;
+use crate::paged::{TableMeta, TableSnapshot};
 use crate::query::{self, Query, QueryResult};
 use crate::schema::Schema;
 use crate::sql::{self, Statement};
@@ -29,7 +29,7 @@ use crate::stats::{DbStats, StatsSnapshot};
 use crate::table::Table;
 use crate::value::Value;
 use crate::wal::{self, LogRecord, Wal, WalOptions};
-use hedc_store::{Store, StoreOptions};
+use hedc_store::{Snapshot, Store, StoreOptions};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -151,6 +151,17 @@ impl Inner {
     }
 }
 
+/// What queries on paged tables read: the state of the last statement
+/// boundary. One store snapshot serves every table, so the store's pin
+/// horizon is the oldest [`TableSnapshot`] handle still alive — a query in
+/// flight, or one an embedder keeps — never the table written longest ago.
+#[derive(Debug, Default)]
+struct ReadView {
+    /// `None` until a paged table exists (always, on the memory backend).
+    snap: Option<Arc<Snapshot>>,
+    tables: HashMap<String, Arc<TableMeta>>,
+}
+
 /// An embedded metadata database instance.
 #[derive(Debug)]
 pub struct Database {
@@ -158,12 +169,12 @@ pub struct Database {
     inner: RwLock<Inner>,
     stats: DbStats,
     wal: Mutex<Option<Wal>>,
-    /// Published MVCC snapshots for paged tables, one per table, refreshed
-    /// after every mutating statement. Queries against paged tables are
-    /// served from here without touching the catalog lock, so browse reads
-    /// never wait behind ingest writers. Always empty for the memory
+    /// The published read view, moved forward by every mutating statement
+    /// before it releases the catalog lock. Queries against paged tables
+    /// are served from here without touching the catalog lock, so browse
+    /// reads never wait behind ingest writers. Always empty for the memory
     /// backend. Lock order: `inner` before `published`.
-    published: RwLock<HashMap<String, Arc<TableSnapshot>>>,
+    published: RwLock<ReadView>,
     /// The process-wide `metadb.*` latency histograms, resolved once per
     /// database so that no query takes the registry lock.
     query_hist: Arc<hedc_obs::Histogram>,
@@ -179,7 +190,7 @@ impl Database {
             inner: RwLock::new(inner),
             stats: DbStats::default(),
             wal: Mutex::new(wal),
-            published: RwLock::new(HashMap::new()),
+            published: RwLock::new(ReadView::default()),
             query_hist: obs.histogram("metadb.query"),
             compile_hist: obs.histogram("metadb.compile"),
             execute_hist: obs.histogram("metadb.execute"),
@@ -221,7 +232,7 @@ impl Database {
     ///
     /// With [`StorageBackend::Paged`], rows and indexes live in a paged
     /// copy-on-write B-tree store whose backing file is *scratch*: any
-    /// existing file at `storage.store_path` is truncated, and the durable
+    /// existing file at `storage.store_path` is replaced, and the durable
     /// contents are rebuilt by replaying the WAL (exactly as for the memory
     /// backend). Replay produces identical row ids on either backend, so a
     /// WAL written under one backend can be opened under the other.
@@ -258,12 +269,13 @@ impl Database {
             None => None,
         };
         let db = Self::assemble(name.into(), inner, wal);
-        // Publish initial snapshots for every paged table recovered from
-        // the WAL so queries can run lock-free from the start.
-        let names: Vec<String> = db.inner.read().tables.keys().cloned().collect();
-        for name in names {
-            db.republish(&name);
+        // Publish every paged table recovered from the WAL so queries can
+        // run lock-free from the start.
+        let inner = db.inner.read();
+        for name in inner.tables.keys() {
+            db.publish(&inner, name);
         }
+        drop(inner);
         Ok(db)
     }
 
@@ -324,26 +336,38 @@ impl Database {
         Ok(())
     }
 
-    /// Refresh the published MVCC snapshot for one table. A no-op for
-    /// memory-backed tables ([`Table::freeze`] returns `None`). Takes
-    /// `inner` shared then `published` exclusive — callers must not hold
-    /// the catalog lock.
-    fn republish(&self, table: &str) {
-        let key = table.to_ascii_lowercase();
-        let snap = match self.inner.read().tables.get(&key) {
-            Some(t) => t.freeze(),
-            None => None,
+    /// Move the read view to the state `table`'s last statement left. A
+    /// no-op for memory-backed tables ([`Table::freeze`] returns `None`).
+    /// `inner` is the catalog lock the statement ran under, still held: the
+    /// snapshot and the table's counters then describe the same commit, and
+    /// every view is a state some statement boundary had.
+    fn publish(&self, inner: &Inner, table: &str) {
+        let key = table_key(table);
+        let Some(frozen) = inner.tables.get(&*key).and_then(Table::freeze) else {
+            return;
         };
-        if let Some(snap) = snap {
-            self.published.write().insert(key, Arc::new(snap));
-        }
+        let mut view = self.published.write();
+        view.tables.insert(key.into_owned(), frozen.meta);
+        let superseded = view.snap.replace(frozen.snap);
+        drop(view);
+        // Its last handle gone, the old snapshot hands its pages back to
+        // the store: outside the view lock, readers do not wait for that.
+        drop(superseded);
     }
 
-    /// The published snapshot for a paged table, if any. Queries use this
-    /// to serve reads without the catalog lock; embedders can hold one to
-    /// pin a consistent view across several queries.
+    fn view_of(&self, table: &str) -> Option<TableSnapshot> {
+        let view = self.published.read();
+        let meta = Arc::clone(view.tables.get(&*table_key(table))?);
+        let snap = view.snap.clone().expect("a published table has a snapshot");
+        Some(TableSnapshot { snap, meta })
+    }
+
+    /// The published state of a paged table, if any. Queries use this to
+    /// serve reads without the catalog lock; embedders can hold one to pin
+    /// a consistent view across several queries — and with it every page
+    /// the store supersedes meanwhile, so not for longer than that.
     pub fn snapshot(&self, table: &str) -> Option<Arc<TableSnapshot>> {
-        self.published.read().get(&*table_key(table)).cloned()
+        self.view_of(table).map(Arc::new)
     }
 
     /// Compile then run `q` against `source`, feeding `metadb.compile`
@@ -507,30 +531,29 @@ impl Connection {
             .take()
             .ok_or_else(|| DbError::Txn("rollback without begin".into()))?;
         let mut touched: Vec<String> = Vec::new();
-        {
-            let mut inner = self.db.inner.write();
-            for undo in txn.undo.into_iter().rev() {
-                match undo {
-                    Undo::Insert { table, row_id } => {
-                        inner.table_mut(&table)?.delete(row_id)?;
-                        touched.push(table);
-                    }
-                    Undo::Update { table, row_id, old } => {
-                        inner.table_mut(&table)?.update(row_id, old)?;
-                        touched.push(table);
-                    }
-                    Undo::Delete { table, row_id, old } => {
-                        inner.table_mut(&table)?.insert_at(row_id, old)?;
-                        touched.push(table);
-                    }
+        let mut inner = self.db.inner.write();
+        for undo in txn.undo.into_iter().rev() {
+            match undo {
+                Undo::Insert { table, row_id } => {
+                    inner.table_mut(&table)?.delete(row_id)?;
+                    touched.push(table);
+                }
+                Undo::Update { table, row_id, old } => {
+                    inner.table_mut(&table)?.update(row_id, old)?;
+                    touched.push(table);
+                }
+                Undo::Delete { table, row_id, old } => {
+                    inner.table_mut(&table)?.insert_at(row_id, old)?;
+                    touched.push(table);
                 }
             }
         }
         touched.sort();
         touched.dedup();
         for table in &touched {
-            self.db.republish(table);
+            self.db.publish(&inner, table);
         }
+        drop(inner);
         DbStats::bump(&self.db.stats.rollbacks);
         Ok(())
     }
@@ -557,8 +580,8 @@ impl Connection {
             }
             let table = inner.new_table(schema.clone())?;
             inner.tables.insert(key, table);
+            self.db.publish(&inner, &schema.table);
         }
-        self.db.republish(&schema.table);
         self.db.log(&[LogRecord::CreateTable { schema }])
     }
 
@@ -575,8 +598,8 @@ impl Connection {
             inner
                 .table_mut(table)?
                 .create_index(name, columns, unique)?;
+            self.db.publish(&inner, table);
         }
-        self.db.republish(table);
         self.db.log(&[LogRecord::CreateIndex {
             table: table.to_string(),
             name: name.to_string(),
@@ -591,9 +614,10 @@ impl Connection {
             let mut inner = self.db.inner.write();
             let t = inner.table_mut(table)?;
             let id = t.insert(values)?;
-            (id, t.get(id)?.to_vec())
+            let stored = t.get(id)?.into_owned();
+            self.db.publish(&inner, table);
+            (id, stored)
         };
-        self.db.republish(table);
         DbStats::bump(&self.db.stats.edits);
         self.record(
             Undo::Insert {
@@ -617,14 +641,14 @@ impl Connection {
 
     /// Run a structured query.
     ///
-    /// Paged tables are served from the published MVCC snapshot without
+    /// Paged tables are served from the published read view without
     /// taking the catalog lock, so reads never wait behind a writer; the
     /// memory backend reads under the shared catalog lock as before.
     pub fn query(&self, q: &Query) -> DbResult<QueryResult> {
         let span = hedc_obs::Span::child("metadb.query");
         let started = std::time::Instant::now();
-        let result = match self.db.snapshot(&q.table) {
-            Some(s) => self.db.run_query(&*s, q)?,
+        let result = match self.db.view_of(&q.table) {
+            Some(s) => self.db.run_query(&s, q)?,
             None => {
                 let inner = self.db.inner.read();
                 self.db.run_query(inner.table(&q.table)?, q)?
@@ -679,13 +703,13 @@ impl Connection {
                 batch.push((id, new_row));
             }
             let olds = t.update_batch(batch.clone())?;
+            self.db.publish(&inner, table);
             batch
                 .into_iter()
                 .zip(olds)
                 .map(|((id, new_row), old)| (id, old, new_row))
                 .collect()
         };
-        self.db.republish(table);
         let n = updates.len();
         for (row_id, old, new_row) in updates {
             DbStats::bump(&self.db.stats.edits);
@@ -716,9 +740,9 @@ impl Connection {
                 let old = t.delete(id)?;
                 out.push((id, old));
             }
+            self.db.publish(&inner, table);
             out
         };
-        self.db.republish(table);
         let n = deleted.len();
         for (row_id, old) in deleted {
             DbStats::bump(&self.db.stats.edits);

@@ -12,9 +12,11 @@
 //! Every mutating table operation runs as one store write transaction
 //! spanning the row tree and all index trees, so a [`Snapshot`] taken
 //! between operations always sees rows and index entries in agreement.
-//! After each commit the backing refreshes its cached snapshot; reads
-//! from the table itself and from published [`TableSnapshot`]s never
-//! touch the writer.
+//! The backing keeps no snapshot of its own: a read through the table
+//! opens one and drops it before returning, and a [`TableSnapshot`]
+//! shares the one its database published (`db.rs`). A snapshot kept
+//! alive pins every page any tree of the store supersedes after it, so
+//! nothing here may hold one while idle.
 //!
 //! The store file is **scratch**: durability comes from the redo log
 //! above (`wal.rs`), whose replay at open rebuilds these trees through
@@ -39,7 +41,7 @@ fn row_key(id: RowId) -> [u8; 8] {
 }
 
 /// An index whose entries live in a store B-tree.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct PagedIndex {
     pub(crate) name: String,
     pub(crate) columns: Vec<usize>,
@@ -92,8 +94,6 @@ pub(crate) struct PagedTable {
     free: Vec<RowId>,
     /// Next never-used slot (the `rows.len()` analogue).
     next: RowId,
-    /// Last committed state; refreshed after every commit.
-    snap: Snapshot,
 }
 
 impl PagedTable {
@@ -113,19 +113,13 @@ impl PagedTable {
             });
         }
         txn.commit().map_err(storage_err)?;
-        let snap = store.snapshot();
         Ok(PagedTable {
             store,
             rows_tree,
             indexes,
             free: Vec::new(),
             next: 0,
-            snap,
         })
-    }
-
-    fn refresh(&mut self) {
-        self.snap = self.store.snapshot();
     }
 
     fn write_row(&self, txn: &mut WriteTxn<'_>, id: RowId, row: &[Value]) -> DbResult<()> {
@@ -162,7 +156,6 @@ impl PagedTable {
         for ix in &mut self.indexes {
             ix.entries += 1;
         }
-        self.refresh();
         Ok(id)
     }
 
@@ -193,55 +186,18 @@ impl PagedTable {
         for ix in &mut self.indexes {
             ix.entries += 1;
         }
-        self.refresh();
         Ok(())
     }
 
-    /// Fetch a row by id from the last committed snapshot.
+    /// Fetch a row by id from the last committed state.
     pub(crate) fn get(&self, id: RowId) -> DbResult<Vec<Value>> {
-        match self
-            .snap
-            .get(self.rows_tree, &row_key(id))
-            .map_err(storage_err)?
-        {
-            Some(buf) => Ok(keycode::decode_row(&buf)),
-            None => Err(DbError::NoSuchRow(id)),
-        }
+        let found = self.store.snapshot().get(self.rows_tree, &row_key(id));
+        found_row(id, found)
     }
 
-    /// Replace a row, maintaining index entries; returns the old values.
-    pub(crate) fn update(&mut self, id: RowId, new_row: &[Value]) -> DbResult<Vec<Value>> {
-        let old = self.get(id)?;
-        let mut txn = self.store.begin();
-        for ix in &self.indexes {
-            if ix.unique {
-                let old_key = keycode::encode_key(&ix.key_of(&old));
-                let new_key = keycode::encode_key(&ix.key_of(new_row));
-                if old_key != new_key {
-                    ix.check_unique(&txn, new_row)?;
-                }
-            }
-        }
-        txn.insert(self.rows_tree, &row_key(id), &keycode::encode_row(new_row))
-            .map_err(storage_err)?;
-        for ix in &self.indexes {
-            txn.delete(ix.tree, &keycode::encode_index_entry(&ix.key_of(&old), id))
-                .map_err(storage_err)?;
-            txn.insert(
-                ix.tree,
-                &keycode::encode_index_entry(&ix.key_of(new_row), id),
-                &[],
-            )
-            .map_err(storage_err)?;
-        }
-        txn.commit().map_err(storage_err)?;
-        self.refresh();
-        Ok(old)
-    }
-
-    /// Replace many rows in ONE store transaction: one commit, one
-    /// snapshot refresh, and no partial effects on failure (the
-    /// uncommitted transaction is simply dropped). This is the bulk
+    /// Replace rows, maintaining index entries, in ONE store transaction:
+    /// one commit and no partial effects on failure (the uncommitted
+    /// transaction is simply dropped). This is the bulk
     /// `UPDATE .. WHERE` fast path — committing per row would pwrite
     /// the dirty page set and rewrite the B-tree root path once per
     /// row instead of once per statement. Returns prior values in
@@ -256,13 +212,7 @@ impl PagedTable {
             // Read the old row through the transaction so earlier rows
             // in this batch are visible (sequential-statement
             // semantics, even though ids are distinct in practice).
-            let old = match txn
-                .get(self.rows_tree, &row_key(*id))
-                .map_err(storage_err)?
-            {
-                Some(buf) => keycode::decode_row(&buf),
-                None => return Err(DbError::NoSuchRow(*id)),
-            };
+            let old = found_row(*id, txn.get(self.rows_tree, &row_key(*id)))?;
             for ix in &self.indexes {
                 if ix.unique {
                     let old_key = keycode::encode_key(&ix.key_of(&old));
@@ -287,14 +237,13 @@ impl PagedTable {
             olds.push(old);
         }
         txn.commit().map_err(storage_err)?;
-        self.refresh();
         Ok(olds)
     }
 
     /// Delete a row; returns its former values and recycles the slot.
     pub(crate) fn delete(&mut self, id: RowId) -> DbResult<Vec<Value>> {
-        let old = self.get(id)?;
         let mut txn = self.store.begin();
+        let old = found_row(id, txn.get(self.rows_tree, &row_key(id)))?;
         txn.delete(self.rows_tree, &row_key(id))
             .map_err(storage_err)?;
         for ix in &self.indexes {
@@ -306,7 +255,6 @@ impl PagedTable {
             ix.entries -= 1;
         }
         self.free.push(id);
-        self.refresh();
         Ok(old)
     }
 
@@ -338,48 +286,35 @@ impl PagedTable {
         }
         txn.commit().map_err(storage_err)?;
         self.indexes.push(ix);
-        self.refresh();
         Ok(())
     }
 
     /// Drop an index by position. The tree is abandoned in place; its
     /// pages come back only when the store is rebuilt at the next open
     /// (the store file is scratch, so this leaks at most one run's
-    /// worth of dropped-index pages).
+    /// worth of dropped-index pages — they stay counted in the
+    /// `store.pages.allocated` gauge and on neither free list).
     pub(crate) fn drop_index(&mut self, pos: usize) {
         self.indexes.remove(pos);
     }
 
     /// All live rows in slot order.
     pub(crate) fn scan_rows(&self) -> DbResult<Vec<(RowId, Vec<Value>)>> {
-        let mut out = Vec::new();
-        for (k, v) in self
-            .snap
-            .range(self.rows_tree, Bound::Unbounded, Bound::Unbounded)
-        {
-            let id = RowId::from_be_bytes(k[..8].try_into().expect("row key width"));
-            out.push((id, keycode::decode_row(&v)));
-        }
-        Ok(out)
+        let snap = self.store.snapshot();
+        let rows = snap.range(self.rows_tree, Bound::Unbounded, Bound::Unbounded);
+        Ok(rows
+            .map(|(k, v)| (row_id_of(&k), keycode::decode_row(&v)))
+            .collect())
     }
 
     /// All live row ids in slot order (no row decoding).
     pub(crate) fn scan_ids(&self) -> Vec<RowId> {
-        self.snap
-            .range(self.rows_tree, Bound::Unbounded, Bound::Unbounded)
-            .map(|(k, _)| RowId::from_be_bytes(k[..8].try_into().expect("row key width")))
-            .collect()
-    }
-
-    /// Row ids matching an exact composite key on index `pos`.
-    pub(crate) fn index_get(&self, pos: usize, key: &[Value]) -> Vec<RowId> {
-        let ix = &self.indexes[pos];
-        let prefix = keycode::encode_key(key);
-        scan_ids_with_prefix(&self.snap, ix.tree, &prefix)
+        scan_row_ids(&self.store.snapshot(), self.rows_tree)
     }
 
     /// Range scan on index `pos`: equality prefix plus bounds on the
-    /// next key column (the shape the planner and tests use).
+    /// next key column (the shape the planner and tests use). Unbounded
+    /// on both sides, it is the exact-key lookup.
     pub(crate) fn index_range(
         &self,
         pos: usize,
@@ -387,39 +322,46 @@ impl PagedTable {
         low: Bound<&Value>,
         high: Bound<&Value>,
     ) -> Vec<RowId> {
-        index_range_scan(&self.snap, self.indexes[pos].tree, eq_prefix, low, high)
+        let snap = self.store.snapshot();
+        index_range_scan(&snap, self.indexes[pos].tree, eq_prefix, low, high)
     }
 
     /// Freeze the current committed state for lock-free readers.
-    pub(crate) fn freeze(&self, schema: &Schema, live: usize, data_bytes: usize) -> TableSnapshot {
+    pub(crate) fn freeze(
+        &self,
+        schema: &Arc<Schema>,
+        live: usize,
+        data_bytes: usize,
+    ) -> TableSnapshot {
         TableSnapshot {
-            schema: schema.clone(),
-            snap: self.store.snapshot(),
-            rows_tree: self.rows_tree,
-            indexes: self
-                .indexes
-                .iter()
-                .map(|ix| SnapIndex {
-                    name: ix.name.clone(),
-                    columns: ix.columns.clone(),
-                    unique: ix.unique,
-                    tree: ix.tree,
-                })
-                .collect(),
-            live,
-            data_bytes,
+            snap: Arc::new(self.store.snapshot()),
+            meta: Arc::new(TableMeta {
+                schema: Arc::clone(schema),
+                rows_tree: self.rows_tree,
+                indexes: self.indexes.clone(),
+                live,
+                data_bytes,
+            }),
         }
     }
 }
 
-/// Collect the row ids of every index entry starting with `prefix`.
-fn scan_ids_with_prefix(snap: &Snapshot, tree: TreeId, prefix: &[u8]) -> Vec<RowId> {
-    let high = match keycode::prefix_successor(prefix) {
-        Some(succ) => Bound::Excluded(succ),
-        None => Bound::Unbounded,
-    };
-    snap.range(tree, Bound::Included(prefix), high)
-        .map(|(k, _)| keycode::decode_index_entry_id(&k))
+/// A stored row or `NoSuchRow`.
+fn found_row(id: RowId, found: Result<Option<Vec<u8>>, StoreError>) -> DbResult<Vec<Value>> {
+    match found.map_err(storage_err)? {
+        Some(buf) => Ok(keycode::decode_row(&buf)),
+        None => Err(DbError::NoSuchRow(id)),
+    }
+}
+
+fn row_id_of(key: &[u8]) -> RowId {
+    RowId::from_be_bytes(key[..8].try_into().expect("row key width"))
+}
+
+/// All live row ids of a row tree, in slot order (no row decoding).
+fn scan_row_ids(snap: &Snapshot, rows_tree: TreeId) -> Vec<RowId> {
+    snap.range(rows_tree, Bound::Unbounded, Bound::Unbounded)
+        .map(|(k, _)| row_id_of(&k))
         .collect()
 }
 
@@ -491,75 +433,69 @@ fn index_range_scan(
         .collect()
 }
 
-/// Metadata of one index inside a [`TableSnapshot`].
+/// What a reader needs of one paged table at a statement boundary,
+/// besides the store snapshot taken at that boundary.
 #[derive(Debug)]
-struct SnapIndex {
-    name: String,
-    columns: Vec<usize>,
-    unique: bool,
-    tree: TreeId,
+pub(crate) struct TableMeta {
+    schema: Arc<Schema>,
+    rows_tree: TreeId,
+    indexes: Vec<PagedIndex>,
+    live: usize,
+    data_bytes: usize,
 }
 
 /// An immutable, point-in-time view of a paged table.
 ///
-/// Holds a store [`Snapshot`], so reads served from it never take the
+/// Shares a store [`Snapshot`], so reads served from it never take the
 /// database catalog lock and never block (or are blocked by) the
 /// writer — this is what the `/hedc` browse path queries while ingest
-/// is running.
+/// is running. For as long as a handle lives, the store reuses no page
+/// any of its trees supersedes: keep one for a query or a page, not
+/// for a session.
 #[derive(Debug)]
 pub struct TableSnapshot {
-    schema: Schema,
-    snap: Snapshot,
-    rows_tree: TreeId,
-    indexes: Vec<SnapIndex>,
-    live: usize,
-    data_bytes: usize,
+    pub(crate) snap: Arc<Snapshot>,
+    pub(crate) meta: Arc<TableMeta>,
 }
 
 impl TableSnapshot {
     /// The frozen table's schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.meta.schema
     }
 
     /// Number of live rows at freeze time.
     pub fn len(&self) -> usize {
-        self.live
+        self.meta.live
     }
 
     /// Whether the table was empty at freeze time.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.meta.live == 0
     }
 
     /// Approximate live row bytes at freeze time.
     pub fn data_bytes(&self) -> usize {
-        self.data_bytes
+        self.meta.data_bytes
     }
 
     /// Fetch one row by id.
     pub fn get(&self, id: RowId) -> Option<Vec<Value>> {
-        self.snap
-            .get(self.rows_tree, &row_key(id))
-            .ok()
-            .flatten()
-            .map(|buf| keycode::decode_row(&buf))
+        found_row(id, self.snap.get(self.meta.rows_tree, &row_key(id))).ok()
     }
 
     /// All live row ids in slot order.
     pub fn scan_ids(&self) -> Vec<RowId> {
-        self.snap
-            .range(self.rows_tree, Bound::Unbounded, Bound::Unbounded)
-            .map(|(k, _)| RowId::from_be_bytes(k[..8].try_into().expect("row key width")))
-            .collect()
+        scan_row_ids(&self.snap, self.meta.rows_tree)
     }
 
     pub(crate) fn best_index(&self, col: usize) -> Option<usize> {
+        let indexes = &self.meta.indexes;
         let mut best: Option<usize> = None;
-        for (i, ix) in self.indexes.iter().enumerate() {
+        for (i, ix) in indexes.iter().enumerate() {
             if ix.columns.first() == Some(&col) {
                 match best {
-                    Some(b) if self.indexes[b].unique && !ix.unique => {}
+                    Some(b) if indexes[b].unique && !ix.unique => {}
                     _ => best = Some(i),
                 }
             }
@@ -568,7 +504,7 @@ impl TableSnapshot {
     }
 
     pub(crate) fn index_name(&self, pos: usize) -> &str {
-        &self.indexes[pos].name
+        &self.meta.indexes[pos].name
     }
 
     pub(crate) fn index_range(
@@ -577,6 +513,6 @@ impl TableSnapshot {
         low: Bound<&Value>,
         high: Bound<&Value>,
     ) -> Vec<RowId> {
-        index_range_scan(&self.snap, self.indexes[pos].tree, &[], low, high)
+        index_range_scan(&self.snap, self.meta.indexes[pos].tree, &[], low, high)
     }
 }

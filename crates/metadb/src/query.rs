@@ -316,9 +316,16 @@ impl QueryResult {
     }
 }
 
-#[cfg(test)]
 fn execute<S: RowSource + ?Sized>(source: &S, q: &Query) -> DbResult<QueryResult> {
     run(source, q, compile(source, q)?)
+}
+
+impl TableSnapshot {
+    /// Run `q` against this frozen state, whatever table it names: several
+    /// queries through one handle see one state.
+    pub fn query(&self, q: &Query) -> DbResult<QueryResult> {
+        execute(self, q)
+    }
 }
 
 /// A compiled query: the filter bound to the table's columns and the

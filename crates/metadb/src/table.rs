@@ -30,7 +30,8 @@ use std::sync::Arc;
 /// A table. See the module docs for the two backings.
 #[derive(Debug)]
 pub struct Table {
-    schema: Schema,
+    /// Shared with every [`TableSnapshot`] frozen from this table.
+    schema: Arc<Schema>,
     live: usize,
     data_bytes: usize,
     backing: Backing,
@@ -64,7 +65,7 @@ impl Table {
                 free: Vec::new(),
                 indexes,
             },
-            schema,
+            schema: Arc::new(schema),
         }
     }
 
@@ -77,7 +78,7 @@ impl Table {
             live: 0,
             data_bytes: 0,
             backing: Backing::Paged(paged),
-            schema,
+            schema: Arc::new(schema),
         })
     }
 
@@ -86,9 +87,10 @@ impl Table {
         matches!(self.backing, Backing::Paged(_))
     }
 
-    /// Freeze the current committed state into a lock-free snapshot.
-    /// Returns `None` for memory-backed tables, which have no
-    /// independent committed state to freeze.
+    /// Freeze the current committed state into a lock-free snapshot,
+    /// which pins the store's pages until it is dropped. Returns `None`
+    /// for memory-backed tables, which have no independent committed
+    /// state to freeze.
     pub fn freeze(&self) -> Option<TableSnapshot> {
         match &self.backing {
             Backing::Paged(p) => Some(p.freeze(&self.schema, self.live, self.data_bytes)),
@@ -334,7 +336,10 @@ impl Table {
                 rows[slot] = Some(new_row);
                 old
             }
-            Backing::Paged(p) => p.update(id, &new_row)?,
+            Backing::Paged(p) => {
+                let mut olds = p.update_many(&[(id, new_row)])?;
+                olds.pop().expect("one row in, one row out")
+            }
         };
         self.data_bytes = self.data_bytes + new_bytes - row_bytes(&old);
         Ok(old)
@@ -343,7 +348,7 @@ impl Table {
     /// Replace many rows as one statement; returns previous values in
     /// batch order. All-or-nothing on both backings: the paged backing
     /// applies the whole batch in a single store transaction (one
-    /// commit, one snapshot refresh — the bulk-update fast path), the
+    /// commit — the bulk-update fast path), the
     /// memory backing compensates already-applied rows in reverse on a
     /// mid-batch failure.
     pub fn update_batch(&mut self, updates: Vec<(RowId, Vec<Value>)>) -> DbResult<Vec<Vec<Value>>> {
@@ -487,7 +492,9 @@ impl IndexRef<'_> {
     pub fn get(&self, key: &[Value]) -> Vec<RowId> {
         match &self.0 {
             IndexRefInner::Memory(ix) => ix.get(key).to_vec(),
-            IndexRefInner::Paged { table, pos } => table.index_get(*pos, key),
+            IndexRefInner::Paged { table, pos } => {
+                table.index_range(*pos, key, Bound::Unbounded, Bound::Unbounded)
+            }
         }
     }
 

@@ -288,6 +288,28 @@ mod tests {
     }
 
     #[test]
+    fn open_replaces_an_existing_file_with_a_fresh_inode() {
+        let path =
+            std::env::temp_dir().join(format!("hedc-store-reopen-{}.pages", std::process::id()));
+        std::fs::write(&path, vec![0xEEu8; 4 << 20]).unwrap();
+        let old = std::fs::File::open(&path).unwrap();
+        let store = Store::open(StoreOptions {
+            path: Some(path.clone()),
+            ..StoreOptions::default()
+        })
+        .unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        assert_eq!(
+            old.metadata().unwrap().len(),
+            4 << 20,
+            "the old inode is unlinked, not truncated in place"
+        );
+        assert_eq!(store.allocated_pages(), 0);
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn range_bounds_are_respected() {
         let store = tiny();
         let mut txn = store.begin();

@@ -139,11 +139,16 @@ impl Pager {
                 (std::env::temp_dir().join(name), true)
             }
         };
+        // A fresh inode, never a truncate in place: ext4 (`auto_da_alloc`)
+        // writes the whole old file back before a truncated one is reused.
+        match std::fs::remove_file(&path) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
         let file = OpenOptions::new()
             .read(true)
             .write(true)
-            .create(true)
-            .truncate(true)
+            .create_new(true)
             .open(&path)?;
         let reg = hedc_obs::global();
         Ok(Pager {

@@ -42,6 +42,8 @@ struct State {
     /// Pages freed by the commit that produced `seq`, reclaimable once
     /// `min(active) >= seq`.
     pending: std::collections::VecDeque<(u64, Vec<PageId>)>,
+    /// Total page ids on `pending`.
+    pending_pages: usize,
     /// Reclaimed page ids ready for reuse.
     free: Vec<PageId>,
     next_page: PageId,
@@ -59,6 +61,7 @@ impl State {
                 break;
             }
             let (_, pages) = self.pending.pop_front().expect("checked front");
+            self.pending_pages -= pages.len();
             for id in pages {
                 pager.forget(id);
                 self.free.push(id);
@@ -74,6 +77,23 @@ struct StoreInner {
     obs_snapshots: Arc<hedc_obs::Gauge>,
     obs_writer_waiting: Arc<hedc_obs::Gauge>,
     obs_writer_stall: Arc<hedc_obs::Histogram>,
+    obs_allocated: Arc<hedc_obs::Gauge>,
+    obs_free: Arc<hedc_obs::Gauge>,
+    obs_pending: Arc<hedc_obs::Gauge>,
+    obs_oldest_lag: Arc<hedc_obs::Gauge>,
+}
+
+impl StoreInner {
+    /// Publish the space gauges. Called under the state lock at the two
+    /// places reclamation runs: commit and snapshot drop.
+    fn observe_space(&self, state: &State) {
+        self.obs_allocated.set(state.next_page as i64 - 1);
+        self.obs_free.set(state.free.len() as i64);
+        self.obs_pending.set(state.pending_pages as i64);
+        let oldest = state.active.keys().next();
+        self.obs_oldest_lag
+            .set(oldest.map_or(0, |min| (state.current.seq - min) as i64));
+    }
 }
 
 /// A paged storage engine holding any number of named B-trees, with
@@ -96,7 +116,7 @@ impl std::fmt::Debug for Store {
 }
 
 impl Store {
-    /// Open (create) a store. The backing file is truncated: a store's
+    /// Open (create) a store. Any file at the path is replaced: a store's
     /// durable contents always come from replaying a WAL above it, so
     /// the file itself is scratch space that lets tables exceed RAM.
     pub fn open(opts: StoreOptions) -> io::Result<Store> {
@@ -112,6 +132,7 @@ impl Store {
                     }),
                     active: Default::default(),
                     pending: Default::default(),
+                    pending_pages: 0,
                     free: Vec::new(),
                     next_page: 1, // page 0 is the NULL sentinel
                 }),
@@ -119,6 +140,10 @@ impl Store {
                 obs_snapshots: reg.gauge("store.snapshot.active"),
                 obs_writer_waiting: reg.gauge("store.writer.waiting"),
                 obs_writer_stall: reg.histogram("store.writer.stall"),
+                obs_allocated: reg.gauge("store.pages.allocated"),
+                obs_free: reg.gauge("store.pages.free"),
+                obs_pending: reg.gauge("store.pages.pending"),
+                obs_oldest_lag: reg.gauge("store.snapshot.oldest_lag"),
             }),
         })
     }
@@ -344,11 +369,13 @@ impl WriteTxn<'_> {
         });
         let freed = std::mem::take(&mut self.pages.freed);
         if !freed.is_empty() {
+            state.pending_pages += freed.len();
             state.pending.push_back((seq, freed));
         }
         // Ids allocated-then-discarded this txn were never visible.
         state.free.append(&mut self.pages.reusable);
         state.reclaim(&self.inner.pager);
+        self.inner.observe_space(&state);
         drop(state);
         self.done = true;
         Ok(())
@@ -458,6 +485,7 @@ impl Drop for Snapshot {
             }
         }
         state.reclaim(&self.inner.pager);
+        self.inner.observe_space(&state);
         drop(state);
         self.inner.obs_snapshots.add(-1);
     }

@@ -36,6 +36,10 @@ fn store_metrics_surface_in_the_global_registry() {
         "store.snapshot.active",
         "store.writer.waiting",
         "store.writer.stall",
+        "store.pages.allocated",
+        "store.pages.free",
+        "store.pages.pending",
+        "store.snapshot.oldest_lag",
     ] {
         assert!(
             metrics.counter(metric).is_some()
@@ -47,7 +51,28 @@ fn store_metrics_surface_in_the_global_registry() {
     // Activity actually flowed through the registered handles.
     assert!(hedc_obs::global().counter_value("store.page_cache.hit") > 0);
 
+    // A pinned store is one look at the gauges: `snap` holds back every
+    // page the next commits supersede, and says how far behind it is.
+    let gauge = |name: &str| hedc_obs::global().gauge(name).get();
+    for round in 0..3u8 {
+        let mut txn = store.begin();
+        for i in 0..64u64 {
+            txn.insert(tree, &i.to_be_bytes(), &[round; 128])
+                .expect("insert");
+        }
+        txn.commit().expect("commit");
+    }
+    assert_eq!(gauge("store.snapshot.oldest_lag"), 3);
+    assert!(gauge("store.pages.pending") > 0);
+    assert_eq!(gauge("store.pages.free"), 0);
+    assert_eq!(
+        gauge("store.pages.allocated") as u64,
+        store.allocated_pages()
+    );
     drop(snap);
+    assert_eq!(gauge("store.snapshot.oldest_lag"), 0);
+    assert_eq!(gauge("store.pages.pending"), 0);
+    assert!(gauge("store.pages.free") > 0, "the held pages came back");
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

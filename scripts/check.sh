@@ -2,7 +2,8 @@
 # Repository health gate: formatting, lints, build, tests. Run before pushing.
 #
 #   scripts/check.sh           full gate (fmt, clippy, release build, tests,
-#                              bench smoke)
+#                              the paged store's space gate in release
+#                              mode, bench smoke)
 #   scripts/check.sh --fast    skip clippy (the slowest step) for quick loops
 #   scripts/check.sh --seed N  replay every seeded suite — each target with
 #                              a file that calls `Seed::from_env` — with
@@ -285,6 +286,13 @@ cargo build --release --workspace
 
 echo "==> cargo test -q"
 cargo test -q --workspace
+
+# The space budget of DESIGN.md §13, at the optimization level it is quoted
+# for; like the source-tree sizes above, one line per gate run. A failing
+# suite or a missing line fails the assignment, hence the gate.
+space_line="$(cargo test --release -q -p hedc-metadb --test space_budget -- --nocapture \
+  | grep -o 'page file: .*')"
+echo "==> space gate: $space_line"
 
 for name in "${smokes[@]}"; do
   "${name}_smoke"
